@@ -3,8 +3,8 @@
 Kernels in :mod:`quantgym.kernels` are written once, in njit-compatible
 numpy, and compiled when numba is importable. Set ``QUANTGYM_NUMBA=0``
 (or ``false``/``off``/``no``) to force the pure-numpy path; the flag is
-read once at import time. ``benchmarks/bench_kernels.py`` times the two
-paths against each other.
+read once at import time. ``tests/test_kernels.py`` checks that the two
+paths agree when numba is installed.
 """
 from __future__ import annotations
 
@@ -42,5 +42,5 @@ def maybe_njit(func=None, **options):
 
 
 def python_impl(func):
-    """The uncompiled callable behind a kernel (for benchmarks/tests)."""
+    """The uncompiled callable behind a kernel (for tests)."""
     return getattr(func, "py_func", func)

@@ -14,7 +14,9 @@ def cem_optimize(objective, dim: int, iterations: int, population: int,
                  std_floor: float = 1e-3) -> tuple[np.ndarray, list[float]]:
     """Maximize `objective` over R^dim by iterated elite refitting.
 
-    Each round samples a Gaussian population, scores it, and refits the
+    `objective` scores a whole population at once: it maps a
+    (population, dim) array of samples to (population,) scores. Each
+    round samples a Gaussian population, scores it, and refits the
     mean/std to the top elite_frac fraction (at least one sample; with
     elite_frac=1 the refit is the plain population mean, i.e. no
     selection pressure). Returns the final mean and per-round best
@@ -31,7 +33,10 @@ def cem_optimize(objective, dim: int, iterations: int, population: int,
     history: list[float] = []
     for _ in range(iterations):
         samples = mean + std * rng.standard_normal((population, dim))
-        scores = np.array([float(objective(s)) for s in samples])
+        scores = np.asarray(objective(samples), dtype=float)
+        if scores.shape != (population,):
+            raise TrainingError(f"objective returned shape {scores.shape}, "
+                                f"expected ({population},)")
         if not np.isfinite(scores).all():
             raise TrainingError("non-finite objective value during CEM search")
         elite_idx = np.argsort(-scores, kind="stable")[:n_elite]
@@ -42,18 +47,6 @@ def cem_optimize(objective, dim: int, iterations: int, population: int,
     return mean, history
 
 
-def _episode_return(env, policy: GaussianPolicy) -> float:
-    policy.begin_episode()
-    state = env.reset()
-    obs = state.observation()
-    total = 0.0
-    while not env.done:
-        transition = env.step(policy.act(obs))
-        total += transition.reward
-        obs = transition.next_state.observation()
-    return total
-
-
 def train_cem(env, config: TrainConfig) -> GaussianPolicy:
     """Fit a Gaussian policy by maximizing deterministic episode return."""
     policy = GaussianPolicy(env.observation_dim, env.action_dim,
@@ -61,9 +54,9 @@ def train_cem(env, config: TrainConfig) -> GaussianPolicy:
     state = env.reset()
     policy.obs_scale = np.maximum(1.0, np.abs(state.observation()))
 
-    def objective(params: np.ndarray) -> float:
-        policy.set_flat(params)
-        return _episode_return(env, policy)
+    def objective(samples: np.ndarray) -> np.ndarray:
+        return env.episode_returns(
+            lambda obs: policy.act_population(obs, samples), len(samples))
 
     best, _history = cem_optimize(
         objective, policy.n_parameters, config.iterations, config.population,

@@ -88,19 +88,28 @@ class GaussianPolicy(Policy):
         parts.append(np.array([self.bv]))
         return np.concatenate(parts)
 
-    def set_flat(self, vec: np.ndarray) -> None:
-        vec = np.asarray(vec, dtype=float)
+    def _unflatten(self, vecs: np.ndarray) -> dict:
+        """Split (..., n_parameters) vectors into views shaped like each field."""
+        fields = {}
         offset = 0
         for f in self._fields():
-            cur = np.asarray(getattr(self, f))
-            size = cur.size
-            setattr(self, f, vec[offset:offset + size].reshape(cur.shape).copy())
+            shape = np.shape(getattr(self, f))
+            size = math.prod(shape)
+            fields[f] = vecs[..., offset:offset + size].reshape(
+                vecs.shape[:-1] + shape)
             offset += size
-        self.bv = float(vec[offset])
+        fields["bv"] = vecs[..., offset]
         offset += 1
-        if offset != vec.size:
-            raise TrainingError(
-                f"parameter vector has {vec.size} entries, expected {offset}")
+        if offset != vecs.shape[-1]:
+            raise TrainingError(f"parameter vector has {vecs.shape[-1]} "
+                                f"entries, expected {offset}")
+        return fields
+
+    def set_flat(self, vec: np.ndarray) -> None:
+        fields = self._unflatten(np.asarray(vec, dtype=float))
+        for f in self._fields():
+            setattr(self, f, fields[f].copy())
+        self.bv = float(fields["bv"])
 
     @property
     def parameters(self) -> np.ndarray:
@@ -125,6 +134,20 @@ class GaussianPolicy(Policy):
     def act(self, observation: np.ndarray) -> np.ndarray:
         mean, _, _ = self.forward(observation)
         return mean[0]
+
+    def act_population(self, obs: np.ndarray, params: np.ndarray) -> np.ndarray:
+        """Deterministic actions of P parameter vectors on P observations.
+
+        obs is (P, obs_dim) and params (P, n_parameters); row p equals
+        ``set_flat(params[p]); act(obs[p])`` bit for bit. The stacked
+        matmuls run each row as the same vector-matrix product ``act``
+        runs, so the summation order is unchanged.
+        """
+        p = self._unflatten(np.asarray(params, dtype=float))
+        x = (np.asarray(obs, dtype=float) / self.obs_scale)[:, None, :]
+        h = np.tanh(x @ p["W1"].transpose(0, 2, 1) + p["b1"][:, None, :])
+        mean = h @ p["W2"].transpose(0, 2, 1) + p["b2"][:, None, :]
+        return mean[:, 0, :]
 
     def sample(self, observation: np.ndarray, rng: np.random.Generator):
         mean, value, _ = self.forward(observation)

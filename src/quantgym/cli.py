@@ -128,9 +128,13 @@ def parse_indicators(spec_text: str) -> list[IndicatorSpec]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        parts = chunk.split(":")
-        params = tuple(int(p) for p in parts[1:])
-        specs.append(IndicatorSpec(parts[0], params))
+        kind, *periods = chunk.split(":")
+        try:
+            params = tuple(int(p) for p in periods)
+        except ValueError:
+            raise ConfigError(f"features.indicators: {chunk!r} has a "
+                              f"non-integer period") from None
+        specs.append(IndicatorSpec(kind, params))
     if not specs:
         raise ConfigError("features.indicators selects no indicators")
     return specs
@@ -316,7 +320,7 @@ def cmd_features(config: RunConfig) -> int:
                   encoding="utf-8") as fh:
             fh.write("timestamp,value\n")
             for ts, v in zip(turb.calendar, turb.values):
-                fh.write(f"{format_timestamp(ts)},{v!r}\n")
+                fh.write(f"{format_timestamp(ts)},{float(v)!r}\n")
     write_manifest(outdir, "features", config, [_data_source(config)])
     print(f"features {features.feature_names} warmup={features.warmup} "
           f"-> {out_npz}")

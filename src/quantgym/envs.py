@@ -5,7 +5,8 @@ over a half-open step range [start, end); an episode is done when the
 cursor reaches end-1 (no next bar to settle against). Instances are
 single-owner state machines over shared immutable market data, so many
 can run concurrently; ``batch_step`` steps a list of them and
-auto-resets finished ones.
+auto-resets finished ones. ``episode_returns`` runs P episodes of one
+environment in lockstep, one (P, n) step per time step.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import EnvError
 from .features import FeatureMatrix, TurbulenceSeries
-from .kernels import execute_trades_kernel
+from .kernels import execute_trades_kernel, execute_trades_population
 from .market_data import BarTable, format_timestamp
 
 
@@ -91,9 +92,19 @@ class Transition:
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
-    z = np.exp(x - np.max(x))
-    w = z / z.sum()
-    return w / w.sum()
+    """Softmax over the last axis, so a (P, n) batch maps row by row."""
+    z = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    w = z / z.sum(axis=-1, keepdims=True)
+    return w / w.sum(axis=-1, keepdims=True)
+
+
+def _row_dots(rows: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """``vec @ row`` for each row of a (P, n) array.
+
+    The stacked (1, n) @ (n, 1) products run the same 1-D dot as a
+    single ``vec @ row``, so each row keeps its summation order.
+    """
+    return (rows[:, None, :] @ vec[:, None])[:, 0, 0]
 
 
 class _BaseEnv:
@@ -168,6 +179,36 @@ class _BaseEnv:
             raise EnvError("non-finite action")
         return action
 
+    def episode_returns(self, act, population: int) -> np.ndarray:
+        """Summed rewards of `population` lockstep episodes from ``reset()``.
+
+        ``act`` maps a (P, observation_dim) batch of observations to (P, n)
+        actions. Each step applies the rules of ``step`` to every row, so
+        entry p equals the reward sum of a ``reset()``/``step`` loop driven
+        by row p of ``act``, bit for bit.
+        """
+        n = self.n
+        # an observation is [cash or value, prices, features, held]
+        first = self.reset().observation()
+        cash = np.full(population, first[0])
+        held = np.tile(first[-n:], (population, 1))
+        total = np.zeros(population)
+        for t in range(self.start, self.end - 1):
+            obs = np.empty((population, self.observation_dim))
+            obs[:, 0] = cash
+            obs[:, 1:1 + n] = self.table.close[t]
+            obs[:, 1 + n:-n] = self.features.values[t].reshape(-1)
+            obs[:, -n:] = held
+            actions = np.asarray(act(obs), dtype=float)
+            if actions.shape != (population, n):
+                raise EnvError(f"actions have shape {actions.shape}, "
+                               f"expected {(population, n)}")
+            if not np.isfinite(actions).all():
+                raise EnvError("non-finite action")
+            cash, held, reward = self._population_step(t, cash, held, actions)
+            total += reward
+        return total
+
 
 class TradingEnv(_BaseEnv):
     """Share-level trading with costs, cash constraint, and risk override.
@@ -225,6 +266,21 @@ class TradingEnv(_BaseEnv):
                           t2 >= self.end - 1,
                           {"cost": float(cost), "risk_triggered": triggered})
 
+    def _population_step(self, t, balance, holdings, actions):
+        cfg = self.config
+        if self._risk_triggered(t):
+            deltas = -holdings
+        else:
+            deltas = np.rint(np.clip(actions, -1.0, 1.0) * cfg.h_max)
+        prices = self.table.close[t].astype(float)
+        new_h, new_b, _, _ = execute_trades_population(
+            prices, holdings, balance, deltas, cfg.cost_rate,
+            cfg.allow_short, cfg.allow_margin)
+        prices_next = self.table.close[t + 1].astype(float)
+        reward = ((_row_dots(new_h, prices_next) + new_b)
+                  - (_row_dots(holdings, prices) + balance)) * cfg.reward_scale
+        return new_b, new_h, reward
+
 
 class PortfolioEnv(_BaseEnv):
     """Weight-allocation environment with the multiplicative value recursion.
@@ -247,8 +303,10 @@ class PortfolioEnv(_BaseEnv):
             weights = np.full(self.n, 1.0 / self.n)
         else:
             weights = np.asarray(weights, dtype=float).copy()
-            if weights.shape != (self.n,) or not np.isfinite(weights).all():
-                raise EnvError("bad initial weights")
+            if (weights.shape != (self.n,) or not np.isfinite(weights).all()
+                    or not weights.sum() > 0.0):
+                raise EnvError(f"bad initial weights: need {self.n} finite "
+                               f"values with a positive sum")
             weights = weights / weights.sum()
         state = PortfolioState(t, self.table.calendar[t], value,
                                self.table.close[t].astype(float),
@@ -280,6 +338,19 @@ class PortfolioEnv(_BaseEnv):
         return Transition(state, weights, reward, next_state,
                           t2 >= self.end - 1,
                           {"cost": float(fee), "risk_triggered": triggered})
+
+    def _population_step(self, t, value, weights, actions):
+        cfg = self.config
+        if self._risk_triggered(t):
+            new_w = np.full(actions.shape, 1.0 / self.n)
+        else:
+            new_w = softmax(actions)
+        turnover = 0.5 * np.abs(new_w - weights).sum(axis=1)
+        fee = value * cfg.turnover_cost_rate * turnover
+        ratio = self.table.close[t + 1].astype(float) / self.table.close[t]
+        new_value = value * _row_dots(new_w, ratio) - fee
+        reward = (new_value - value) * cfg.reward_scale
+        return new_value, new_w, reward
 
 
 def batch_step(envs: Sequence[_BaseEnv], actions) -> list[Transition]:

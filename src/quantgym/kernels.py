@@ -250,3 +250,57 @@ def execute_trades_kernel(prices, holdings, balance, deltas,
     if not allow_margin and b < 0.0:
         b = 0.0
     return new_h, b, executed, cost
+
+
+def execute_trades_population(prices, holdings, balance, deltas,
+                              cost_rate, allow_short, allow_margin):
+    """``execute_trades_kernel`` for P accounts at one price vector.
+
+    holdings and deltas are (P, n), balance is (P,); row p of each result
+    equals the scalar kernel on row p, bit for bit. Only the buys read
+    the balance, each one the balance the buys before it left, so only
+    they loop over the tickers (with vector operations over P).
+    Everything else runs on the whole (P, n) grid, and the balance and
+    fee totals are summed in the scalar kernel's order: all sells, then
+    buys, in ticker order.
+
+    ``fmin(q, cap)`` stands for the scalar ``cap if q > cap else q``
+    (also when cap is NaN). The two can differ only in the sign of a
+    zero, and a quantity that is not positive does not fill.
+    """
+    sell = np.fmax(-deltas, 0.0)
+    if not allow_short:
+        sell = np.fmin(sell, np.fmax(holdings, 0.0))
+    sold = sell > 0.0
+    proceeds = sell * prices
+    b = _sum_in_order(balance, sold, proceeds - cost_rate * proceeds)
+    buy = np.fmax(deltas, 0.0)
+    unit = prices * (1.0 + cost_rate)
+    for i, (price, u) in enumerate(zip(prices.tolist(), unit.tolist())):
+        qty = buy[:, i]
+        if not allow_margin:
+            qty = np.fmin(qty, np.floor(b / u) if u > 0.0 else 0.0)
+        notional = qty * price
+        np.subtract(b, notional + cost_rate * notional, out=b, where=qty > 0.0)
+        buy[:, i] = qty
+    bought = buy > 0.0
+    executed = np.where(sold, -sell, np.where(bought, buy, 0.0))
+    new_h = np.where(sold | bought, holdings + executed, holdings)
+    fees = cost_rate * (np.abs(executed) * prices)
+    cost = _sum_in_order(np.zeros(len(balance)),
+                         np.concatenate((sold, bought), axis=1),
+                         np.concatenate((fees, fees), axis=1))
+    if not allow_margin:
+        b = np.where(b < 0.0, 0.0, b)
+    return new_h, b, executed, cost
+
+
+def _sum_in_order(start, mask, terms):
+    """start plus each masked-in column of terms, added left to right.
+
+    Masked-out columns add -0.0, the exact identity, so each row's sum
+    is the scalar loop's ``if mask: total += term``.
+    """
+    columns = np.concatenate((start[:, None], np.where(mask, terms, -0.0)),
+                             axis=1)
+    return np.add.accumulate(columns, axis=1)[:, -1].copy()

@@ -60,6 +60,14 @@ def make_portfolio_env(table: BarTable, config: EnvConfig | None = None,
                         **kwargs)
 
 
+def assert_bitwise_equal(actual, expected) -> None:
+    """Same shape and the same float64 bits (so -0.0 differs from 0.0)."""
+    actual = np.asarray(actual, dtype=float)
+    expected = np.asarray(expected, dtype=float)
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes(), (actual, expected)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -18,11 +18,12 @@ from quantgym.agents import (
     train_a2c,
     train_cem,
 )
-from quantgym.envs import EnvConfig, TradingEnv
+from quantgym.envs import EnvConfig, PortfolioEnv, TradingEnv
 from quantgym.errors import TrainingError
 from quantgym.pipeline import backtest
 
 from conftest import (
+    assert_bitwise_equal,
     make_table,
     make_portfolio_env,
     make_trading_env,
@@ -185,9 +186,14 @@ class TestA2CTraining:
 
 # --- CEM --------------------------------------------------------------------
 
+def rowwise(f):
+    """A population objective that scores each row with scalar `f`."""
+    return lambda samples: np.array([f(th) for th in samples])
+
+
 class TestCEM:
     def test_quadratic_objective_optimized(self):
-        best, _ = cem_optimize(lambda th: -float(th @ th), dim=4,
+        best, _ = cem_optimize(rowwise(lambda th: -float(th @ th)), dim=4,
                                iterations=50, population=40, elite_frac=0.2,
                                seed=1)
         assert np.abs(best).max() < 0.1
@@ -196,21 +202,21 @@ class TestCEM:
         rng_ref = np.random.default_rng(7)
         mean0 = np.zeros(3)
         samples = mean0 + 1.0 * rng_ref.standard_normal((10, 3))
-        best, _ = cem_optimize(lambda th: float(th.sum()), dim=3,
+        best, _ = cem_optimize(rowwise(lambda th: float(th.sum())), dim=3,
                                iterations=1, population=10, elite_frac=1.0,
                                seed=7)
         np.testing.assert_allclose(best, samples.mean(axis=0))
 
     def test_population_floor(self):
         with pytest.raises(TrainingError, match="population"):
-            cem_optimize(lambda th: 0.0, dim=2, iterations=1, population=1,
-                         elite_frac=0.5)
+            cem_optimize(rowwise(lambda th: 0.0), dim=2, iterations=1,
+                         population=1, elite_frac=0.5)
 
     def test_seed_reproducibility(self):
         kwargs = dict(dim=3, iterations=10, population=12, elite_frac=0.25,
                       seed=5)
-        a, _ = cem_optimize(lambda th: -float(th @ th), **kwargs)
-        b, _ = cem_optimize(lambda th: -float(th @ th), **kwargs)
+        a, _ = cem_optimize(rowwise(lambda th: -float(th @ th)), **kwargs)
+        b, _ = cem_optimize(rowwise(lambda th: -float(th @ th)), **kwargs)
         np.testing.assert_array_equal(a, b)
 
     def test_train_cem_on_market_env(self):
@@ -218,6 +224,67 @@ class TestCEM:
         config = TrainConfig(iterations=3, population=6, hidden=4, seed=0)
         policy = train_cem(env, config)
         assert policy.act(env.reset().observation()).shape == (2,)
+
+    @pytest.mark.parametrize("env_cls", [TradingEnv, PortfolioEnv])
+    def test_train_cem_equals_per_member_loop(self, env_cls):
+        table = random_walk_table(30, 3, seed=6)
+        risk = np.zeros(30)
+        risk[9] = 1e9  # liquidation / uniform weights at t=9
+        config = EnvConfig(initial_capital=5000.0, cost_rate=0.002, h_max=40,
+                           risk_indicator="turbulence", reward_scale=0.01,
+                           turnover_cost_rate=0.003)
+        env = env_cls(config, table, simple_features(table), risk_series=risk)
+        train = TrainConfig(iterations=3, population=7, hidden=5, seed=2)
+        policy = train_cem(env, train)
+        oracle = _train_cem_per_member(env, train)
+        assert_bitwise_equal(policy.get_flat(), oracle.get_flat())
+        assert_bitwise_equal(policy.obs_scale, oracle.obs_scale)
+
+
+def _train_cem_per_member(env, config: TrainConfig) -> GaussianPolicy:
+    """``train_cem`` scoring each member with its own reset/step episode."""
+    policy = GaussianPolicy(env.observation_dim, env.action_dim,
+                            config.hidden, config.seed)
+    policy.obs_scale = np.maximum(1.0, np.abs(env.reset().observation()))
+
+    def episode_return(params):
+        policy.set_flat(params)
+        obs = env.reset().observation()
+        total = 0.0
+        while not env.done:
+            transition = env.step(policy.act(obs))
+            total += transition.reward
+            obs = transition.next_state.observation()
+        return total
+
+    best, _ = cem_optimize(
+        rowwise(episode_return), policy.n_parameters, config.iterations,
+        config.population, config.elite_frac, seed=config.seed,
+        init_mean=policy.get_flat(), init_std=0.5)
+    policy.set_flat(best)
+    return policy
+
+
+@pytest.mark.parametrize("obs_dim,action_dim,hidden", [(1, 1, 1), (7, 3, 5),
+                                                       (41, 10, 64)])
+def test_act_population_equals_set_flat_act(obs_dim, action_dim, hidden):
+    rng = np.random.default_rng(obs_dim)
+    policy = GaussianPolicy(obs_dim, action_dim, hidden, seed=1)
+    policy.obs_scale = rng.uniform(1.0, 100.0, obs_dim)
+    params = rng.normal(0.0, 1.0, (9, policy.n_parameters))
+    obs = rng.normal(0.0, 50.0, (9, obs_dim))
+    actions = policy.act_population(obs, params)
+    assert actions.shape == (9, action_dim)
+    for p in range(9):
+        policy.set_flat(params[p])
+        assert_bitwise_equal(actions[p], policy.act(obs[p]))
+
+
+def test_act_population_rejects_wrong_parameter_count():
+    policy = GaussianPolicy(3, 2, 4)
+    with pytest.raises(TrainingError, match="entries"):
+        policy.act_population(np.zeros((2, 3)),
+                              np.zeros((2, policy.n_parameters + 1)))
 
 
 # --- baselines --------------------------------------------------------------

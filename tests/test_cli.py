@@ -43,7 +43,21 @@ class TestIngestFeatures:
         assert blob["values"].ndim == 3
         assert list(blob["feature_names"]) == [
             "macd_12_26_9", "rsi_14", "cci_20", "adx_14"]
-        assert (tmp_path / "features" / "turbulence.csv").exists()
+        with open(tmp_path / "features" / "turbulence.csv") as fh:
+            rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+        values = np.array([float(value) for _, value in rows])
+        assert len(values) == blob["values"].shape[0]
+        warmup = 21  # window 20 plus the first return row
+        assert np.isnan(values[:warmup]).all()
+        assert np.isfinite(values[warmup:]).all()
+
+    def test_non_integer_indicator_period_exits_2(self, tmp_path, capsys):
+        code = run(["features"], tmp_path,
+                   ["--set", "features.indicators=rsi:abc"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "'rsi:abc'" in err
+        assert len(err.splitlines()) == 1
 
     def test_event_feature_column(self, tmp_path):
         events = tmp_path / "events.csv"

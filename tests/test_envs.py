@@ -13,6 +13,7 @@ from quantgym.envs import (
 from quantgym.errors import EnvError
 
 from conftest import (
+    assert_bitwise_equal,
     make_table,
     make_portfolio_env,
     make_trading_env,
@@ -303,6 +304,12 @@ class TestPortfolio:
         with pytest.raises(EnvError, match="non-finite"):
             env.step(np.array([np.inf, 0.0]))
 
+    @pytest.mark.parametrize("weights", [[0.0, 0.0], [1.0, -1.0], [-1.0, 0.5]])
+    def test_reset_rejects_weights_without_positive_sum(self, weights):
+        env = make_portfolio_env(random_walk_table(10, 2))
+        with pytest.raises(EnvError, match="bad initial weights"):
+            env.reset(weights=np.array(weights))
+
 
 class TestBatchStep:
     def make_envs(self, k, seed=0):
@@ -364,6 +371,79 @@ class TestBatchStep:
         envs = self.make_envs(2)
         with pytest.raises(EnvError, match="2 envs but 1 actions"):
             batch_step(envs, [np.zeros(2)])
+
+
+class TestEpisodeReturns:
+    """Lockstep population episodes against one reset/step loop per row."""
+
+    P = 5
+
+    def make_env(self, env_cls, allow_short=False, allow_margin=False):
+        table = random_walk_table(24, 3, seed=11)
+        risk = np.zeros(24)
+        risk[8] = 1e9  # liquidation / uniform weights at t=8
+        config = EnvConfig(initial_capital=3017.3, cost_rate=0.0023, h_max=40,
+                           allow_short=allow_short, allow_margin=allow_margin,
+                           risk_indicator="turbulence", reward_scale=0.01,
+                           turnover_cost_rate=0.0037)
+        return env_cls(config, table, simple_features(table), risk_series=risk)
+
+    @staticmethod
+    def act_row(p, obs):
+        # scale 3 drives |action| past 1, so clipping and rounding happen
+        return 3.0 * np.sin(1e-3 * obs.sum() + p + np.arange(3))
+
+    def loop_return(self, env, p, seen):
+        obs = env.reset().observation()
+        total = 0.0
+        fired = False
+        while not env.done:
+            seen.append(obs)
+            transition = env.step(self.act_row(p, obs))
+            total += transition.reward
+            fired |= transition.info["risk_triggered"]
+            obs = transition.next_state.observation()
+        assert fired
+        return total
+
+    @pytest.mark.parametrize("env_cls,short,margin", [
+        (TradingEnv, False, False), (TradingEnv, True, True),
+        (PortfolioEnv, False, False)])
+    def test_equals_step_loop_bitwise(self, env_cls, short, margin):
+        env = self.make_env(env_cls, short, margin)
+        batches = []
+
+        def act(obs):
+            batches.append(obs.copy())
+            return np.array([self.act_row(p, o) for p, o in enumerate(obs)])
+
+        returns = env.episode_returns(act, self.P)
+        assert len(batches) == env.end - 1 - env.start
+        for p in range(self.P):
+            seen = []
+            assert_bitwise_equal(returns[p], self.loop_return(env, p, seen))
+            assert_bitwise_equal([b[p] for b in batches], seen)
+
+    @pytest.mark.parametrize("env_cls", [TradingEnv, PortfolioEnv])
+    def test_non_finite_action_rejected(self, env_cls):
+        env = self.make_env(env_cls)
+        calls = []
+
+        def act(obs):
+            calls.append(1)
+            actions = np.zeros((self.P, 3))
+            if len(calls) == 4:
+                actions[2, 1] = np.nan
+            return actions
+
+        with pytest.raises(EnvError, match="non-finite"):
+            env.episode_returns(act, self.P)
+        assert len(calls) == 4
+
+    def test_action_shape_checked(self):
+        env = self.make_env(PortfolioEnv)
+        with pytest.raises(EnvError, match="shape"):
+            env.episode_returns(lambda obs: np.zeros((self.P, 2)), self.P)
 
 
 def test_episode_trace_export(tmp_path, rng):
