@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..pipeline import backtest
+from ..pipeline import backtest, score_key
 from .policy import Policy
 
 
@@ -20,28 +20,19 @@ def ensemble_select(candidates: list[Policy], validation_env,
                     window_id: int = 0) -> tuple[Policy, EnsembleReport]:
     """Backtest every candidate on the validation env and keep the best.
 
-    Ranking is by Sharpe, ties to the lowest index; if no candidate has
-    a defined Sharpe (flat value series) the cumulative return decides
-    and the report says so.
+    Candidates rank by ``pipeline.score_key``, the rule the rolling
+    driver selects with: Sharpe, ties to the lowest index; if no
+    candidate has a defined Sharpe (flat value series) the cumulative
+    return decides and the report says so.
     """
     if not candidates:
         raise ValueError("ensemble_select needs at least one candidate")
-    sharpes = []
-    cums = []
-    for policy in candidates:
-        result = backtest(policy, validation_env)
-        m = result.metrics
-        sharpes.append(None if m is None else m.sharpe)
-        cums.append(0.0 if m is None else m.cumulative_return)
-    used_fallback = all(s is None for s in sharpes)
-    if used_fallback:
-        keys = cums
-    else:
-        keys = [float("-inf") if s is None else s for s in sharpes]
-    chosen = 0
-    for i in range(1, len(keys)):
-        if keys[i] > keys[chosen]:
-            chosen = i
-    report = EnsembleReport(tuple(sharpes), tuple(cums), chosen, window_id,
-                            used_fallback)
+    results = [backtest(policy, validation_env) for policy in candidates]
+    keys = [score_key(result) for result in results]
+    chosen = max(range(len(keys)), key=keys.__getitem__)
+    metrics = [result.metrics for result in results]
+    sharpes = tuple(None if m is None else m.sharpe for m in metrics)
+    cums = tuple(0.0 if m is None else m.cumulative_return for m in metrics)
+    report = EnsembleReport(sharpes, cums, chosen, window_id,
+                            used_fallback=all(s is None for s in sharpes))
     return candidates[chosen], report

@@ -39,7 +39,7 @@ from .agents import (
 )
 from .config import RunConfig, load_config
 from .envs import EnvConfig
-from .errors import ConfigError, DataError, QuantGymError
+from .errors import ConfigError, DataError, QuantGymError, TrainingError
 from .features import (
     FeatureMatrix,
     IndicatorSpec,
@@ -332,6 +332,8 @@ def cmd_sentiment_score(config: RunConfig) -> int:
     if not input_path:
         raise ConfigError("sentiment.input must point at a text file "
                           "(one document per line)")
+    if not os.path.isfile(input_path):
+        raise DataError(f"sentiment.input {input_path!r} is not a file")
     outdir = os.path.join(config.get("run", "output_dir"), "sentiment")
     dictionary = _load_dictionary(config)
     shifters = _load_shifters(config)
@@ -358,11 +360,18 @@ def cmd_sentiment_build_dict(config: RunConfig) -> int:
     resolutions_path = _sentiment_path(config, "resolutions",
                                        "resolutions_mini.tsv")
     resolutions = {}
-    for line in open(resolutions_path, encoding="utf-8"):
-        line = line.strip()
-        if line and not line.startswith("#"):
-            lemma, valence = line.split("\t")
-            resolutions[lemma] = float(valence)
+    with open(resolutions_path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            try:
+                lemma, valence = parts
+                resolutions[lemma] = float(valence)
+            except ValueError:
+                raise DataError(f"{resolutions_path}:{line_no}: expected "
+                                f"lemma<TAB>valence, got {line!r}") from None
     merged, contradictions = sn.merge_dictionaries(financial, general,
                                                    resolutions)
     master = sn.load_word_list(
@@ -473,13 +482,16 @@ def cmd_trade_sim(config: RunConfig) -> int:
         data.usable_days().tolist(),
         config.get("pipeline", "n_train"),
         config.get("pipeline", "n_test"),
-        config.get("pipeline", "n_trade"),
-        config.get("pipeline", "steps_per_day"))
+        config.get("pipeline", "n_trade"))
     factory = make_agent_factory(config)
     log, result = run_rolling(
         data, plan, factory, config.hyper_grid(),
         seed=config.get("run", "seed"),
         annualization_basis=config.get("pipeline", "annualization_basis"))
+    if all(r.skipped for r in result.window_reports):
+        first = result.window_reports[0]
+        raise TrainingError(f"every window was skipped (window "
+                            f"{first.window_id}: {first.reason})")
     write_backtest_result(result, outdir, data.table.tickers)
     windows_payload = [dataclasses.asdict(r) for r in result.window_reports]
     for row in windows_payload:

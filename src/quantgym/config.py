@@ -65,7 +65,6 @@ SCHEMA: dict[str, dict[str, tuple[str, str]]] = {
         "n_train": ("int", "20"),
         "n_test": ("int", "5"),
         "n_trade": ("int", "5"),
-        "steps_per_day": ("int", "1"),
         "annualization_basis": ("int", "365"),
         "risk_free": ("float", "0.0"),
     },

@@ -139,18 +139,6 @@ def load_events_csv(path: str, kind: str) -> EventSeries:
     return EventSeries(tuple(rows), kind)
 
 
-def _per_ticker(table: BarTable, fn) -> np.ndarray:
-    out = np.empty((table.n_steps, table.n_tickers))
-    for j in range(table.n_tickers):
-        out[:, j] = fn(
-            np.ascontiguousarray(table.open[:, j]),
-            np.ascontiguousarray(table.high[:, j]),
-            np.ascontiguousarray(table.low[:, j]),
-            np.ascontiguousarray(table.close[:, j]),
-        )
-    return out
-
-
 def compute_indicator(table: BarTable, spec: IndicatorSpec) -> np.ndarray:
     """(T, n) indicator values; NaN over the warmup prefix.
 
@@ -172,37 +160,33 @@ def compute_indicator(table: BarTable, spec: IndicatorSpec) -> np.ndarray:
         raise FeatureError(
             f"{spec.name} needs {needed} steps, table has {T}")
 
+    high, low, close = table.high, table.low, table.close
     if spec.kind == "SMA":
-        return _per_ticker(table, lambda o, h, l, c: kernels.sma_kernel(c, p[0]))
+        return kernels.sma_kernel(close, p[0])
     if spec.kind == "EMA":
-        return _per_ticker(table, lambda o, h, l, c: kernels.ema_kernel(c, p[0]))
+        return kernels.ema_kernel(close, p[0])
     if spec.kind == "MACD":
-        fast, slow, _signal = p
-
-        def macd(o, h, l, c):
-            return kernels.ema_kernel(c, fast) - kernels.ema_kernel(c, slow)
-
-        return _per_ticker(table, macd)
+        return kernels.ema_kernel(close, p[0]) - kernels.ema_kernel(close, p[1])
     if spec.kind == "RSI":
-        return _per_ticker(table, lambda o, h, l, c: kernels.rsi_kernel(c, p[0]))
+        return kernels.rsi_kernel(close, p[0])
     if spec.kind == "CCI":
-        return _per_ticker(table, lambda o, h, l, c: kernels.cci_kernel(h, l, c, p[0]))
+        return kernels.cci_kernel(high, low, close, p[0])
     if spec.kind == "ADX":
-        return _per_ticker(table, lambda o, h, l, c: kernels.adx_kernel(h, l, c, p[0]))
+        return kernels.adx_kernel(high, low, close, p[0])
     raise FeatureError(f"unknown indicator kind {spec.kind!r}")
 
 
 def macd_signal(table: BarTable, spec: IndicatorSpec) -> np.ndarray:
-    """Signal line (EMA of the MACD line); NaN-prefixed like the line."""
+    """Signal line (EMA of the MACD line); NaN-prefixed like the line.
+
+    The table is dense, so every ticker's line starts at the same row.
+    """
     if spec.kind != "MACD":
         raise FeatureError("signal line only applies to MACD")
     line = compute_indicator(table, spec)
+    start = max(spec.params[:2]) - 1
     out = np.full_like(line, np.nan)
-    for j in range(line.shape[1]):
-        col = line[:, j]
-        start = int(np.argmax(np.isfinite(col)))
-        sig = kernels.ema_kernel(np.ascontiguousarray(col[start:]), spec.params[2])
-        out[start:, j] = sig
+    out[start:] = kernels.ema_kernel(line[start:], spec.params[2])
     return out
 
 

@@ -1,209 +1,187 @@
 """Hot numeric kernels: indicator recursions, rolling Mahalanobis, trade fills.
 
-Every kernel is a single njit-compatible numpy function; with numba
-installed (and ``QUANTGYM_NUMBA`` unset or truthy) they are compiled,
-otherwise the same body runs as plain Python/numpy. All take float64
-arrays and return float64; undefined warmup prefixes are NaN.
+The indicator kernels take (T, n) grids, one column per ticker, and work
+on all columns at once: windowed ones add whole rows per window offset,
+recursive ones step through t on (n,) vectors. Every sum is added in the
+order of the plain per-element loop (window rows oldest first), so each
+column is bit-identical to that loop on the column alone. All take
+float64 arrays and return float64; undefined warmup prefixes are NaN.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .accel import maybe_njit
+
+def _window_sums(x, period):
+    """Row k: 0.0 + x[k] + ... + x[k + period - 1], added oldest first.
+
+    One whole-grid add per window offset, so no (T, period, n) copy.
+    """
+    acc = np.zeros((x.shape[0] - period + 1,) + x.shape[1:])
+    for k in range(period):
+        acc += x[k:k + len(acc)]
+    return acc
 
 
-@maybe_njit(cache=True)
+def _added_in_order(values):
+    """0.0 plus each value, left to right (``sum`` compensates from 3.12 on)."""
+    total = 0.0
+    for v in values.tolist():
+        total += v
+    return total
+
+
+def _wilder(x, period, seed=None):
+    """Wilder's average down the rows of x.
+
+    Row 0 is the mean of the `seed` rows (default: the first `period`
+    rows of x); row k is (row k-1 * (period - 1) + x[period + k - 1]) /
+    period.
+    """
+    seed = x[:period] if seed is None else seed
+    avg = np.empty((len(x) - period + 1,) + x.shape[1:])
+    avg[0] = _window_sums(seed, period)[0] / period
+    for k in range(1, len(avg)):
+        avg[k] = (avg[k - 1] * (period - 1) + x[period + k - 1]) / period
+    return avg
+
+
 def sma_kernel(x, period):
-    """Simple moving average over a trailing window of `period` samples.
+    """Simple moving average over a trailing window of `period` rows.
 
     Window sums are recomputed in full (no running sum) so constant
     inputs give bit-exact constant output.
     """
-    T = x.shape[0]
-    out = np.full(T, np.nan)
-    if period > T:
-        return out
-    for t in range(period - 1, T):
-        acc = 0.0
-        for i in range(t - period + 1, t + 1):
-            acc += x[i]
-        out[t] = acc / period
+    out = np.full(x.shape, np.nan)
+    if period <= len(x):
+        out[period - 1:] = _window_sums(x, period) / period
     return out
 
 
-@maybe_njit(cache=True)
 def ema_kernel(x, period):
     """Exponential moving average, seeded with the mean of the first window.
 
     The update prev + alpha*(x - prev) keeps constant inputs bit-exact.
     """
-    T = x.shape[0]
-    out = np.full(T, np.nan)
-    if period > T:
+    out = np.full(x.shape, np.nan)
+    if period > len(x):
         return out
-    seed = 0.0
-    for t in range(period):
-        seed += x[t]
-    prev = seed / period
+    prev = _window_sums(x[:period], period)[0] / period
     out[period - 1] = prev
     alpha = 2.0 / (period + 1.0)
-    for t in range(period, T):
+    for t in range(period, len(x)):
         prev = prev + alpha * (x[t] - prev)
         out[t] = prev
     return out
 
 
-@maybe_njit(cache=True)
 def rsi_kernel(close, period):
     """Relative strength index with Wilder smoothing.
 
     Flat market convention: 50 when average gain and loss are both zero.
     """
-    T = close.shape[0]
-    out = np.full(T, np.nan)
+    T = len(close)
+    out = np.full(close.shape, np.nan)
     if T < period + 1:
         return out
-    avg_gain = 0.0
-    avg_loss = 0.0
-    for t in range(1, period + 1):
-        diff = close[t] - close[t - 1]
-        if diff > 0.0:
-            avg_gain += diff
-        else:
-            avg_loss -= diff
-    avg_gain /= period
-    avg_loss /= period
-    for t in range(period, T):
-        if t > period:
-            diff = close[t] - close[t - 1]
-            gain = diff if diff > 0.0 else 0.0
-            loss = -diff if diff < 0.0 else 0.0
-            avg_gain = (avg_gain * (period - 1) + gain) / period
-            avg_loss = (avg_loss * (period - 1) + loss) / period
-        if avg_loss == 0.0 and avg_gain == 0.0:
-            out[t] = 50.0
-        elif avg_loss == 0.0:
-            out[t] = 100.0
-        else:
-            rs = avg_gain / avg_loss
-            out[t] = 100.0 - 100.0 / (1.0 + rs)
+    diff = close[1:] - close[:-1]  # row t - 1: the move into step t
+    gain = np.where(diff > 0.0, diff, 0.0)
+    loss = np.where(diff < 0.0, -diff, 0.0)
+    first = diff[:period]
+    avg_gain = _wilder(gain, period)
+    # the seed counts every move that is not a gain as a loss (NaN too)
+    avg_loss = _wilder(loss, period, np.where(first > 0.0, 0.0, -first))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rsi = 100.0 - 100.0 / (1.0 + avg_gain / avg_loss)
+    out[period:] = np.where(avg_loss == 0.0,
+                            np.where(avg_gain == 0.0, 50.0, 100.0), rsi)
     return out
 
 
-@maybe_njit(cache=True)
 def cci_kernel(high, low, close, period):
     """Commodity channel index; 0 when the window has zero mean deviation."""
-    T = high.shape[0]
-    out = np.full(T, np.nan)
-    if period > T:
+    out = np.full(close.shape, np.nan)
+    if period > len(close):
         return out
     tp = (high + low + close) / 3.0
-    for t in range(period - 1, T):
-        m = 0.0
-        for i in range(t - period + 1, t + 1):
-            m += tp[i]
-        m /= period
-        mad = 0.0
-        for i in range(t - period + 1, t + 1):
-            mad += abs(tp[i] - m)
-        mad /= period
-        if mad == 0.0:
-            out[t] = 0.0
-        else:
-            out[t] = (tp[t] - m) / (0.015 * mad)
+    m = _window_sums(tp, period) / period
+    mad = np.zeros_like(m)
+    for k in range(period):
+        mad += np.abs(tp[k:k + len(m)] - m)
+    mad /= period
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cci = (tp[period - 1:] - m) / (0.015 * mad)
+    out[period - 1:] = np.where(mad == 0.0, 0.0, cci)
     return out
 
 
-@maybe_njit(cache=True)
 def adx_kernel(high, low, close, period):
     """Average directional index with Wilder smoothing; 0 when true range is 0."""
-    T = high.shape[0]
-    out = np.full(T, np.nan)
+    T = len(close)
+    out = np.full(close.shape, np.nan)
     if T < 2 * period:
         return out
-    dx = np.full(T, np.nan)
-    s_tr = 0.0
-    s_pdm = 0.0
-    s_mdm = 0.0
-    for t in range(1, T):
-        up = high[t] - high[t - 1]
-        dn = low[t - 1] - low[t]
-        pdm = up if (up > dn and up > 0.0) else 0.0
-        mdm = dn if (dn > up and dn > 0.0) else 0.0
-        r1 = high[t] - low[t]
-        r2 = abs(high[t] - close[t - 1])
-        r3 = abs(low[t] - close[t - 1])
-        tr = max(r1, r2, r3)
-        if t <= period:
-            s_tr += tr
-            s_pdm += pdm
-            s_mdm += mdm
-            if t < period:
-                continue
-        else:
-            s_tr = s_tr - s_tr / period + tr
-            s_pdm = s_pdm - s_pdm / period + pdm
-            s_mdm = s_mdm - s_mdm / period + mdm
-        if s_tr == 0.0:
-            dx[t] = 0.0
-        else:
-            pdi = 100.0 * s_pdm / s_tr
-            mdi = 100.0 * s_mdm / s_tr
-            denom = pdi + mdi
-            dx[t] = 0.0 if denom == 0.0 else 100.0 * abs(pdi - mdi) / denom
-    acc = 0.0
-    for t in range(period, 2 * period):
-        acc += dx[t]
-    adx = acc / period
-    out[2 * period - 1] = adx
-    for t in range(2 * period, T):
-        adx = (adx * (period - 1) + dx[t]) / period
-        out[t] = adx
+    # row t - 1 of each move grid belongs to step t
+    up = high[1:] - high[:-1]
+    dn = low[:-1] - low[1:]
+    pdm = np.where((up > dn) & (up > 0.0), up, 0.0)
+    mdm = np.where((dn > up) & (dn > 0.0), dn, 0.0)
+    r1 = high[1:] - low[1:]
+    r2 = np.abs(high[1:] - close[:-1])
+    r3 = np.abs(low[1:] - close[:-1])
+    r12 = np.where(r2 > r1, r2, r1)  # max(r1, r2, r3), NaN rules included
+    tr = np.where(r3 > r12, r3, r12)
+    # Wilder sums for steps period .. T-1, row t - period
+    smoothed = []
+    for move in (tr, pdm, mdm):
+        s = np.empty((T - period,) + close.shape[1:])
+        s[0] = _window_sums(move[:period], period)[0]
+        for k in range(1, T - period):
+            s[k] = s[k - 1] - s[k - 1] / period + move[period + k - 1]
+        smoothed.append(s)
+    s_tr, s_pdm, s_mdm = smoothed
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pdi = 100.0 * s_pdm / s_tr
+        mdi = 100.0 * s_mdm / s_tr
+        denom = pdi + mdi
+        dx = np.where(denom == 0.0, 0.0, 100.0 * np.abs(pdi - mdi) / denom)
+    dx = np.where(s_tr == 0.0, 0.0, dx)
+    out[2 * period - 1:] = _wilder(dx, period)
     return out
 
 
-@maybe_njit(cache=True)
 def turbulence_kernel(returns, window, eps_scale, calibration):
     """Mahalanobis distance of each return row from its trailing window.
 
     Mean and covariance come from the `window` rows strictly before t
-    (rows 0 is a placeholder and never used); the covariance gets a
+    (row 0 is a placeholder and never used); the covariance gets a
     ridge of eps_scale * trace/n before the solve. `calibration`
     rescales the raw quadratic form (pass 1.0 for the uncalibrated
     index).
     """
     T, n = returns.shape
     out = np.full(T, np.nan)
+    if T <= window + 1:
+        return out
+    sums = _window_sums(returns[:-1], window)  # row t - window: rows before t
+    diagonal = np.diag_indices(n)
     for t in range(window + 1, T):
-        hist = returns[t - window:t]
-        mu = np.zeros(n)
-        for j in range(n):
-            s = 0.0
-            for i in range(window):
-                s += hist[i, j]
-            mu[j] = s / window
-        centered = hist - mu
+        mu = sums[t - window] / window
+        centered = returns[t - window:t] - mu
         cov = np.ascontiguousarray(centered.T) @ centered / (window - 1.0)
-        tr = 0.0
-        for j in range(n):
-            tr += cov[j, j]
-        eps = eps_scale * tr / n
+        eps = eps_scale * _added_in_order(np.diagonal(cov)) / n
         if eps <= 0.0:
             eps = 1e-12
-        for j in range(n):
-            cov[j, j] += eps
+        cov[diagonal] += eps
         dev = returns[t] - mu
         z = np.linalg.solve(cov, dev)
-        d = 0.0
-        for j in range(n):
-            d += dev[j] * z[j]
+        d = _added_in_order(dev * z)
         if d < 0.0:  # roundoff dust near zero deviation
             d = 0.0
         out[t] = calibration * d
     return out
 
 
-@maybe_njit(cache=True)
 def execute_trades_kernel(prices, holdings, balance, deltas,
                           cost_rate, allow_short, allow_margin):
     """Fill share deltas against a cash balance: all sells, then buys in order.

@@ -150,12 +150,11 @@ class WindowPlan:
     n_train: int
     n_test: int
     n_trade: int
-    steps_per_day: int
     windows: tuple[Window, ...]
 
 
-def plan_windows(days: Sequence, n_train: int, n_test: int, n_trade: int,
-                 steps_per_day: int = 1) -> WindowPlan:
+def plan_windows(days: Sequence, n_train: int, n_test: int,
+                 n_trade: int) -> WindowPlan:
     """One window per trade day: train on the N days ending S+1 days
     before it, test on the S days just before it, then trade it.
 
@@ -178,8 +177,7 @@ def plan_windows(days: Sequence, n_train: int, n_test: int, n_trade: int,
             test_stop=d,
             trade_day=d,
         ))
-    return WindowPlan(tuple(days), n_train, n_test, n_trade, steps_per_day,
-                      tuple(windows))
+    return WindowPlan(tuple(days), n_train, n_test, n_trade, tuple(windows))
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +355,13 @@ def _hold_action(env):
     return np.log(np.maximum(w, 1e-12))
 
 
-def _score_key(result: BacktestResult) -> tuple:
+def score_key(result: BacktestResult) -> tuple:
+    """Candidate ranking key: any defined Sharpe beats every undefined one.
+
+    Defined Sharpes rank by value; without one (flat value series) the
+    cumulative return decides. The first candidate with the largest key
+    wins, so ties go to the lowest index.
+    """
     m = result.metrics
     if m is None:
         return (0, 0.0)
@@ -422,10 +426,9 @@ def run_rolling(data: RollingData, plan: WindowPlan,
                         test_env = data.make_env(train_hi, test_hi)
                         res = backtest(cand, test_env,
                                        annualization_basis=annualization_basis)
-                        grid_scores[gi] = _score_key(res)
-                for gi in range(1, len(grid_scores)):
-                    if grid_scores[gi] > grid_scores[selected]:
-                        selected = gi
+                        grid_scores[gi] = score_key(res)
+                selected = max(range(len(grid_scores)),
+                               key=grid_scores.__getitem__)
             # retrain the selected configuration on train+test
             child = np.random.SeedSequence(
                 entropy=(seed, window.index, len(hyper_grid))).generate_state(1)[0]

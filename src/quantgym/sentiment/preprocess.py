@@ -124,7 +124,10 @@ class LemmaRules:
         if word.endswith("ly") and len(word) > 4:
             return word, "ADV"
         if fallback is not None:
-            return fallback
+            # a guessed lemma must be its own lemma (aaings -> aaing -> aa),
+            # so one that reduces further gives way to its reduction
+            reduced = self.analyze(fallback[0], prefer_noun)
+            return fallback if reduced[0] == fallback[0] else reduced
         return word, "NOUN"
 
 

@@ -234,11 +234,21 @@ class TestExitCodes:
         bad = tmp_path / "bad.cfg"
         bad.write_text("[env]\nnot_a_key = 1\n")
         assert main(["trade-sim", "-c", str(bad)]) == 2
+        # a deleted knob is an unknown key like any other
+        bad.write_text("[pipeline]\nsteps_per_day = 1\n")
+        assert main(["trade-sim", "-c", str(bad)]) == 2
 
-    def test_missing_data_exits_3(self, tmp_path):
+    def test_missing_data_exits_3(self, tmp_path, capsys):
         code = run(["ingest"], tmp_path,
                    ["--set", "data.source=/nowhere/x.csv"])
         assert code == 3
+        missing = tmp_path / "no_such_headlines.txt"
+        code = run(["sentiment", "score"], tmp_path,
+                   ["--set", f"sentiment.input={missing}"])
+        assert code == 3
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 2  # one line per failed command
+        assert errors[1].startswith("data error:") and str(missing) in errors[1]
 
     def test_runtime_error_exits_4(self, tmp_path):
         # cem with population 1 raises TrainingError out of cmd_train
@@ -246,15 +256,28 @@ class TestExitCodes:
                    ["--set", "agent.type=cem", "--set", "agent.population=1"])
         assert code == 4
 
-    def test_rolling_run_skips_failed_windows(self, tmp_path):
-        # inside trade-sim the same failure is absorbed per window: the
-        # run completes flat with every window reported as skipped
+    def test_rolling_run_with_every_window_skipped_exits_4(self, tmp_path,
+                                                           capsys):
+        # trade-sim absorbs the same failure per window; a run in which
+        # every window was skipped traded nothing and is an error
         code = run(["trade-sim"], tmp_path,
                    ["--set", "agent.type=cem", "--set", "agent.population=1",
                     "--set", "pipeline.n_trade=2"])
-        assert code == 0
-        windows = read_json(tmp_path / "trade-sim" / "windows.json")
-        assert all(w["skipped"] for w in windows)
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: every window was skipped")
+        assert "population must be at least 2" in err
+        assert len(err.splitlines()) == 1
+
+    def test_malformed_resolutions_exits_3(self, tmp_path, capsys):
+        resolutions = tmp_path / "resolutions.tsv"
+        resolutions.write_text("# lemma\tvalence\nrally\t0.5\nslump -0.5\n")
+        code = run(["sentiment", "build-dict"], tmp_path,
+                   ["--set", f"sentiment.resolutions={resolutions}"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and f"{resolutions}:3" in err
+        assert len(err.splitlines()) == 1
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("QUANTGYM_OUT", str(tmp_path / "via_env"))

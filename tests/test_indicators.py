@@ -118,18 +118,23 @@ def assert_matches(actual, expected, tol=1e-8):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_indicators_match_oracles(seed):
-    high, low, close = ohlc_from_walk(seed)
-    table = make_table(close, high=high[:, None], low=low[:, None])
-    cases = [
-        (IndicatorSpec("SMA", (5,)), oracle_sma(close, 5)),
-        (IndicatorSpec("EMA", (10,)), oracle_ema(close, 10)),
-        (IndicatorSpec("MACD"), oracle_macd(close)),
-        (IndicatorSpec("RSI"), oracle_rsi(close)),
-        (IndicatorSpec("CCI"), oracle_cci(high, low, close)),
-        (IndicatorSpec("ADX"), oracle_adx(high, low, close)),
-    ]
-    for spec, expected in cases:
-        assert_matches(compute_indicator(table, spec)[:, 0], expected)
+    # three tickers from different walks: a kernel that mixes columns
+    # cannot match each column's own oracle
+    walks = [ohlc_from_walk(seed + 10 * j) for j in range(3)]
+    high, low, close = (np.stack(grid, axis=1) for grid in zip(*walks))
+    table = make_table(close, high=high, low=low)
+    oracles = {
+        IndicatorSpec("SMA", (5,)): lambda h, l, c: oracle_sma(c, 5),
+        IndicatorSpec("EMA", (10,)): lambda h, l, c: oracle_ema(c, 10),
+        IndicatorSpec("MACD"): lambda h, l, c: oracle_macd(c),
+        IndicatorSpec("RSI"): lambda h, l, c: oracle_rsi(c),
+        IndicatorSpec("CCI"): oracle_cci,
+        IndicatorSpec("ADX"): oracle_adx,
+    }
+    for spec, oracle in oracles.items():
+        values = compute_indicator(table, spec)
+        for j, walk in enumerate(walks):
+            assert_matches(values[:, j], oracle(*walk))
 
 
 def constant_table(value=50.0, T=80):

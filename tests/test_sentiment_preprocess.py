@@ -1,5 +1,5 @@
 """Preprocessing stages: tokenization through lemmatization."""
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quantgym.sentiment import COMPANY_TOKEN, preprocess
@@ -87,6 +87,7 @@ def test_idempotent_on_own_output():
 
 @settings(max_examples=60, deadline=None)
 @given(st.text(alphabet=st.characters(codec="ascii"), max_size=120))
+@example("AAINGS")  # guessed lemma aaing used to reduce again to aa
 def test_idempotence_property(text):
     doc = preprocess(text)
     rejoined = ". ".join(" ".join(s) for s in doc.lemma_sentences())
