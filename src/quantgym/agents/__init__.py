@@ -13,7 +13,6 @@ from .baselines import (
 from .cem import cem_optimize, train_cem
 from .ensemble import EnsembleReport, ensemble_select
 from .mean_variance import (
-    FixedWeightPolicy,
     estimate_moments,
     mean_variance_weights,
     project_simplex,
@@ -24,7 +23,6 @@ __all__ = [
     "Adam",
     "EnsembleReport",
     "EqualWeightPolicy",
-    "FixedWeightPolicy",
     "GaussianPolicy",
     "PassivePolicy",
     "Policy",

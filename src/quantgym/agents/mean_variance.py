@@ -9,7 +9,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import TrainingError
-from .policy import Policy
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
@@ -113,17 +112,3 @@ def estimate_moments(close: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sigma = centered.T @ centered / (rets.shape[0] - 1)
     return mu, sigma
 
-
-class FixedWeightPolicy(Policy):
-    """Emits logits that softmax back to a fixed weight vector."""
-
-    name = "fixed_weights"
-
-    def __init__(self, weights: np.ndarray):
-        weights = np.asarray(weights, dtype=float)
-        super().__init__({"weights": weights.tolist()})
-        self.weights = weights / weights.sum()
-        self._logits = np.log(np.maximum(self.weights, 1e-12))
-
-    def act(self, observation: np.ndarray) -> np.ndarray:
-        return self._logits.copy()

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import TrainingError
+from ..errors import DataError, TrainingError, reading
 
 
 @dataclass(frozen=True)
@@ -64,6 +64,10 @@ class GaussianPolicy(Policy):
                  seed: int = 0, obs_scale: np.ndarray | None = None):
         super().__init__({"obs_dim": obs_dim, "action_dim": action_dim,
                           "hidden": hidden, "seed": seed})
+        if min(obs_dim, action_dim, hidden) < 1:
+            raise TrainingError(f"policy sizes must be positive, got obs_dim="
+                                f"{obs_dim}, action_dim={action_dim}, "
+                                f"hidden={hidden}")
         rng = np.random.default_rng(seed)
         self.obs_dim = obs_dim
         self.action_dim = action_dim
@@ -77,6 +81,9 @@ class GaussianPolicy(Policy):
         self.bv = 0.0
         self.obs_scale = (np.ones(obs_dim) if obs_scale is None
                           else np.asarray(obs_scale, dtype=float))
+        if self.obs_scale.shape != (obs_dim,):
+            raise TrainingError(f"obs_scale has shape {self.obs_scale.shape}, "
+                                f"expected ({obs_dim},)")
 
     # -- parameter vector ------------------------------------------------
     def _fields(self):
@@ -178,15 +185,20 @@ def save_policy(policy: GaussianPolicy, path: str) -> None:
 
 
 def load_policy(path: str) -> GaussianPolicy:
-    with open(path, encoding="utf-8") as fh:
-        blob = json.load(fh)
-    if blob.get("format") != POLICY_FORMAT:
-        raise TrainingError(f"unsupported policy format {blob.get('format')!r}")
-    if blob.get("name") != "gaussian":
-        raise TrainingError(f"unknown policy kind {blob.get('name')!r}")
-    hp = blob["hyperparameters"]
-    policy = GaussianPolicy(hp["obs_dim"], hp["action_dim"], hp["hidden"],
-                            hp.get("seed", 0),
-                            obs_scale=np.asarray(blob["obs_scale"]))
-    policy.set_flat(np.asarray(blob["parameters"]))
+    """Read a ``save_policy`` file; DataError when it cannot be one."""
+    try:
+        with reading(path) as fh:
+            blob = json.load(fh)
+        if blob.get("format") != POLICY_FORMAT:
+            raise ValueError(f"unsupported policy format {blob.get('format')!r}")
+        if blob.get("name") != "gaussian":
+            raise ValueError(f"unknown policy kind {blob.get('name')!r}")
+        hp = blob["hyperparameters"]
+        policy = GaussianPolicy(hp["obs_dim"], hp["action_dim"], hp["hidden"],
+                                hp.get("seed", 0),
+                                obs_scale=np.asarray(blob["obs_scale"], float))
+        policy.set_flat(np.asarray(blob["parameters"], float))
+    except (ValueError, LookupError, TypeError, AttributeError,
+            TrainingError) as exc:
+        raise DataError(f"{path}: not a policy file ({exc!r})") from None
     return policy

@@ -39,7 +39,8 @@ from .agents import (
 )
 from .config import RunConfig, load_config
 from .envs import EnvConfig
-from .errors import ConfigError, DataError, QuantGymError, TrainingError
+from .errors import ConfigError, DataError, QuantGymError, TrainingError, \
+    reading
 from .features import (
     FeatureMatrix,
     IndicatorSpec,
@@ -227,6 +228,12 @@ def make_agent_factory(config: RunConfig):
     """
     default_kind = config.get("agent", "type")
 
+    def rebalance_every() -> int:
+        every = config.get("agent", "rebalance_every")
+        if every < 1:
+            raise ConfigError(f"agent.rebalance_every must be >= 1, got {every}")
+        return every
+
     def factory(env, hyper, seed):
         kind = hyper.get("type", default_kind)
         if kind == "a2c":
@@ -236,7 +243,7 @@ def make_agent_factory(config: RunConfig):
         if kind == "passive":
             return baseline_passive(env)
         if kind == "equal":
-            return baseline_equal(env, config.get("agent", "rebalance_every"))
+            return baseline_equal(env, rebalance_every())
         if kind == "zero":
             return baseline_zero(env)
         if kind == "mean_variance":
@@ -247,7 +254,7 @@ def make_agent_factory(config: RunConfig):
                 weights,
                 kind="trading" if config.get("env", "kind") == "trading"
                 else "portfolio",
-                rebalance_every=config.get("agent", "rebalance_every"),
+                rebalance_every=rebalance_every(),
                 h_max=config.get("env", "h_max"))
         raise ConfigError(f"unknown agent type {kind!r}")
 
@@ -255,15 +262,15 @@ def make_agent_factory(config: RunConfig):
 
 
 def _sentiment_path(config: RunConfig, key: str, fallback: str) -> str:
-    given = config.get("sentiment", key)
-    if given:
-        return given
-    return str(resources.files("quantgym.sentiment").joinpath(f"data/{fallback}"))
+    return config.get("sentiment", key) or sn.packaged(fallback)
 
 
 def _load_dictionary(config: RunConfig) -> sn.SentimentDictionary:
-    return sn.SentimentDictionary.load(
-        _sentiment_path(config, "dictionary", "dict_financial_mini.tsv"))
+    path = _sentiment_path(config, "dictionary", "dict_financial_mini.tsv")
+    dictionary = sn.SentimentDictionary.load(path)
+    if len(dictionary) == 0:
+        raise DataError(f"{path}: no dictionary entries")
+    return dictionary
 
 
 def _load_shifters(config: RunConfig) -> sn.ShifterTable:
@@ -332,18 +339,18 @@ def cmd_sentiment_score(config: RunConfig) -> int:
     if not input_path:
         raise ConfigError("sentiment.input must point at a text file "
                           "(one document per line)")
-    if not os.path.isfile(input_path):
-        raise DataError(f"sentiment.input {input_path!r} is not a file")
+    with reading(input_path) as src:
+        lines = src.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the newline that ends the last document
     outdir = os.path.join(config.get("run", "output_dir"), "sentiment")
     dictionary = _load_dictionary(config)
     shifters = _load_shifters(config)
     os.makedirs(outdir, exist_ok=True)
     out_csv = os.path.join(outdir, "scores.csv")
-    with open(input_path, encoding="utf-8") as src, \
-            open(out_csv, "w", encoding="utf-8") as dst:
+    with open(out_csv, "w", encoding="utf-8") as dst:
         dst.write("line,compound,polarity\n")
-        for i, line in enumerate(src, start=1):
-            text = line.rstrip("\n")
+        for i, text in enumerate(lines, start=1):
             score = sn.score_document(sn.preprocess(text), dictionary, shifters)
             dst.write(f"{i},{score.compound!r},{score.polarity}\n")
     write_manifest(outdir, "sentiment score", config, [input_path])
@@ -357,21 +364,8 @@ def cmd_sentiment_build_dict(config: RunConfig) -> int:
         _sentiment_path(config, "financial", "dict_financial_mini.tsv"))
     general = sn.SentimentDictionary.load(
         _sentiment_path(config, "general", "dict_general_mini.tsv"))
-    resolutions_path = _sentiment_path(config, "resolutions",
-                                       "resolutions_mini.tsv")
-    resolutions = {}
-    with open(resolutions_path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            try:
-                lemma, valence = parts
-                resolutions[lemma] = float(valence)
-            except ValueError:
-                raise DataError(f"{resolutions_path}:{line_no}: expected "
-                                f"lemma<TAB>valence, got {line!r}") from None
+    resolutions = sn.load_resolutions(
+        _sentiment_path(config, "resolutions", "resolutions_mini.tsv"))
     merged, contradictions = sn.merge_dictionaries(financial, general,
                                                    resolutions)
     master = sn.load_word_list(
@@ -464,6 +458,7 @@ def cmd_backtest(config: RunConfig) -> int:
     if len(days) <= holdout + 1:
         raise DataError("no held-out days to backtest on")
     start = int(data.day_first_steps(days[holdout:holdout + 1])[0])
+    data.require_risk_cover(start, data.table.n_steps - 1)
     env = data.make_env(start, data.table.n_steps)
     policy = _evaluation_policy(config, env)
     result = backtest(policy, env, annualization_basis=config.get(
@@ -519,9 +514,15 @@ def cmd_report(config: RunConfig, directory: str | None = None) -> int:
     os.makedirs(outdir, exist_ok=True)
     summary = {}
     for dirpath in sorted(found):
-        with open(os.path.join(dirpath, "metrics.json"),
-                  encoding="utf-8") as fh:
-            summary[os.path.relpath(dirpath, root)] = json.load(fh)
+        path = os.path.join(dirpath, "metrics.json")
+        with reading(path) as fh:
+            try:
+                metrics_dict = json.load(fh)
+            except ValueError as exc:
+                raise DataError(f"{path}: not JSON ({exc})") from None
+        if not isinstance(metrics_dict, dict):
+            raise DataError(f"{path}: not a JSON object")
+        summary[os.path.relpath(dirpath, root)] = metrics_dict
     out_json = os.path.join(outdir, "report.json")
     with open(out_json, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, sort_keys=True, indent=2)
@@ -530,13 +531,12 @@ def cmd_report(config: RunConfig, directory: str | None = None) -> int:
     for dirpath in sorted(found):
         values_csv = os.path.join(dirpath, "values.csv")
         if os.path.isfile(values_csv):
-            with open(values_csv, encoding="utf-8") as src, \
-                    open(os.path.join(outdir, "plot.csv"), "w",
-                         encoding="utf-8") as dst:
+            with reading(values_csv) as src:
+                rows = src.readlines()[1:]  # below the header
+            with open(os.path.join(outdir, "plot.csv"), "w",
+                      encoding="utf-8") as dst:
                 dst.write("x,y\n")
-                next(src)
-                for line in src:
-                    dst.write(line)
+                dst.writelines(rows)
             break
     for name, metrics_dict in summary.items():
         print(f"[{name}]")
@@ -613,6 +613,9 @@ def main(argv: list[str] | None = None) -> int:
     except QuantGymError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:  # an output path that cannot be written
+        print(f"data error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

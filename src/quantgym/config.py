@@ -66,7 +66,6 @@ SCHEMA: dict[str, dict[str, tuple[str, str]]] = {
         "n_test": ("int", "5"),
         "n_trade": ("int", "5"),
         "annualization_basis": ("int", "365"),
-        "risk_free": ("float", "0.0"),
     },
     "sentiment": {
         "financial": ("str", ""),  # empty -> shipped fixtures
@@ -208,6 +207,12 @@ def load_config(path: str | None = None,
         if section not in SCHEMA or key not in SCHEMA[section]:
             raise ConfigError(f"unknown config key {section}.{key}")
         sections[section][key] = _coerce(section, key, raw)
+    if sections["run"]["seed"] < 0:
+        raise ConfigError("run.seed must be >= 0")
+    pipeline = sections["pipeline"]
+    if pipeline["n_train"] < 1 or pipeline["n_test"] < 0 or pipeline["n_trade"] < 1:
+        raise ConfigError("need pipeline.n_train >= 1, pipeline.n_test >= 0 "
+                          "and pipeline.n_trade >= 1")
     env_out = os.environ.get("QUANTGYM_OUT")
     if env_out:
         sections["run"]["output_dir"] = env_out

@@ -2,7 +2,10 @@
 
 The CLI maps these onto exit codes: ConfigError -> 2, DataError
 subclasses -> 3, RuntimeError subclasses (training, env misuse) -> 4.
+Input files are opened through ``reading``, so a file that cannot be
+read is a DataError naming its path.
 """
+from contextlib import contextmanager
 
 
 class QuantGymError(Exception):
@@ -15,6 +18,19 @@ class ConfigError(QuantGymError):
 
 class DataError(QuantGymError):
     """Problems with input data (ingest, cleaning, alignment)."""
+
+
+@contextmanager
+def reading(path, newline: str | None = None):
+    """A UTF-8 text file open for reading; DataError naming the path when
+    it cannot be opened or decoded."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except OSError as exc:
+        raise DataError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 class IngestError(DataError):

@@ -14,7 +14,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 
 from . import kernels
-from .errors import FeatureError
+from .errors import FeatureError, reading
 from .market_data import BarTable, to_datetime64
 
 logger = logging.getLogger(__name__)
@@ -78,19 +78,12 @@ class FeatureMatrix:
     def n_features(self) -> int:
         return len(self.feature_names)
 
-    def row(self, t: int) -> np.ndarray:
-        """Flattened (n * I,) feature vector at step t, ticker-major."""
-        return self.values[t].reshape(-1)
-
 
 @dataclass(frozen=True, eq=False)
 class TurbulenceSeries:
     calendar: np.ndarray
     values: np.ndarray  # (T,), NaN while undefined
     window: int
-
-    def defined(self) -> np.ndarray:
-        return np.isfinite(self.values)
 
 
 @dataclass(frozen=True)
@@ -119,7 +112,7 @@ def load_events_csv(path: str, kind: str) -> EventSeries:
     from .market_data import parse_timestamp
 
     rows = []
-    with open(path, encoding="utf-8") as fh:
+    with reading(path) as fh:
         header = fh.readline().strip()
         if header != EVENTS_HEADER:
             raise FeatureError(

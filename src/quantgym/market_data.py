@@ -16,7 +16,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .errors import DataError, IngestError, MergeConflictError, SplitError
+from .errors import DataError, IngestError, MergeConflictError, SplitError, \
+    reading
 
 logger = logging.getLogger(__name__)
 
@@ -65,19 +66,6 @@ def to_datetime64(value) -> np.datetime64:
         except ValueError:
             return np.datetime64(value).astype("datetime64[s]")
     raise TypeError(f"cannot interpret {value!r} as a timestamp")
-
-
-@dataclass(frozen=True)
-class Bar:
-    """One ticker's aggregated price record over one interval."""
-
-    timestamp: np.datetime64
-    ticker: str
-    open: float
-    high: float
-    low: float
-    close: float
-    volume: float
 
 
 def _bar_problem(o: float, h: float, l: float, c: float, v: float) -> str | None:
@@ -144,13 +132,6 @@ class BarTable:
         except ValueError:
             raise DataError(f"unknown ticker {ticker!r}") from None
 
-    def bar(self, t: int, ticker: str) -> Bar:
-        j = self.ticker_index(ticker)
-        if not self.present[t, j]:
-            raise DataError(f"no bar for ({ticker}, {self.calendar[t]})")
-        return Bar(self.calendar[t], ticker, self.open[t, j], self.high[t, j],
-                   self.low[t, j], self.close[t, j], self.volume[t, j])
-
     def slice_steps(self, start: int, stop: int) -> "BarTable":
         """Sub-table over calendar rows [start, stop)."""
         return BarTable(
@@ -165,10 +146,6 @@ class BarTable:
             present=self.present[start:stop].copy(),
             synthetic=self.synthetic[start:stop].copy(),
         )
-
-    def days(self) -> np.ndarray:
-        """Unique UTC days in calendar order."""
-        return np.unique(self.calendar.astype("datetime64[D]"))
 
 
 def tables_equal(a: BarTable, b: BarTable, check_synthetic: bool = True) -> bool:
@@ -299,11 +276,9 @@ def ingest_csv(path: str, frequency: str) -> BarTable:
     """
     if frequency not in FREQUENCY_SECONDS:
         raise DataError(f"unknown frequency {frequency!r}")
-    if not os.path.exists(path):
-        raise IngestError(f"no such file: {path}")
     rows: dict = {}
     origin: dict = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with reading(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(header) != CSV_HEADER:
@@ -331,7 +306,7 @@ def ingest_dir(path: str, frequency: str) -> BarTable:
     for name in names:
         ticker = os.path.splitext(name)[0]
         full = os.path.join(path, name)
-        with open(full, newline="", encoding="utf-8") as fh:
+        with reading(full, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or tuple(header) != PER_TICKER_HEADER:

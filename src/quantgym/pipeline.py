@@ -305,6 +305,16 @@ class RollingData:
         return cls(self.env_config, self.table, self.features,
                    self.risk_series, start, end)
 
+    def require_risk_cover(self, lo: int, hi: int) -> None:
+        """DataError when the configured risk series has no finite value
+        on steps [lo, hi), so its control could never act there."""
+        if self.env_config.risk_indicator == "none" or self.risk_series is None:
+            return  # make_env reports a missing series
+        if not np.isfinite(self.risk_series[lo:max(hi, lo + 1)]).any():
+            raise DataError(
+                f"the {self.env_config.risk_indicator} risk series has no "
+                f"finite value over the traded steps [{lo}, {hi})")
+
     def usable_days(self) -> np.ndarray:
         """Calendar days from the feature warmup onward."""
         dates = self.table.calendar.astype("datetime64[D]")
@@ -392,6 +402,8 @@ def run_rolling(data: RollingData, plan: WindowPlan,
     def day_start(i: int) -> int:
         return int(firsts[i]) if i < len(firsts) else T - 1
 
+    data.require_risk_cover(day_start(plan.windows[0].trade_day),
+                            day_start(plan.windows[-1].trade_day + 1))
     log = TradeLog()
     reports: list[WindowReport] = []
     carry = None

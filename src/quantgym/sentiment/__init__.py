@@ -7,6 +7,7 @@ from .dictionary import (
     combine,
     expand_dictionary,
     load_overrides,
+    load_resolutions,
     load_subjectivity,
     load_synonym_graph,
     load_word_list,
@@ -19,6 +20,7 @@ from .lexicon import (
     default_shifters,
     mini_financial_dictionary,
     mini_general_dictionary,
+    packaged,
 )
 from .preprocess import COMPANY_TOKEN, Document, LemmaRules, Token, preprocess
 from .scoring import (
@@ -49,6 +51,7 @@ __all__ = [
     "expand_dictionary",
     "label_polarity",
     "load_overrides",
+    "load_resolutions",
     "load_subjectivity",
     "load_synonym_graph",
     "load_word_list",
@@ -56,6 +59,7 @@ __all__ = [
     "mini_financial_dictionary",
     "mini_general_dictionary",
     "normalize_compound",
+    "packaged",
     "polarity_of",
     "preprocess",
     "score_document",

@@ -11,7 +11,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from .lexicon import SentimentDictionary
+from ..errors import DataError
+from .lexicon import SentimentDictionary, checked_valence, read_tsv
 
 logger = logging.getLogger(__name__)
 
@@ -179,49 +180,43 @@ def combine(base: SentimentDictionary,
 def load_synonym_graph(path) -> dict[str, list[tuple[str, float]]]:
     """TSV rows word<TAB>synonym<TAB>path_similarity, file order kept."""
     graph: dict[str, list[tuple[str, float]]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            word, synonym, sim = line.split("\t")
-            graph.setdefault(word.lower(), []).append((synonym.lower(), float(sim)))
+    for word, synonym, sim in read_tsv(path, lambda word, synonym, similarity: (
+            word.lower(), synonym.lower(), _unit(similarity))):
+        graph.setdefault(word, []).append((synonym, sim))
     return graph
 
 
 def load_subjectivity(path) -> dict[str, float]:
-    out: dict[str, float] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            word, value = line.split("\t")
-            out[word.lower()] = float(value)
-    return out
+    """TSV rows word<TAB>subjectivity."""
+    return dict(read_tsv(path, lambda word, subjectivity: (
+        word.lower(), _unit(subjectivity))))
 
 
 def load_word_list(path) -> list[str]:
-    words: list[str] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            word = line.strip()
-            if word and not word.startswith("#"):
-                words.append(word.lower())
+    """One word per line."""
+    words = read_tsv(path, lambda word: word.strip().lower())
+    if not words:
+        raise DataError(f"{path}: no words")
     return words
 
 
 def load_overrides(path) -> dict[str, Override]:
     """TSV rows word<TAB>action(accept|adjust|reject)<TAB>valence?."""
-    out: dict[str, Override] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            word = parts[0].lower()
-            action = parts[1]
-            valence = float(parts[2]) if len(parts) > 2 and parts[2] else None
-            out[word] = Override(word, action, valence)
-    return out
+    def row(word, action, valence=""):
+        word = word.lower()
+        return word, Override(word, action, checked_valence(word, valence)
+                              if valence else None)
+    return dict(read_tsv(path, row))
+
+
+def load_resolutions(path) -> dict[str, float]:
+    """TSV rows lemma<TAB>valence: the valence of a resolved contradiction."""
+    return dict(read_tsv(path, lambda lemma, valence: (
+        lemma, checked_valence(lemma, valence))))
+
+
+def _unit(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{value} is not in [0, 1]")
+    return value

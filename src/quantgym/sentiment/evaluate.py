@@ -6,7 +6,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .lexicon import SentimentDictionary, ShifterTable
+from ..errors import DataError
+from .lexicon import SentimentDictionary, ShifterTable, read_tsv
 from .preprocess import preprocess
 from .scoring import score_document
 
@@ -20,13 +21,8 @@ class LabeledCorpus:
     items: tuple[tuple[str, float], ...]
 
     def __post_init__(self):
-        norm = []
-        for text, label in self.items:
-            label = float(label)
-            if not LABEL_MIN <= label <= LABEL_MAX:
-                raise ValueError(f"label {label} outside [{LABEL_MIN}, {LABEL_MAX}]")
-            norm.append((str(text), label))
-        object.__setattr__(self, "items", tuple(norm))
+        object.__setattr__(self, "items", tuple(
+            (str(text), checked_label(label)) for text, label in self.items))
 
     def __len__(self) -> int:
         return len(self.items)
@@ -34,15 +30,18 @@ class LabeledCorpus:
     @classmethod
     def load(cls, path) -> "LabeledCorpus":
         """TSV rows valence_label<TAB>headline."""
-        items = []
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.rstrip("\n")
-                if not line or line.startswith("#"):
-                    continue
-                label, text = line.split("\t", 1)
-                items.append((text, float(label)))
+        items = read_tsv(path, lambda label, headline, *tabbed: (
+            "\t".join((headline,) + tabbed), checked_label(label)))
+        if not items:
+            raise DataError(f"{path}: no labeled headlines")
         return cls(tuple(items))
+
+
+def checked_label(label) -> float:
+    label = float(label)
+    if not LABEL_MIN <= label <= LABEL_MAX:
+        raise ValueError(f"label {label} outside [{LABEL_MIN}, {LABEL_MAX}]")
+    return label
 
 
 class EvalResult(NamedTuple):

@@ -1,11 +1,60 @@
-"""Sentiment dictionary and valence-shifter tables with TSV persistence."""
+"""Sentiment dictionary and valence-shifter tables, and the one reader of
+the tab-separated resource files that every sentiment table loads from."""
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from importlib import resources
 
+from ..errors import DataError, reading
+
 VALENCE_MIN, VALENCE_MAX = -4.0, 4.0
+
+
+def packaged(name: str) -> str:
+    """Path of a resource file shipped in ``quantgym/sentiment/data``."""
+    return str(resources.files("quantgym.sentiment").joinpath(f"data/{name}"))
+
+
+def read_tsv(path, row) -> list:
+    """``row(*fields)`` for every data line of a tab-separated resource file.
+
+    Blank lines and lines starting with ``#`` are skipped; every other
+    line splits on tabs into the positional arguments of ``row``. An
+    unreadable file raises DataError naming the path. A line whose field
+    count does not fit ``row``'s signature, or for which ``row`` raises
+    ValueError (a bad number, an unknown kind, a value out of range),
+    raises DataError naming ``path:line``.
+    """
+    signature = inspect.signature(row)
+    rows = []
+    with reading(path) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line.strip() or line.startswith("#"):
+                continue
+            fields = line.split("\t")
+            try:
+                signature.bind(*fields)
+            except TypeError:
+                raise DataError(f"{path}:{line_no}: expected the fields "
+                                f"{signature}, got {len(fields)} in {line!r}"
+                                ) from None
+            try:
+                rows.append(row(*fields))
+            except ValueError as exc:
+                raise DataError(f"{path}:{line_no}: {exc}") from None
+    return rows
+
+
+def checked_valence(lemma: str, valence) -> float:
+    valence = float(valence)
+    if not math.isfinite(valence) or not VALENCE_MIN <= valence <= VALENCE_MAX:
+        raise ValueError(
+            f"valence for {lemma!r} must be finite in "
+            f"[{VALENCE_MIN}, {VALENCE_MAX}], got {valence}")
+    return valence
 
 
 @dataclass
@@ -16,16 +65,8 @@ class SentimentDictionary:
     provenance: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        normalized = {}
-        for lemma, valence in self.entries.items():
-            lemma = lemma.lower()
-            valence = float(valence)
-            if not math.isfinite(valence) or not VALENCE_MIN <= valence <= VALENCE_MAX:
-                raise ValueError(
-                    f"valence for {lemma!r} must be finite in "
-                    f"[{VALENCE_MIN}, {VALENCE_MAX}], got {valence}")
-            normalized[lemma] = valence
-        self.entries = normalized
+        self.entries = {lemma.lower(): checked_valence(lemma.lower(), valence)
+                        for lemma, valence in self.entries.items()}
         self.provenance = {k.lower(): v for k, v in self.provenance.items()}
 
     def __contains__(self, lemma: str) -> bool:
@@ -48,20 +89,12 @@ class SentimentDictionary:
 
     @classmethod
     def load(cls, path) -> "SentimentDictionary":
-        entries: dict[str, float] = {}
-        provenance: dict[str, str] = {}
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-        for line in text.splitlines():
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) < 2:
-                raise ValueError(f"bad dictionary row {line!r}")
-            lemma = parts[0]
-            entries[lemma] = float(parts[1])
-            provenance[lemma] = parts[2] if len(parts) > 2 else "merged"
-        return cls(entries, provenance)
+        """TSV rows lemma<TAB>valence<TAB>provenance?."""
+        def row(lemma, valence, provenance="merged"):
+            return lemma, checked_valence(lemma, valence), provenance
+        rows = read_tsv(path, row)
+        return cls({lemma: v for lemma, v, _ in rows},
+                   {lemma: prov for lemma, _, prov in rows})
 
 
 @dataclass(frozen=True)
@@ -74,11 +107,9 @@ class ShifterTable:
     negation_window: int = 3
 
     def __post_init__(self):
-        if not -1.0 < self.negation_factor < 0.0:
-            raise ValueError("negation_factor must lie in (-1, 0)")
+        checked_negation_factor(self.negation_factor)
         for lemma, boost in self.intensifiers.items():
-            if not math.isfinite(boost):
-                raise ValueError(f"non-finite boost for {lemma!r}")
+            checked_boost(lemma, boost)
         object.__setattr__(self, "negators", frozenset(
             w.lower() for w in self.negators))
         object.__setattr__(self, "intensifiers", {
@@ -93,57 +124,51 @@ class ShifterTable:
                 fh.write(f"intensifier\t{lemma}\t{self.intensifiers[lemma]!r}\n")
 
     @classmethod
-    def parse(cls, text: str) -> "ShifterTable":
+    def load(cls, path) -> "ShifterTable":
+        """TSV rows intensifier<TAB>lemma<TAB>boost, negator<TAB>lemma and
+        negation_factor<TAB>factor."""
         intensifiers: dict[str, float] = {}
         negators: set[str] = set()
         factor = -0.5
-        for line in text.splitlines():
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            kind = parts[0]
+
+        def row(kind, entry, boost=""):
+            nonlocal factor
             if kind == "intensifier":
-                intensifiers[parts[1]] = float(parts[2])
+                intensifiers[entry] = checked_boost(entry, boost)
             elif kind == "negator":
-                negators.add(parts[1])
+                negators.add(entry)
             elif kind == "negation_factor":
-                factor = float(parts[1])
+                factor = checked_negation_factor(entry)
             else:
                 raise ValueError(f"unknown shifter row kind {kind!r}")
+
+        read_tsv(path, row)
         return cls(intensifiers, frozenset(negators), factor)
 
-    @classmethod
-    def load(cls, path) -> "ShifterTable":
-        with open(path, encoding="utf-8") as fh:
-            return cls.parse(fh.read())
+
+def checked_negation_factor(factor) -> float:
+    factor = float(factor)
+    if not -1.0 < factor < 0.0:
+        raise ValueError(f"negation_factor must lie in (-1, 0), got {factor}")
+    return factor
 
 
-def _package_text(name: str) -> str:
-    return resources.files("quantgym.sentiment").joinpath(
-        f"data/{name}").read_text(encoding="utf-8")
+def checked_boost(lemma: str, boost) -> float:
+    boost = float(boost)
+    if not math.isfinite(boost):
+        raise ValueError(f"non-finite boost for {lemma!r}")
+    return boost
 
 
 def default_shifters() -> ShifterTable:
-    return ShifterTable.parse(_package_text("shifters.tsv"))
+    return ShifterTable.load(packaged("shifters.tsv"))
 
 
 def mini_financial_dictionary() -> SentimentDictionary:
     """Small shipped finance lexicon (synthetic fixture, demo scale)."""
-    return _load_package_dictionary("dict_financial_mini.tsv")
+    return SentimentDictionary.load(packaged("dict_financial_mini.tsv"))
 
 
 def mini_general_dictionary() -> SentimentDictionary:
     """Small shipped general-domain lexicon (synthetic fixture)."""
-    return _load_package_dictionary("dict_general_mini.tsv")
-
-
-def _load_package_dictionary(name: str) -> SentimentDictionary:
-    entries: dict[str, float] = {}
-    provenance: dict[str, str] = {}
-    for line in _package_text(name).splitlines():
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        entries[parts[0]] = float(parts[1])
-        provenance[parts[0]] = parts[2] if len(parts) > 2 else "merged"
-    return SentimentDictionary(entries, provenance)
+    return SentimentDictionary.load(packaged("dict_general_mini.tsv"))

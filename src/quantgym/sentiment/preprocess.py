@@ -12,7 +12,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
+
+from .lexicon import packaged, read_tsv
 
 COMPANY_TOKEN = "company_random"
 
@@ -65,26 +66,30 @@ class LemmaRules:
             self.known.setdefault(pos, set()).add(lemma)
 
     @classmethod
-    def parse(cls, lines) -> "LemmaRules":
+    def load(cls, path) -> "LemmaRules":
+        """TSV rows lexicon<TAB>word<TAB>pos, exception<TAB>word<TAB>lemma<TAB>pos
+        and suffix<TAB>pos<TAB>suffix<TAB>replacement(- for none)<TAB>known?."""
         lexicon: dict[str, str] = {}
         exceptions: dict[str, tuple[str, str]] = {}
         suffix_rules: list[tuple[str, str, str, bool]] = []
-        for raw in lines:
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            kind = parts[0]
+
+        def row(kind, *fields):
             if kind == "lexicon":
-                lexicon[parts[1]] = parts[2]
+                word, pos = fields
+                lexicon[word] = pos
             elif kind == "exception":
-                exceptions[parts[1]] = (parts[2], parts[3])
+                word, lemma, pos = fields
+                exceptions[word] = (lemma, pos)
             elif kind == "suffix":
-                replacement = "" if parts[3] == "-" else parts[3]
-                known_only = len(parts) > 4 and parts[4] == "known"
-                suffix_rules.append((parts[1], parts[2], replacement, known_only))
+                pos, suffix, replacement, *known = fields
+                if known not in ([], ["known"]):
+                    raise ValueError(f"suffix rule flag {known} is not 'known'")
+                suffix_rules.append((pos, suffix, "" if replacement == "-"
+                                     else replacement, bool(known)))
             else:
                 raise ValueError(f"unknown rule kind {kind!r}")
+
+        read_tsv(path, row)
         return cls(lexicon, exceptions, suffix_rules)
 
     def analyze(self, word: str, prefer_noun: bool = False) -> tuple[str, str]:
@@ -133,22 +138,13 @@ class LemmaRules:
 
 @lru_cache(maxsize=1)
 def default_rules() -> LemmaRules:
-    text = resources.files("quantgym.sentiment").joinpath(
-        "data/lemma_rules.tsv").read_text(encoding="utf-8")
-    return LemmaRules.parse(text.splitlines())
+    return LemmaRules.load(packaged("lemma_rules.tsv"))
 
 
 @lru_cache(maxsize=1)
 def default_abbreviations() -> dict[str, str]:
-    text = resources.files("quantgym.sentiment").joinpath(
-        "data/abbreviations.tsv").read_text(encoding="utf-8")
-    out = {}
-    for line in text.splitlines():
-        if not line or line.startswith("#"):
-            continue
-        abbr, expansion = line.split("\t")
-        out[abbr.lower()] = expansion
-    return out
+    return dict(read_tsv(packaged("abbreviations.tsv"),
+                         lambda abbr, expansion: (abbr.lower(), expansion)))
 
 
 def _normalize(token: str) -> str | None:
@@ -207,14 +203,15 @@ def preprocess(text: str,
         raw_tokens = _TOKEN_RE.findall(chunk)
         if not raw_tokens:
             continue
-        expanded: list[str] = []
+        normalized: list[str] = []
         for tok in raw_tokens:
-            expansion = abbreviations.get(tok.lower())
+            word = _normalize(tok)
+            expansion = abbreviations.get(word)
             if expansion is not None:
-                expanded.extend(expansion.split())
-            else:
-                expanded.append(tok)
-        normalized = [t for t in (_normalize(tok) for tok in expanded) if t]
+                normalized.extend(
+                    w for w in map(_normalize, expansion.split()) if w)
+            elif word:
+                normalized.append(word)
         normalized = _replace_companies(normalized, name_tokens)
         toks: list[Token] = []
         prev_pos = ""

@@ -4,8 +4,11 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from quantgym.cli import main
+from quantgym.config import SCHEMA
 from quantgym.market_data import ingest_csv
 
 pytestmark = pytest.mark.usefixtures("clean_env")
@@ -172,6 +175,19 @@ class TestTradeSim:
         run(["trade-sim"], plain, self.BASE)
         assert payload == read_json(plain / "trade-sim" / "metrics.json")
 
+    def test_risk_series_undefined_over_traded_span_exits_3(self, tmp_path,
+                                                             capsys):
+        # the default 252-row turbulence window leaves the shipped 120 rows
+        # without a single defined value: the control could never act
+        for command in ("trade-sim", "backtest"):
+            code = run([command], tmp_path, self.BASE + [
+                "--set", "env.risk_indicator=turbulence",
+                "--set", "env.risk_threshold=0"])
+            err = capsys.readouterr().err
+            assert code == 3, err
+            assert err.startswith("data error: the turbulence risk series "
+                                  "has no finite value"), err
+
     def test_heterogeneous_type_grid(self, tmp_path):
         # a grid axis over agent type ranks baselines against each other
         # per window by validation Sharpe
@@ -228,6 +244,22 @@ class TestReport:
         assert code == 3
         assert "no results found" in capsys.readouterr().err
 
+    def test_report_malformed_results_exit_3(self, tmp_path, capsys):
+        results = tmp_path / "results" / "a"
+        results.mkdir(parents=True)
+        for metrics, values in (("{", "x,y\n"), ("[1]", "x,y\n"),
+                                ("{}", b"\xff\xfe")):
+            (results / "metrics.json").write_text(metrics)
+            mode = "wb" if isinstance(values, bytes) else "w"
+            with open(results / "values.csv", mode) as fh:
+                fh.write(values)
+            code = main(["report", "--dir", str(tmp_path / "results"),
+                         "--set", f"run.output_dir={tmp_path / 'out'}"])
+            err = capsys.readouterr().err
+            assert code == 3, err
+            assert err.startswith(f"data error: {results}"), err
+            assert len(err.splitlines()) == 1
+
 
 class TestExitCodes:
     def test_invalid_config_exits_2(self, tmp_path):
@@ -237,6 +269,12 @@ class TestExitCodes:
         # a deleted knob is an unknown key like any other
         bad.write_text("[pipeline]\nsteps_per_day = 1\n")
         assert main(["trade-sim", "-c", str(bad)]) == 2
+        bad.write_text("[pipeline]\nrisk_free = 0.01\n")
+        assert main(["trade-sim", "-c", str(bad)]) == 2
+        for overrides in (["agent.type=equal", "agent.rebalance_every=0"],
+                          ["run.seed=-1"], ["pipeline.n_train=0"]):
+            argv = [x for item in overrides for x in ("--set", item)]
+            assert run(["trade-sim"], tmp_path, argv) == 2, overrides
 
     def test_missing_data_exits_3(self, tmp_path, capsys):
         code = run(["ingest"], tmp_path,
@@ -249,12 +287,23 @@ class TestExitCodes:
         errors = capsys.readouterr().err.splitlines()
         assert len(errors) == 2  # one line per failed command
         assert errors[1].startswith("data error:") and str(missing) in errors[1]
+        not_json = tmp_path / "not_json"
+        not_json.write_text("{")
+        for command, key, path in (("features", "data.events_file", missing),
+                                   ("backtest", "agent.policy_file", missing),
+                                   ("backtest", "agent.policy_file", not_json)):
+            code = run([command], tmp_path, ["--set", f"{key}={path}"])
+            err = capsys.readouterr().err
+            assert code == 3, (key, path, err)
+            assert err.startswith(f"data error: {path}"), err
+            assert len(err.splitlines()) == 1
 
     def test_runtime_error_exits_4(self, tmp_path):
         # cem with population 1 raises TrainingError out of cmd_train
         code = run(["train"], tmp_path,
                    ["--set", "agent.type=cem", "--set", "agent.population=1"])
         assert code == 4
+        assert run(["train"], tmp_path, ["--set", "agent.hidden=0"]) == 4
 
     def test_rolling_run_with_every_window_skipped_exits_4(self, tmp_path,
                                                            capsys):
@@ -269,17 +318,143 @@ class TestExitCodes:
         assert "population must be at least 2" in err
         assert len(err.splitlines()) == 1
 
+    # key -> (command that reads it, a good row, a bad row)
+    RESOURCES = {
+        "financial": ("build-dict", "gain\t1.0", "slump\tbig"),
+        "general": ("build-dict", "gain\t1.0", "slump\t-9"),
+        "master": ("build-dict", "gain", "gain\tloss"),
+        "synonyms": ("build-dict", "gain\tprofit\t0.5", "gain\tprofit"),
+        "subjectivity": ("build-dict", "gain\t0.5", "gain\t1.5"),
+        "overrides": ("build-dict", "gain\treject", "slump\tmaybe"),
+        "resolutions": ("build-dict", "rally\t0.5", "slump -0.5"),
+        "dictionary": ("eval", "gain\t1.0", "gain\tnan"),
+        "shifters": ("eval", "negator\tnot", "booster\tvery\t0.3"),
+        "corpus": ("eval", "70\tShares rally", "170\tShares soar"),
+    }
+
     def test_malformed_resolutions_exits_3(self, tmp_path, capsys):
-        resolutions = tmp_path / "resolutions.tsv"
-        resolutions.write_text("# lemma\tvalence\nrally\t0.5\nslump -0.5\n")
-        code = run(["sentiment", "build-dict"], tmp_path,
-                   ["--set", f"sentiment.resolutions={resolutions}"])
-        assert code == 3
+        # every sentiment resource: a missing file names its path, a bad
+        # row names path:line, each in one stderr line with exit 3
+        for key, (command, good, bad) in self.RESOURCES.items():
+            missing = tmp_path / f"no_{key}.tsv"
+            malformed = tmp_path / f"{key}.tsv"
+            malformed.write_text(f"# {key}\n{good}\n{bad}\n")
+            for path, where in ((missing, f"{missing}:"),
+                                (malformed, f"{malformed}:3:")):
+                code = run(["sentiment", command], tmp_path / "out",
+                           ["--set", f"sentiment.{key}={path}"])
+                err = capsys.readouterr().err
+                assert code == 3, (key, path, err)
+                assert err.startswith(f"data error: {where}"), (key, err)
+                assert len(err.splitlines()) == 1, (key, err)
+        # these three cannot be empty: there would be nothing to expand,
+        # score with or evaluate on
+        for key in ("master", "dictionary", "corpus"):
+            empty = tmp_path / f"empty_{key}.tsv"
+            empty.write_text(f"# {key}\n")
+            code = run(["sentiment", self.RESOURCES[key][0]], tmp_path / "out",
+                       ["--set", f"sentiment.{key}={empty}"])
+            err = capsys.readouterr().err
+            assert code == 3 and err.startswith(f"data error: {empty}"), err
+
+    def test_unwritable_output_dir_exits_3(self, tmp_path, capsys):
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        assert main(["sentiment", "eval", "--set",
+                     f"run.output_dir={blocker / 'run'}"]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("data error:") and f"{resolutions}:3" in err
+        assert err.startswith("data error:") and str(blocker) in err
         assert len(err.splitlines()) == 1
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("QUANTGYM_OUT", str(tmp_path / "via_env"))
         assert main(["sentiment", "eval"]) == 0
         assert (tmp_path / "via_env" / "sentiment" / "eval.json").exists()
+
+
+# --set fuzzing: every command, random overrides drawn from SCHEMA, and
+# missing or malformed files for every path key
+
+FUZZ_COMMANDS = (["ingest"], ["features"], ["train"], ["backtest"],
+                 ["trade-sim"], ["report"], ["sentiment", "score"],
+                 ["sentiment", "build-dict"], ["sentiment", "eval"])
+FUZZ_FILES = ("<missing>", "<empty>", "<garbage>", "<binary>", "<dir>")
+FUZZ_CHOICES = {
+    "data.source": ("synthetic",) + FUZZ_FILES,
+    "data.format": ("csv", "dir", "bogus"),
+    "data.frequency": ("1day", "1h", "bogus"),
+    "data.calendar_rule": ("intersection", "union", "bogus"),
+    "data.fill_rule": ("fill", "drop-ticker", "bogus"),
+    "data.events_kind": ("sentiment", "fundamental", "bogus"),
+    "features.indicators": ("macd", "rsi:7", "rsi:0", "cci:x", "adx", ",",
+                            "bogus"),
+    "env.kind": ("trading", "portfolio", "bogus"),
+    "env.risk_indicator": ("none", "turbulence", "vix", "bogus"),
+    "env.vix_ticker": ("VIX", "bogus"),
+    "agent.type": ("a2c", "cem", "passive", "equal", "mean_variance", "zero",
+                   "bogus"),
+    "agent.grid": ("hidden=2,4", "type=zero,passive", "steps=", "bogus=1",
+                   "bogus"),
+    "agent.policy_file": ("<policy>",) + FUZZ_FILES,
+    "sentiment.input": ("<headlines>",) + FUZZ_FILES,
+    "run.output_dir": ("<garbage>", "<garbage>/run"),  # cannot be created
+}
+FUZZ_BY_TYPE = {
+    "int": ("-1", "0", "1", "2", "3", "8", "x"),
+    "float": ("-1", "0", "0.5", "1e9", "nan", "inf", "x"),
+    "bool": ("true", "false", "maybe"),
+    "str": ("",) + FUZZ_FILES,  # the remaining str keys all name files
+}
+FUZZ_KEYS = sorted(f"{section}.{key}" for section, keys in SCHEMA.items()
+                   for key in keys)
+# small budgets so each run takes well under a second
+FUZZ_BASE = ["agent.steps=16", "agent.rollout_steps=4", "agent.hidden=4",
+             "agent.population=4", "agent.iterations=2", "pipeline.n_trade=2",
+             "agent.policy_file=<policy>", "sentiment.input=<headlines>"]
+
+
+def fuzz_value(key):
+    section, name = key.split(".")
+    return st.sampled_from(FUZZ_CHOICES.get(
+        key, FUZZ_BY_TYPE[SCHEMA[section][name][0]]))
+
+
+@st.composite
+def fuzz_overrides(draw):
+    keys = draw(st.lists(st.sampled_from(FUZZ_KEYS), max_size=4, unique=True))
+    return [f"{key}={draw(fuzz_value(key))}" for key in keys]
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "empty").write_text("")
+    (root / "garbage").write_text("x\ty\tz\n{\"format\": 1}\n,,,\n")
+    (root / "binary").write_bytes(b"\xff\xfe\x00bad")
+    (root / "dir").mkdir()
+    (root / "headlines").write_text("Shares rally\nProfit warning\n")
+    assert main(["train", "--set", f"run.output_dir={root}",
+                 "--set", "agent.steps=16"]) == 0
+    (root / "train" / "policy.json").rename(root / "policy")
+    return {f"<{name}>": str(root / name)
+            for name in ("missing", "empty", "garbage", "binary", "dir",
+                         "headlines", "policy")}
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(FUZZ_COMMANDS), overrides=fuzz_overrides())
+def test_fuzzed_overrides_exit_with_a_documented_code(
+        command, overrides, fuzz_files, tmp_path_factory, capsys):
+    out = tmp_path_factory.mktemp("run")
+    argv = list(command) + ["--set", f"run.output_dir={out}"]
+    for item in FUZZ_BASE + overrides:
+        for name, path in fuzz_files.items():
+            item = item.replace(name, path)
+        argv += ["--set", item]
+    capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4), argv
+    if code:
+        assert len(err.splitlines()) == 1, (argv, err)

@@ -261,9 +261,3 @@ class TestBarTable:
         table = make_table(np.full((2, 1), 10.0))
         with pytest.raises(ValueError):
             table.close[0, 0] = 1.0
-
-    def test_bar_accessor(self):
-        table = make_table(np.array([[10.0], [11.0]]), tickers=("A",))
-        bar = table.bar(1, "A")
-        assert bar.close == 11.0
-        assert bar.ticker == "A"

@@ -184,10 +184,6 @@ class TestBarTableValidation:
             BarTable("2week", ("A",), cal, ones, ones, ones, ones, ones,
                      ones.astype(bool), np.zeros((1, 1), bool))
 
-    def test_days_helper(self):
-        table = random_walk_table(5, 1)
-        assert len(table.days()) == 5
-
     def test_slice_steps(self):
         table = random_walk_table(10, 2)
         sub = table.slice_steps(2, 7)
