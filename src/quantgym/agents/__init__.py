@@ -1,6 +1,6 @@
 """Policies: trainable agents, classical baselines, and ensemble selection."""
 
-from .a2c import Adam, a2c_loss_and_grad, train_a2c
+from .a2c import Adam, a2c_loss_and_grad, train_a2c, train_a2c_all
 from .baselines import (
     EqualWeightPolicy,
     PassivePolicy,
@@ -41,5 +41,6 @@ __all__ = [
     "project_simplex",
     "save_policy",
     "train_a2c",
+    "train_a2c_all",
     "train_cem",
 ]

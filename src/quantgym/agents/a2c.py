@@ -1,14 +1,84 @@
-"""Synchronous advantage actor-critic trained with numpy backprop."""
+"""Synchronous advantage actor-critic trained with numpy backprop.
+
+``train_a2c`` trains one policy on any reset/step environment.
+``train_a2c_all`` trains many (env, config) jobs, advancing the jobs
+that share a network shape as one lockstep population over an
+``EnvPopulation``; every job's policy equals ``train_a2c`` on its own
+env and config, bit for bit. The two share everything but the rollout
+loop: the ``_Learners`` rows sample, update and check for divergence.
+"""
 from __future__ import annotations
 
+import dataclasses
 import math
+from typing import Sequence
 
 import numpy as np
 
+from ..envs import EnvPopulation, _row_dots
 from ..errors import TrainingError
 from .policy import GaussianPolicy, TrainConfig
 
 LOG_2PI = math.log(2.0 * math.pi)
+
+# Rows per lockstep population. A population's arrays grow with every
+# row while its per-step Python cost is shared, and past about a dozen
+# rows most of that cost is shared already: on rolling-a2c-portfolio
+# (2-core host) an op took about 12% longer at 12 rows than at 24, with
+# a 2 MB lower peak RSS. The cap also keeps memory from growing with the
+# number of trade days.
+LOCKSTEP_ROWS = 12
+
+
+def _stacked_loss_and_grad(policy: GaussianPolicy, params: np.ndarray,
+                           obs_scale: np.ndarray, obs: np.ndarray,
+                           actions: np.ndarray, returns: np.ndarray,
+                           advantages: np.ndarray, entropy_coef: float,
+                           vf_coef: float) -> tuple[np.ndarray, np.ndarray]:
+    """``a2c_loss_and_grad`` of P parameter rows, each on its own batch.
+
+    params is (P, n_parameters), obs_scale (P, obs_dim), obs (P, B,
+    obs_dim), actions (P, B, action_dim), returns and advantages (P, B);
+    ``policy`` only supplies the shapes. Returns the (P,) losses and the
+    (P, n_parameters) gradients.
+    """
+    B = obs.shape[1]
+    f = policy._unflatten(params)
+    mean, value, h = policy.forward_population(obs, params, obs_scale)
+    log_std = f["log_std"]
+    std = np.exp(log_std)[:, None, :]
+
+    z = (actions - mean) / std
+    logp = -0.5 * (z * z).sum(axis=2) - log_std.sum(axis=1)[:, None] \
+        - 0.5 * policy.action_dim * LOG_2PI
+    entropy = log_std.sum(axis=1) + 0.5 * policy.action_dim * (LOG_2PI + 1.0)
+
+    policy_loss = -(logp * advantages).mean(axis=1)
+    value_err = value - returns
+    value_loss = (value_err * value_err).mean(axis=1)
+    loss = policy_loss + vf_coef * value_loss - entropy_coef * entropy
+
+    # backward pass
+    dmean = (-advantages[:, :, None] / B) * ((actions - mean) / (std * std))
+    dlog_std = (-1.0 / B) * (advantages[:, :, None] * (z * z - 1.0)).sum(
+        axis=1) - entropy_coef
+    dvalue = vf_coef * 2.0 * value_err / B
+
+    # each part is written into the gradient as soon as it exists, which
+    # keeps the peak memory of a large population down
+    grad = np.empty_like(params)
+    g = policy._unflatten(grad)
+    g["log_std"][...] = dlog_std
+    dh = dmean @ f["W2"] + dvalue[:, :, None] * f["wv"][:, None, :]
+    dz1 = dh * (1.0 - h * h)
+    g["W2"][...] = dmean.transpose(0, 2, 1) @ h
+    g["b2"][...] = dmean.sum(axis=1)
+    g["wv"][...] = (h.transpose(0, 2, 1) @ dvalue[:, :, None])[:, :, 0]
+    g["bv"][...] = dvalue.sum(axis=1)
+    del dh, dmean, h
+    g["W1"][...] = dz1.transpose(0, 2, 1) @ (obs / obs_scale[:, None, :])
+    g["b1"][...] = dz1.sum(axis=1)
+    return loss, grad
 
 
 def a2c_loss_and_grad(policy: GaussianPolicy, obs: np.ndarray,
@@ -20,45 +90,22 @@ def a2c_loss_and_grad(policy: GaussianPolicy, obs: np.ndarray,
     Policy term: -mean(log pi(a|s) * advantage) with the advantage held
     constant. Value term: mean squared error against the n-step returns.
     Entropy bonus is exact for a diagonal Gaussian (depends on log_std
-    only).
+    only). This is the P=1 case of the stacked loss the trainers run.
     """
-    B = obs.shape[0]
-    mean, value, h = policy.forward(obs)
-    std = policy.std()
-    scaled_obs = np.atleast_2d(obs) / policy.obs_scale
-
-    z = (actions - mean) / std
-    logp = -0.5 * (z * z).sum(axis=1) - policy.log_std.sum() \
-        - 0.5 * policy.action_dim * LOG_2PI
-    entropy = policy.log_std.sum() + 0.5 * policy.action_dim * (LOG_2PI + 1.0)
-
-    policy_loss = -(logp * advantages).mean()
-    value_err = value - returns
-    value_loss = (value_err * value_err).mean()
-    loss = policy_loss + vf_coef * value_loss - entropy_coef * entropy
-
-    # backward pass
-    dmean = (-advantages[:, None] / B) * ((actions - mean) / (std * std))
-    dlog_std = (-1.0 / B) * (advantages[:, None] * (z * z - 1.0)).sum(axis=0) \
-        - entropy_coef
-    dvalue = vf_coef * 2.0 * value_err / B
-
-    dh = dmean @ policy.W2 + dvalue[:, None] * policy.wv
-    dz1 = dh * (1.0 - h * h)
-    dW2 = dmean.T @ h
-    db2 = dmean.sum(axis=0)
-    dwv = h.T @ dvalue
-    dbv = dvalue.sum()
-    dW1 = dz1.T @ scaled_obs
-    db1 = dz1.sum(axis=0)
-
-    grad = np.concatenate([dW1.reshape(-1), db1, dW2.reshape(-1), db2,
-                           dlog_std, dwv, [dbv]])
-    return float(loss), grad
+    loss, grad = _stacked_loss_and_grad(
+        policy, policy.get_flat()[None], policy.obs_scale[None],
+        np.atleast_2d(np.asarray(obs, dtype=float))[None],
+        np.asarray(actions, dtype=float)[None],
+        np.asarray(returns, dtype=float)[None],
+        np.asarray(advantages, dtype=float)[None], entropy_coef, vf_coef)
+    return float(loss[0]), grad[0]
 
 
 class Adam:
-    def __init__(self, size: int, lr: float, beta1: float = 0.9,
+    """Adam over a parameter array; with (P, size) parameters, lr may be a
+    (P, 1) column of per-row learning rates."""
+
+    def __init__(self, size, lr, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
@@ -67,19 +114,141 @@ class Adam:
         self.t = 0
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        # m = beta1 * m + (1 - beta1) * grad, and likewise v, then
+        # params - lr * m_hat / (sqrt(v_hat) + eps); in place, so a
+        # (P, size) population allocates few temporaries
         self.t += 1
-        self.m = self.beta1 * self.m + (1 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1 - self.beta2) * grad * grad
-        m_hat = self.m / (1 - self.beta1 ** self.t)
-        v_hat = self.v / (1 - self.beta2 ** self.t)
-        return params - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m *= self.beta1
+        self.m += (1 - self.beta1) * grad
+        self.v *= self.beta2
+        g2 = (1 - self.beta2) * grad
+        g2 *= grad
+        self.v += g2
+        step = self.m / (1 - self.beta1 ** self.t)
+        step *= self.lr
+        denom = np.divide(self.v, 1 - self.beta2 ** self.t, out=g2)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        step /= denom
+        return np.subtract(params, step, out=step)
 
 
-def _clip_grad(grad: np.ndarray, max_norm: float) -> np.ndarray:
-    norm = float(np.linalg.norm(grad))
-    if max_norm > 0 and norm > max_norm:
-        return grad * (max_norm / norm)
-    return grad
+class _Learners:
+    """P A2C learners that share every TrainConfig field but the seed and
+    the learning rate. Row p holds the policy, Adam state and sampling
+    stream ``train_a2c`` keeps for configs[p]."""
+
+    def __init__(self, obs_dim: int, action_dim: int,
+                 configs: Sequence[TrainConfig]):
+        self.configs = configs
+        self.config = configs[0]
+        policies = [GaussianPolicy(obs_dim, action_dim, c.hidden, c.seed)
+                    for c in configs]
+        self.template = policies[0]
+        self.rngs = [np.random.default_rng(c.seed) for c in configs]
+        self.params = np.stack([p.get_flat() for p in policies])
+        self.obs_scale = np.ones((len(configs), obs_dim))
+        self.adam = Adam(self.params.shape,
+                         np.array([[c.learning_rate] for c in configs]))
+        self.failed: list[TrainingError | None] = [None] * len(configs)
+
+    def begin_rollout(self) -> None:
+        """Clear the rollout buffers and draw each row's action noise,
+        std * N(0, 1), for the rollout's steps. One (R, action_dim) draw
+        gives the values of R draws of (action_dim,), in order, and std
+        only changes in ``update``."""
+        P, R = len(self.configs), self.config.rollout_steps
+        t = self.template
+        self.batch_obs = np.empty((P, R, t.obs_dim))
+        self.batch_act = np.empty((P, R, t.action_dim))
+        self.batch_rew, self.batch_val = np.empty((P, R)), np.empty((P, R))
+        self.batch_done = np.empty((P, R), dtype=bool)
+        std = np.exp(t._unflatten(self.params)["log_std"])
+        self.noise = std * np.stack([rng.standard_normal((R, t.action_dim))
+                                     for rng in self.rngs], axis=1)
+
+    def sample(self, obs: np.ndarray, i: int, step: int):
+        """Actions and values of every row on its (obs_dim,) observation,
+        with the noise drawn for rollout step i.
+
+        A row whose action is not finite fails at this step. Rows never
+        mix, so a failed row can go on stepping without touching the
+        others.
+        """
+        mean, value, _ = self.template.forward_population(
+            obs[:, None, :], self.params, self.obs_scale)
+        actions = mean[:, 0, :] + self.noise[i]
+        for p in np.flatnonzero(~np.isfinite(actions).all(axis=1)):
+            self._fail(p, f"non-finite action at step {step}; try a "
+                          f"smaller learning rate")
+        return actions, value[:, 0]
+
+    def record(self, i: int, obs, actions, rewards, values, dones) -> None:
+        """Store rollout step i of every row."""
+        self.batch_obs[:, i], self.batch_act[:, i] = obs, actions
+        self.batch_rew[:, i], self.batch_val[:, i] = rewards, values
+        self.batch_done[:, i] = dones
+
+    def _fail(self, p: int, reason: str) -> None:
+        if self.failed[p] is None:
+            self.failed[p] = TrainingError(reason)
+
+    def update(self, next_obs: np.ndarray, steps_done: int) -> None:
+        """One A2C update of every row from its recorded rollout.
+
+        n-step returns bootstrap from the value of next_obs unless the
+        rollout ended an episode; advantages are normalized per row.
+        """
+        c = self.config
+        obs, actions, rewards, dones, values = (
+            self.batch_obs, self.batch_act, self.batch_rew, self.batch_done,
+            self.batch_val)
+        _, v_last, _ = self.template.forward_population(
+            next_obs[:, None, :], self.params, self.obs_scale)
+        acc = np.where(dones[:, -1], 0.0, v_last[:, 0])
+        returns = np.empty(rewards.shape)
+        for i in range(rewards.shape[1] - 1, -1, -1):
+            acc = rewards[:, i] + c.gamma * np.where(dones[:, i], 0.0, acc)
+            returns[:, i] = acc
+        advantages = returns - values
+        adv_std = advantages.std(axis=1)
+        scaled = adv_std > 1e-12
+        advantages = np.where(
+            scaled[:, None],
+            (advantages - advantages.mean(axis=1)[:, None])
+            / np.where(scaled, adv_std, 1.0)[:, None],
+            advantages)
+        loss, grad = _stacked_loss_and_grad(
+            self.template, self.params, self.obs_scale, obs, actions, returns,
+            advantages, c.entropy_coef, c.vf_coef)
+        for p in np.flatnonzero(~(np.isfinite(loss)
+                                  & np.isfinite(grad).all(axis=1))):
+            self._fail(p, f"non-finite loss/gradient at step {steps_done} "
+                          f"(loss={float(loss[p])!r}); try a smaller "
+                          f"learning rate")
+        if c.grad_clip > 0:
+            # np.linalg.norm of a vector is the square root of its dot
+            norms = np.sqrt(_row_dots(grad, grad))
+            clip = norms > c.grad_clip
+            grad = np.where(clip[:, None],
+                            grad * (c.grad_clip / np.where(clip, norms, 1.0)
+                                    )[:, None],
+                            grad)
+        self.params = self.adam.step(self.params, grad)
+
+    def outcomes(self) -> list[GaussianPolicy | TrainingError]:
+        out = []
+        for p, failure in enumerate(self.failed):
+            if failure is not None:
+                out.append(failure)
+                continue
+            t = self.template
+            policy = GaussianPolicy(t.obs_dim, t.action_dim, t.hidden,
+                                    self.configs[p].seed,
+                                    obs_scale=self.obs_scale[p].copy())
+            policy.set_flat(self.params[p])
+            out.append(policy)
+        return out
 
 
 def train_a2c(env, config: TrainConfig) -> GaussianPolicy:
@@ -88,60 +257,79 @@ def train_a2c(env, config: TrainConfig) -> GaussianPolicy:
     Rolls out `rollout_steps` transitions (auto-resetting at episode
     ends), bootstraps n-step returns from the value head, normalizes
     advantages per rollout, and applies Adam with gradient-norm
-    clipping. Fully reproducible from (seed, config, data).
+    clipping. Fully reproducible from (seed, config, data). A non-finite
+    action, loss or gradient raises TrainingError naming the step.
     """
-    rng = np.random.default_rng(config.seed)
-    policy = GaussianPolicy(env.observation_dim, env.action_dim,
-                            config.hidden, config.seed)
-    if policy.action_dim != env.action_dim:
-        raise TrainingError("policy/env action dimension mismatch")
-    adam = Adam(policy.n_parameters, config.learning_rate)
-
-    state = env.reset()
-    obs = state.observation()
-    # freeze a per-dimension observation scale from the first state
-    policy.obs_scale = np.maximum(1.0, np.abs(obs))
-    steps_done = 0
-    while steps_done < config.steps:
-        batch_obs, batch_act, batch_rew, batch_done, batch_val = [], [], [], [], []
-        for _ in range(config.rollout_steps):
-            action, value = policy.sample(obs, rng)
-            transition = env.step(action)
-            batch_obs.append(obs)
-            batch_act.append(action)
-            batch_rew.append(transition.reward)
-            batch_done.append(transition.done)
-            batch_val.append(value)
-            steps_done += 1
-            if transition.done:
-                state = env.reset()
+    with np.errstate(all="ignore"):
+        rows = _Learners(env.observation_dim, env.action_dim, [config])
+        obs = env.reset().observation()
+        # freeze a per-dimension observation scale from the first state
+        rows.obs_scale = np.maximum(1.0, np.abs(obs))[None]
+        steps_done = 0
+        while steps_done < config.steps:
+            rows.begin_rollout()
+            for i in range(config.rollout_steps):
+                steps_done += 1
+                actions, values = rows.sample(obs[None], i, steps_done)
+                if rows.failed[0] is not None:
+                    raise rows.failed[0]
+                transition = env.step(actions[0])
+                rows.record(i, obs, actions, transition.reward, values,
+                            transition.done)
+                state = env.reset() if transition.done \
+                    else transition.next_state
                 obs = state.observation()
-            else:
-                obs = transition.next_state.observation()
-        if batch_done[-1]:
-            bootstrap = 0.0
-        else:
-            _, v_last, _ = policy.forward(obs)
-            bootstrap = float(v_last[0])
-        returns = np.empty(len(batch_rew))
-        acc = bootstrap
-        for i in range(len(batch_rew) - 1, -1, -1):
-            if batch_done[i]:
-                acc = 0.0
-            acc = batch_rew[i] + config.gamma * acc
-            returns[i] = acc
-        values = np.asarray(batch_val)
-        advantages = returns - values
-        adv_std = advantages.std()
-        if adv_std > 1e-12:
-            advantages = (advantages - advantages.mean()) / adv_std
-        loss, grad = a2c_loss_and_grad(
-            policy, np.asarray(batch_obs), np.asarray(batch_act), returns,
-            advantages, config.entropy_coef, config.vf_coef)
-        if not math.isfinite(loss) or not np.isfinite(grad).all():
-            raise TrainingError(
-                f"non-finite loss/gradient at step {steps_done} "
-                f"(loss={loss!r}); try a smaller learning rate")
-        grad = _clip_grad(grad, config.grad_clip)
-        policy.set_flat(adam.step(policy.get_flat(), grad))
-    return policy
+            rows.update(obs[None], steps_done)
+            if rows.failed[0] is not None:
+                raise rows.failed[0]
+        return rows.outcomes()[0]
+
+
+def _train_lockstep(envs, configs) -> list[GaussianPolicy | TrainingError]:
+    """``train_a2c`` on each (envs[p], configs[p]), all rows in lockstep.
+
+    The configs agree in every field but the seed and the learning
+    rate, and the envs form an ``EnvPopulation``. A row that diverges
+    fails alone; the others carry on unchanged.
+    """
+    population = EnvPopulation(envs)
+    env = population.env
+    with np.errstate(all="ignore"):
+        rows = _Learners(env.observation_dim, env.action_dim, configs)
+        obs = population.observations()
+        rows.obs_scale = np.maximum(1.0, np.abs(obs))
+        steps_done = 0
+        while (steps_done < rows.config.steps
+               and any(f is None for f in rows.failed)):
+            rows.begin_rollout()
+            for i in range(rows.config.rollout_steps):
+                steps_done += 1
+                actions, values = rows.sample(obs, i, steps_done)
+                rewards, dones = population.step(actions)
+                rows.record(i, obs, actions, rewards, values, dones)
+                obs = population.observations()
+            rows.update(obs, steps_done)
+    return rows.outcomes()
+
+
+def train_a2c_all(jobs: Sequence[tuple]) -> list[GaussianPolicy | TrainingError]:
+    """Train (env, TrainConfig) jobs: one policy or TrainingError per job.
+
+    Jobs whose configs agree in every field but the seed and the
+    learning rate train in lockstep populations of at most
+    ``LOCKSTEP_ROWS`` rows, so their envs must form an
+    ``EnvPopulation``. Each outcome equals ``train_a2c`` on that job
+    alone, bit for bit.
+    """
+    groups: dict[TrainConfig, list[int]] = {}
+    for k, (_env, config) in enumerate(jobs):
+        shape = dataclasses.replace(config, seed=0, learning_rate=0.0)
+        groups.setdefault(shape, []).append(k)
+    outcomes: list = [None] * len(jobs)
+    for members in groups.values():
+        for rows in np.array_split(members, -(-len(members) // LOCKSTEP_ROWS)):
+            fitted = _train_lockstep([jobs[k][0] for k in rows],
+                                     [jobs[k][1] for k in rows])
+            for k, outcome in zip(rows, fitted):
+                outcomes[k] = outcome
+    return outcomes

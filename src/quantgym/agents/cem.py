@@ -56,7 +56,9 @@ def train_cem(env, config: TrainConfig) -> GaussianPolicy:
 
     def objective(samples: np.ndarray) -> np.ndarray:
         return env.episode_returns(
-            lambda obs: policy.act_population(obs, samples), len(samples))
+            lambda obs: policy.forward_population(obs[:, None, :],
+                                                  samples)[0][:, 0, :],
+            len(samples))
 
     best, _history = cem_optimize(
         objective, policy.n_parameters, config.iterations, config.population,

@@ -84,6 +84,13 @@ class GaussianPolicy(Policy):
         if self.obs_scale.shape != (obs_dim,):
             raise TrainingError(f"obs_scale has shape {self.obs_scale.shape}, "
                                 f"expected ({obs_dim},)")
+        # (field, start, stop, shape) in the flat parameter vector; bv last
+        self._layout = []
+        offset = 0
+        for f in self._fields():
+            shape = np.shape(getattr(self, f))
+            self._layout.append((f, offset, offset + math.prod(shape), shape))
+            offset += math.prod(shape)
 
     # -- parameter vector ------------------------------------------------
     def _fields(self):
@@ -97,19 +104,14 @@ class GaussianPolicy(Policy):
 
     def _unflatten(self, vecs: np.ndarray) -> dict:
         """Split (..., n_parameters) vectors into views shaped like each field."""
-        fields = {}
-        offset = 0
-        for f in self._fields():
-            shape = np.shape(getattr(self, f))
-            size = math.prod(shape)
-            fields[f] = vecs[..., offset:offset + size].reshape(
-                vecs.shape[:-1] + shape)
-            offset += size
-        fields["bv"] = vecs[..., offset]
-        offset += 1
-        if offset != vecs.shape[-1]:
+        expected = self._layout[-1][2] + 1
+        if vecs.shape[-1] != expected:
             raise TrainingError(f"parameter vector has {vecs.shape[-1]} "
-                                f"entries, expected {offset}")
+                                f"entries, expected {expected}")
+        lead = vecs.shape[:-1]
+        fields = {f: vecs[..., start:stop].reshape(lead + shape)
+                  for f, start, stop, shape in self._layout}
+        fields["bv"] = vecs[..., -1]
         return fields
 
     def set_flat(self, vec: np.ndarray) -> None:
@@ -142,19 +144,25 @@ class GaussianPolicy(Policy):
         mean, _, _ = self.forward(observation)
         return mean[0]
 
-    def act_population(self, obs: np.ndarray, params: np.ndarray) -> np.ndarray:
-        """Deterministic actions of P parameter vectors on P observations.
+    def forward_population(self, obs: np.ndarray, params: np.ndarray,
+                           obs_scale: np.ndarray | None = None):
+        """Stacked forward pass of P parameter vectors, each on its own batch.
 
-        obs is (P, obs_dim) and params (P, n_parameters); row p equals
-        ``set_flat(params[p]); act(obs[p])`` bit for bit. The stacked
-        matmuls run each row as the same vector-matrix product ``act``
-        runs, so the summation order is unchanged.
+        obs is (P, B, obs_dim), params (P, n_parameters) and obs_scale
+        (P, obs_dim), by default this policy's for every row. Returns
+        (mean, value, hidden activations) shaped (P, B, action_dim),
+        (P, B) and (P, B, hidden); row p equals ``forward(obs[p])`` of
+        a policy holding params[p] and obs_scale[p], bit for bit. Each
+        stacked matmul runs the product ``forward`` runs on that row,
+        so the summation order is unchanged.
         """
         p = self._unflatten(np.asarray(params, dtype=float))
-        x = (np.asarray(obs, dtype=float) / self.obs_scale)[:, None, :]
+        scale = self.obs_scale if obs_scale is None else obs_scale[:, None, :]
+        x = np.asarray(obs, dtype=float) / scale
         h = np.tanh(x @ p["W1"].transpose(0, 2, 1) + p["b1"][:, None, :])
         mean = h @ p["W2"].transpose(0, 2, 1) + p["b2"][:, None, :]
-        return mean[:, 0, :]
+        value = (h @ p["wv"][:, :, None])[:, :, 0] + p["bv"][:, None]
+        return mean, value, h
 
     def sample(self, observation: np.ndarray, rng: np.random.Generator):
         mean, value, _ = self.forward(observation)

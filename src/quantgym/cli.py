@@ -35,6 +35,7 @@ from .agents import (
     mean_variance_weights,
     save_policy,
     train_a2c,
+    train_a2c_all,
     train_cem,
 )
 from .config import RunConfig, load_config
@@ -224,7 +225,10 @@ def make_agent_factory(config: RunConfig):
 
     The kind comes from [agent] type, overridable per grid point with a
     ``type=...`` grid axis so a window can rank heterogeneous candidates
-    (trainable agents against baselines) by validation Sharpe.
+    (trainable agents against baselines) by validation Sharpe. The
+    factory's ``fit_all(jobs)`` fits a list of (env, hyper, seed) jobs,
+    one policy or one raised error per job, training the a2c jobs
+    together with ``train_a2c_all``; ``run_rolling`` calls it.
     """
     default_kind = config.get("agent", "type")
 
@@ -258,6 +262,24 @@ def make_agent_factory(config: RunConfig):
                 h_max=config.get("env", "h_max"))
         raise ConfigError(f"unknown agent type {kind!r}")
 
+    def fit_all(jobs):
+        outcomes = [None] * len(jobs)
+        a2c_jobs = []
+        for k, (env, hyper, seed) in enumerate(jobs):
+            try:
+                if hyper.get("type", default_kind) == "a2c":
+                    a2c_jobs.append(
+                        (k, env, train_config_from(config, hyper, seed)))
+                else:
+                    outcomes[k] = factory(env, hyper, seed)
+            except QuantGymError as exc:
+                outcomes[k] = exc
+        fitted = train_a2c_all([(env, cfg) for _, env, cfg in a2c_jobs])
+        for (k, _, _), outcome in zip(a2c_jobs, fitted):
+            outcomes[k] = outcome
+        return outcomes
+
+    factory.fit_all = fit_all
     return factory
 
 
@@ -487,6 +509,10 @@ def cmd_trade_sim(config: RunConfig) -> int:
         first = result.window_reports[0]
         raise TrainingError(f"every window was skipped (window "
                             f"{first.window_id}: {first.reason})")
+    for report in result.window_reports:
+        if report.skipped:
+            logger.warning("window %d skipped: %s", report.window_id,
+                           report.reason)
     write_backtest_result(result, outdir, data.table.tickers)
     windows_payload = [dataclasses.asdict(r) for r in result.window_reports]
     for row in windows_payload:

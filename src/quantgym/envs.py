@@ -6,7 +6,9 @@ cursor reaches end-1 (no next bar to settle against). Instances are
 single-owner state machines over shared immutable market data, so many
 can run concurrently; ``batch_step`` steps a list of them and
 auto-resets finished ones. ``episode_returns`` runs P episodes of one
-environment in lockstep, one (P, n) step per time step.
+environment in lockstep, one (P, n) step per time step, and
+``EnvPopulation`` steps P auto-resetting episodes on the step ranges of
+P environments the same way.
 """
 from __future__ import annotations
 
@@ -98,13 +100,14 @@ def softmax(x: np.ndarray) -> np.ndarray:
     return w / w.sum(axis=-1, keepdims=True)
 
 
-def _row_dots(rows: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """``vec @ row`` for each row of a (P, n) array.
+def _row_dots(rows: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """``vec @ row`` for each row of a (P, n) array, where vecs is one
+    (n,) vector or a (P, n) array of them.
 
     The stacked (1, n) @ (n, 1) products run the same 1-D dot as a
     single ``vec @ row``, so each row keeps its summation order.
     """
-    return (rows[:, None, :] @ vec[:, None])[:, 0, 0]
+    return (rows[:, None, :] @ vecs[..., :, None])[:, 0, 0]
 
 
 class _BaseEnv:
@@ -163,11 +166,13 @@ class _BaseEnv:
     def done(self) -> bool:
         return self.state.t >= self.end - 1
 
-    def _risk_triggered(self, t: int) -> bool:
+    def _risk_triggered(self, t):
+        """Whether the risk control acts at step t, an int or a (P,) vector
+        (one False for every row when there is no risk control)."""
         if self.config.risk_indicator == "none" or self.risk_series is None:
-            return False
+            return np.False_
         value = self.risk_series[t]
-        return bool(np.isfinite(value) and value > self.config.risk_threshold)
+        return np.isfinite(value) & (value > self.config.risk_threshold)
 
     def _check_steppable(self, action) -> np.ndarray:
         if self.done:
@@ -188,18 +193,11 @@ class _BaseEnv:
         by row p of ``act``, bit for bit.
         """
         n = self.n
-        # an observation is [cash or value, prices, features, held]
-        first = self.reset().observation()
-        cash = np.full(population, first[0])
-        held = np.tile(first[-n:], (population, 1))
+        cash, held = self._reset_rows(population)
         total = np.zeros(population)
         for t in range(self.start, self.end - 1):
-            obs = np.empty((population, self.observation_dim))
-            obs[:, 0] = cash
-            obs[:, 1:1 + n] = self.table.close[t]
-            obs[:, 1 + n:-n] = self.features.values[t].reshape(-1)
-            obs[:, -n:] = held
-            actions = np.asarray(act(obs), dtype=float)
+            actions = np.asarray(act(self._observations(t, cash, held)),
+                                 dtype=float)
             if actions.shape != (population, n):
                 raise EnvError(f"actions have shape {actions.shape}, "
                                f"expected {(population, n)}")
@@ -208,6 +206,23 @@ class _BaseEnv:
             cash, held, reward = self._population_step(t, cash, held, actions)
             total += reward
         return total
+
+    def _reset_rows(self, population: int):
+        """Cash (or value) and holdings (or weights) of ``reset()``, per row."""
+        first = self.reset().observation()
+        return (np.full(population, first[0]),
+                np.tile(first[-self.n:], (population, 1)))
+
+    def _observations(self, t, cash, held) -> np.ndarray:
+        """``state.observation()`` of P rows at step t, an int or a (P,)
+        vector: [cash or value, prices, features, held]."""
+        n = self.n
+        obs = np.empty((len(cash), self.observation_dim))
+        obs[:, 0] = cash
+        obs[:, 1:1 + n] = self.table.close[t]
+        obs[:, 1 + n:-n] = self.features.values[t].reshape(np.shape(t) + (-1,))
+        obs[:, -n:] = held
+        return obs
 
 
 class TradingEnv(_BaseEnv):
@@ -246,7 +261,7 @@ class TradingEnv(_BaseEnv):
         state: TradingState = self._state
         cfg = self.config
         t = state.t
-        triggered = self._risk_triggered(t)
+        triggered = bool(self._risk_triggered(t))
         if triggered:
             deltas = -state.holdings.copy()
         else:
@@ -267,11 +282,12 @@ class TradingEnv(_BaseEnv):
                           {"cost": float(cost), "risk_triggered": triggered})
 
     def _population_step(self, t, balance, holdings, actions):
+        """``step`` for P rows at step t, an int or a (P,) vector."""
         cfg = self.config
-        if self._risk_triggered(t):
-            deltas = -holdings
-        else:
-            deltas = np.rint(np.clip(actions, -1.0, 1.0) * cfg.h_max)
+        deltas = np.rint(np.clip(actions, -1.0, 1.0) * cfg.h_max)
+        triggered = self._risk_triggered(t)
+        if triggered.any():
+            deltas = np.where(triggered[..., None], -holdings, deltas)
         prices = self.table.close[t].astype(float)
         new_h, new_b, _, _ = execute_trades_population(
             prices, holdings, balance, deltas, cfg.cost_rate,
@@ -319,7 +335,7 @@ class PortfolioEnv(_BaseEnv):
         state: PortfolioState = self._state
         cfg = self.config
         t = state.t
-        triggered = self._risk_triggered(t)
+        triggered = bool(self._risk_triggered(t))
         if triggered:
             weights = np.full(self.n, 1.0 / self.n)
         else:
@@ -340,17 +356,66 @@ class PortfolioEnv(_BaseEnv):
                           {"cost": float(fee), "risk_triggered": triggered})
 
     def _population_step(self, t, value, weights, actions):
+        """``step`` for P rows at step t, an int or a (P,) vector."""
         cfg = self.config
-        if self._risk_triggered(t):
-            new_w = np.full(actions.shape, 1.0 / self.n)
-        else:
-            new_w = softmax(actions)
+        new_w = softmax(actions)
+        triggered = self._risk_triggered(t)
+        if triggered.any():
+            new_w = np.where(triggered[..., None], 1.0 / self.n, new_w)
         turnover = 0.5 * np.abs(new_w - weights).sum(axis=1)
         fee = value * cfg.turnover_cost_rate * turnover
         ratio = self.table.close[t + 1].astype(float) / self.table.close[t]
         new_value = value * _row_dots(new_w, ratio) - fee
         reward = (new_value - value) * cfg.reward_scale
         return new_value, new_w, reward
+
+
+class EnvPopulation:
+    """P auto-resetting episodes, row p on the step range of ``envs[p]``,
+    advanced by one (P, n) step.
+
+    A row whose episode ends restarts from its env's ``reset()``, as a
+    reset/step loop that resets on ``done`` does; row p's observations
+    and rewards equal that loop on ``envs[p]``, bit for bit. The envs
+    must be of one class and share one table, feature matrix, risk
+    series and config, as the envs of ``RollingData.make_env`` do.
+    """
+
+    def __init__(self, envs: Sequence[_BaseEnv]):
+        env = envs[0]
+        for other in envs:
+            if (type(other) is not type(env) or other.table is not env.table
+                    or other.features is not env.features
+                    or other.risk_series is not env.risk_series
+                    or other.config != env.config):
+                raise EnvError("population envs must share one class, table, "
+                               "feature matrix, risk series and config")
+            if other.end - other.start < 2:
+                raise EnvError(f"step range [{other.start}, {other.end}) "
+                               f"has no step")
+        self.env = env
+        self.starts = np.array([e.start for e in envs])
+        self.ends = np.array([e.end for e in envs])
+        self._cash0, self._held0 = env._reset_rows(len(envs))
+        self.t = self.starts.copy()
+        self.cash, self.held = self._cash0.copy(), self._held0.copy()
+
+    def observations(self) -> np.ndarray:
+        return self.env._observations(self.t, self.cash, self.held)
+
+    def step(self, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Apply (P, n) actions; returns (rewards, done) per row and resets
+        the rows that are done. Rows never mix, so a non-finite action
+        spoils only its own row."""
+        self.cash, self.held, reward = self.env._population_step(
+            self.t, self.cash, self.held, actions)
+        self.t = self.t + 1
+        done = self.t >= self.ends - 1
+        if done.any():
+            self.t[done] = self.starts[done]
+            self.cash[done] = self._cash0[done]
+            self.held[done] = self._held0[done]
+        return reward, done
 
 
 def batch_step(envs: Sequence[_BaseEnv], actions) -> list[Transition]:

@@ -232,10 +232,11 @@ def execute_trades_kernel(prices, holdings, balance, deltas,
 
 def execute_trades_population(prices, holdings, balance, deltas,
                               cost_rate, allow_short, allow_margin):
-    """``execute_trades_kernel`` for P accounts at one price vector.
+    """``execute_trades_kernel`` for P accounts.
 
-    holdings and deltas are (P, n), balance is (P,); row p of each result
-    equals the scalar kernel on row p, bit for bit. Only the buys read
+    holdings and deltas are (P, n), balance is (P,), and prices is (P, n)
+    or one (n,) vector for every row; row p of each result equals the
+    scalar kernel on row p, bit for bit. Only the buys read
     the balance, each one the balance the buys before it left, so only
     they loop over the tickers (with vector operations over P).
     Everything else runs on the whole (P, n) grid, and the balance and
@@ -254,10 +255,16 @@ def execute_trades_population(prices, holdings, balance, deltas,
     b = _sum_in_order(balance, sold, proceeds - cost_rate * proceeds)
     buy = np.fmax(deltas, 0.0)
     unit = prices * (1.0 + cost_rate)
-    for i, (price, u) in enumerate(zip(prices.tolist(), unit.tolist())):
+    if not allow_margin and not unit.min() > 0.0:
+        # a unit cost <= 0 affords no share: those buys become 0 here, and
+        # a unit of 1 keeps their unused cap free of a division by zero
+        payable = unit > 0.0
+        buy = np.where(payable, buy, 0.0)
+        unit = np.where(payable, unit, 1.0)
+    for i, (price, u) in enumerate(zip(prices.T, unit.T)):
         qty = buy[:, i]
         if not allow_margin:
-            qty = np.fmin(qty, np.floor(b / u) if u > 0.0 else 0.0)
+            qty = np.fmin(qty, np.floor(b / u))
         notional = qty * price
         np.subtract(b, notional + cost_rate * notional, out=b, where=qty > 0.0)
         buy[:, i] = qty

@@ -10,20 +10,18 @@ instant, so perturbing later data can never change earlier rows.
 from __future__ import annotations
 
 import json
-import logging
 import math
 import csv
 import os
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .envs import PortfolioEnv, TradingEnv, Transition
-from .errors import DataError, TrainingError
+from .errors import DataError, QuantGymError, TrainingError
 from .market_data import format_timestamp
-
-logger = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +378,30 @@ def score_key(result: BacktestResult) -> tuple:
     return (1, m.sharpe)
 
 
+def _child_seed(seed: int, window: Window, slot: int) -> int:
+    """Training seed of grid point `slot` (the retrain: len(grid)) in a window."""
+    return int(np.random.SeedSequence(
+        entropy=(seed, window.index, slot)).generate_state(1)[0])
+
+
+def _fit_each(agent_factory: Callable, jobs) -> list:
+    """Fit (env, hyper, seed) jobs one by one: a policy or the error each
+    job raised, so the caller can replay them in its own order."""
+    outcomes = []
+    for job in jobs:
+        try:
+            outcomes.append(agent_factory(*job))
+        except QuantGymError as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def _trained(outcome):
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
 def run_rolling(data: RollingData, plan: WindowPlan,
                 agent_factory: Callable, hyper_grid: Sequence[dict] | None = None,
                 seed: int = 0, annualization_basis: int = 365,
@@ -387,14 +409,24 @@ def run_rolling(data: RollingData, plan: WindowPlan,
     """Walk the plan: select on test Sharpe, retrain, trade one day each.
 
     `agent_factory(env, hyper, seed)` must return a trained policy.
-    Capital (balance and holdings, or value and weights) carries across
-    trade days; a window whose training raises TrainingError is skipped
-    with a flat position and reported. Returns the trade log and the
-    concatenated-day backtest result (window reports attached to
+    Training never sees the carried capital, so the run goes in phases:
+    fit every (window, grid point) candidate, score them on their test
+    segments and select one per window, fit every selected retrain, then
+    trade the days in order. A factory with a ``fit_all(jobs)``
+    attribute fits a list of (env, hyper, seed) jobs at once, returning
+    one policy or one raised error per job; otherwise jobs are fitted
+    one by one. Either way each window replays its jobs in the order
+    above: the first TrainingError skips the window with a flat
+    position and is reported. Capital (balance and holdings, or value
+    and weights) carries across trade days. Returns the trade log and
+    the concatenated-day backtest result (window reports attached to
     ``result.trade_log`` rows via window ids and to the result as
     ``result.window_reports``).
     """
     hyper_grid = list(hyper_grid) if hyper_grid else [{}]
+    ranked = len(hyper_grid) > 1
+    fit_all = getattr(agent_factory, "fit_all", None) or (
+        lambda jobs: _fit_each(agent_factory, jobs))
     days = np.asarray(plan.days)
     firsts = data.day_first_steps(days)
     T = data.table.n_steps
@@ -404,57 +436,66 @@ def run_rolling(data: RollingData, plan: WindowPlan,
 
     data.require_risk_cover(day_start(plan.windows[0].trade_day),
                             day_start(plan.windows[-1].trade_day + 1))
+    for window in plan.windows:
+        if day_start(window.train_stop) - day_start(window.train_start) < 2:
+            raise DataError(
+                f"train segment for window {window.index} has fewer than "
+                f"2 steps; increase n_train or the data span")
+
+    # 1. every (window, grid point) candidate, popped once scored so the
+    # policies of scored windows can be freed
+    candidates = deque(fit_all([
+        (data.make_env(day_start(w.train_start), day_start(w.train_stop)),
+         hyper, _child_seed(seed, w, gi))
+        for w in plan.windows if ranked for gi, hyper in enumerate(hyper_grid)]))
+
+    # 2. score the candidates and select one per window
+    picks = []  # (grid scores, selected grid point, skip reason or None)
+    for window in plan.windows:
+        scores = [(0, 0.0)] * len(hyper_grid)
+        selected = 0
+        reason = None
+        outcomes = [candidates.popleft() for _ in hyper_grid] if ranked else []
+        try:
+            for gi, outcome in enumerate(outcomes):
+                cand = _trained(outcome)
+                if plan.n_test > 0:
+                    test_env = data.make_env(day_start(window.train_stop),
+                                             day_start(window.test_stop))
+                    res = backtest(cand, test_env,
+                                   annualization_basis=annualization_basis)
+                    scores[gi] = score_key(res)
+            selected = max(range(len(scores)), key=scores.__getitem__)
+        except TrainingError as exc:
+            reason = str(exc)
+        picks.append((tuple(scores), selected, reason))
+
+    # 3. retrain each selected configuration on train+test
+    retrained = iter(fit_all([
+        (data.make_env(day_start(w.train_start), day_start(w.test_stop)),
+         hyper_grid[selected], _child_seed(seed, w, len(hyper_grid)))
+        for w, (_, selected, reason) in zip(plan.windows, picks)
+        if reason is None]))
+
+    # 4. trade the days in order, carrying capital over
     log = TradeLog()
     reports: list[WindowReport] = []
     carry = None
     values: list[float] = []
     stamps: list = []
+    for window, (scores, selected, reason) in zip(plan.windows, picks):
+        policy = None
+        if reason is None:
+            try:
+                policy = _trained(next(retrained))
+            except TrainingError as exc:
+                reason = str(exc)
+        reports.append(WindowReport(window.index, days[window.trade_day],
+                                    scores, selected, reason is not None,
+                                    reason or ""))
 
-    for window in plan.windows:
-        train_lo = day_start(window.train_start)
-        train_hi = day_start(window.train_stop)
-        test_hi = day_start(window.test_stop)
         trade_lo = day_start(window.trade_day)
         settle = day_start(window.trade_day + 1)
-
-        if train_hi - train_lo < 2:
-            raise DataError(
-                f"train segment for window {window.index} has fewer than "
-                f"2 steps; increase n_train or the data span")
-
-        grid_scores = [(0, 0.0)] * len(hyper_grid)
-        selected = 0
-        skipped = False
-        reason = ""
-        policy = None
-        try:
-            if len(hyper_grid) > 1:
-                for gi, hyper in enumerate(hyper_grid):
-                    child = np.random.SeedSequence(
-                        entropy=(seed, window.index, gi)).generate_state(1)[0]
-                    train_env = data.make_env(train_lo, train_hi)
-                    cand = agent_factory(train_env, hyper, int(child))
-                    if plan.n_test > 0:
-                        test_env = data.make_env(train_hi, test_hi)
-                        res = backtest(cand, test_env,
-                                       annualization_basis=annualization_basis)
-                        grid_scores[gi] = score_key(res)
-                selected = max(range(len(grid_scores)),
-                               key=grid_scores.__getitem__)
-            # retrain the selected configuration on train+test
-            child = np.random.SeedSequence(
-                entropy=(seed, window.index, len(hyper_grid))).generate_state(1)[0]
-            retrain_env = data.make_env(train_lo, test_hi)
-            policy = agent_factory(retrain_env, hyper_grid[selected], int(child))
-        except TrainingError as exc:
-            skipped = True
-            reason = str(exc)
-            logger.warning("window %d skipped: %s", window.index, exc)
-
-        reports.append(WindowReport(window.index, days[window.trade_day],
-                                    tuple(grid_scores), selected, skipped, reason))
-
-        # trade the day, carrying capital over
         end = min(max(settle + 1, trade_lo + 1), T)
         env = data.make_env(trade_lo, end)
         state = env.reset(**_carry_kwargs(env, carry))

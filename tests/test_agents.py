@@ -16,8 +16,10 @@ from quantgym.agents import (
     load_policy,
     save_policy,
     train_a2c,
+    train_a2c_all,
     train_cem,
 )
+from quantgym.agents import a2c
 from quantgym.envs import EnvConfig, PortfolioEnv, TradingEnv
 from quantgym.errors import TrainingError
 from quantgym.pipeline import backtest
@@ -183,6 +185,72 @@ class TestA2CTraining:
         with pytest.raises(TrainingError, match="gamma"):
             TrainConfig(gamma=0.0)
 
+    def test_diverging_fit_raises_training_error(self):
+        env = make_trading_env(random_walk_table(40, 2, seed=3))
+        config = TrainConfig(steps=200, rollout_steps=16, hidden=8,
+                             learning_rate=1e9)
+        with pytest.raises(TrainingError, match="non-finite .*at step"):
+            train_a2c(env, config)
+
+
+class TestA2CLockstep:
+    """``train_a2c_all`` against ``train_a2c`` on each job alone."""
+
+    def jobs(self, env_cls, short=False):
+        table = random_walk_table(40, 3, seed=2)
+        risk = np.zeros(40)
+        risk[[9, 20]] = 1e9  # liquidation / uniform weights
+        risk[14] = np.nan
+        config = EnvConfig(initial_capital=5000.0, cost_rate=0.002, h_max=40,
+                           allow_short=short, allow_margin=short,
+                           risk_indicator="turbulence", reward_scale=0.01,
+                           turnover_cost_rate=0.003)
+        features = simple_features(table)
+        jobs = []
+        for k in range(7):
+            start = 2 + k
+            end = start + (8 if k % 2 else 13)  # two segment lengths
+            env = env_cls(config, table, features, risk_series=risk,
+                          start=start, end=end)
+            # rows 5 and 6 form a second group; lr=1e9 diverges
+            jobs.append((env, TrainConfig(
+                steps=90, rollout_steps=10, hidden=6 if k < 5 else 4,
+                learning_rate=(0.01, 0.003, 1e9, 0.05)[k % 4],
+                seed=100 + k)))
+        return jobs
+
+    @pytest.mark.parametrize("env_cls,short", [
+        (TradingEnv, False), (TradingEnv, True), (PortfolioEnv, False)])
+    def test_equals_train_a2c_per_job_bitwise(self, env_cls, short):
+        jobs = self.jobs(env_cls, short)
+        outcomes = train_a2c_all(jobs)
+        assert [isinstance(o, TrainingError) for o in outcomes] == [
+            False, False, True, False, False, False, True]
+        for outcome, (env, config) in zip(outcomes, jobs):
+            try:
+                expected = train_a2c(env, config)
+            except TrainingError as exc:
+                assert str(outcome) == str(exc)
+                continue
+            assert_bitwise_equal(outcome.get_flat(), expected.get_flat())
+            assert_bitwise_equal(outcome.obs_scale, expected.obs_scale)
+            assert outcome.metadata() == expected.metadata()
+
+    def test_row_does_not_depend_on_its_group(self, monkeypatch):
+        jobs = self.jobs(PortfolioEnv)
+        grouped = train_a2c_all(jobs)
+        order = [3, 0, 6, 1, 5, 2, 4]
+        shuffled = train_a2c_all([jobs[k] for k in order])
+        monkeypatch.setattr(a2c, "LOCKSTEP_ROWS", 2)
+        capped = train_a2c_all(jobs)
+        for k, outcome in enumerate(grouped):
+            alone = train_a2c_all([jobs[k]])[0]
+            for other in (alone, shuffled[order.index(k)], capped[k]):
+                if isinstance(outcome, TrainingError):
+                    assert str(other) == str(outcome)
+                else:
+                    assert_bitwise_equal(other.get_flat(), outcome.get_flat())
+
 
 # --- CEM --------------------------------------------------------------------
 
@@ -267,24 +335,34 @@ def _train_cem_per_member(env, config: TrainConfig) -> GaussianPolicy:
 
 @pytest.mark.parametrize("obs_dim,action_dim,hidden", [(1, 1, 1), (7, 3, 5),
                                                        (41, 10, 64)])
-def test_act_population_equals_set_flat_act(obs_dim, action_dim, hidden):
+@pytest.mark.parametrize("batch", [1, 6])
+def test_forward_population_equals_forward(obs_dim, action_dim, hidden,
+                                           batch):
     rng = np.random.default_rng(obs_dim)
     policy = GaussianPolicy(obs_dim, action_dim, hidden, seed=1)
-    policy.obs_scale = rng.uniform(1.0, 100.0, obs_dim)
     params = rng.normal(0.0, 1.0, (9, policy.n_parameters))
-    obs = rng.normal(0.0, 50.0, (9, obs_dim))
-    actions = policy.act_population(obs, params)
-    assert actions.shape == (9, action_dim)
+    scales = rng.uniform(1.0, 100.0, (9, obs_dim))
+    obs = rng.normal(0.0, 50.0, (9, batch, obs_dim))
+    mean, value, h = policy.forward_population(obs, params, scales)
+    assert mean.shape == (9, batch, action_dim)
     for p in range(9):
         policy.set_flat(params[p])
-        assert_bitwise_equal(actions[p], policy.act(obs[p]))
+        policy.obs_scale = scales[p]
+        for got, want in zip((mean[p], value[p], h[p]),
+                             policy.forward(obs[p])):
+            assert_bitwise_equal(got, want)
+    # without obs_scale every row uses the policy's own
+    shared, _, _ = policy.forward_population(obs, params)
+    for p in range(9):
+        policy.set_flat(params[p])
+        assert_bitwise_equal(shared[p], policy.forward(obs[p])[0])
 
 
-def test_act_population_rejects_wrong_parameter_count():
+def test_forward_population_rejects_wrong_parameter_count():
     policy = GaussianPolicy(3, 2, 4)
     with pytest.raises(TrainingError, match="entries"):
-        policy.act_population(np.zeros((2, 3)),
-                              np.zeros((2, policy.n_parameters + 1)))
+        policy.forward_population(np.zeros((2, 1, 3)),
+                                  np.zeros((2, policy.n_parameters + 1)))
 
 
 # --- baselines --------------------------------------------------------------

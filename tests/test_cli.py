@@ -1,12 +1,16 @@
 """End-to-end CLI runs on the shipped synthetic dataset."""
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import quantgym
+from quantgym import cli
 from quantgym.cli import main
 from quantgym.config import SCHEMA
 from quantgym.market_data import ingest_csv
@@ -22,6 +26,19 @@ def clean_env(monkeypatch):
 def run(args, tmp_path, extra=()):
     argv = list(args) + ["--set", f"run.output_dir={tmp_path}"] + list(extra)
     return main(argv)
+
+
+def run_fresh(args, tmp_path):
+    """Run the CLI in a fresh interpreter, where logging and numpy
+    warnings reach stderr as they do for a user (pytest's log capture
+    keeps them out of stderr in-process)."""
+    src = os.path.dirname(os.path.dirname(quantgym.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    return subprocess.run(
+        [sys.executable, "-m", "quantgym.cli", *args, "--set",
+         f"run.output_dir={tmp_path}"],
+        capture_output=True, text=True, env=env, timeout=300)
 
 
 def read_json(path):
@@ -197,6 +214,28 @@ class TestTradeSim:
         assert all(len(w["grid_scores"]) == 2 for w in windows)
         assert all(w["selected"] in (0, 1) for w in windows)
 
+    def test_mixed_kind_grid_fits_alike_batched_and_job_by_job(
+            self, tmp_path, monkeypatch):
+        # fit_all routes each job by kind: a2c jobs train in lockstep,
+        # the passive ones are built one by one
+        args = ["--set", "agent.grid=type=a2c,passive", "--set",
+                "agent.steps=64", "--set", "pipeline.n_trade=3"]
+        assert run(["trade-sim"], tmp_path / "batched", args) == 0
+        make = cli.make_agent_factory
+
+        def job_by_job(config):
+            factory = make(config)
+            return lambda env, hyper, seed: factory(env, hyper, seed)
+
+        monkeypatch.setattr(cli, "make_agent_factory", job_by_job)
+        assert run(["trade-sim"], tmp_path / "plain", args) == 0
+        windows = read_json(tmp_path / "batched" / "trade-sim" /
+                            "windows.json")
+        assert {w["selected"] for w in windows} == {0, 1}
+        for name in ("windows.json", "trades.csv", "values.csv"):
+            assert ((tmp_path / "batched" / "trade-sim" / name).read_bytes()
+                    == (tmp_path / "plain" / "trade-sim" / name).read_bytes())
+
     def test_vix_risk_ticker_split_from_universe(self, tmp_path):
         assert run(["trade-sim"], tmp_path, self.BASE + [
             "--set", "env.risk_indicator=vix",
@@ -317,6 +356,29 @@ class TestExitCodes:
         assert err.startswith("runtime error: every window was skipped")
         assert "population must be at least 2" in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("args,message", [
+        (["trade-sim", "--set", "agent.type=cem", "--set",
+          "agent.population=1", "--set", "pipeline.n_trade=2"],
+         "runtime error: every window was skipped (window 0: population"),
+        (["trade-sim", "--set", "agent.grid=learning_rate=1e9,0.003",
+          "--set", "pipeline.n_trade=2"],
+         "runtime error: every window was skipped (window 0: non-finite"),
+        (["train", "--set", "agent.learning_rate=1e9"],
+         "runtime error: non-finite action at step"),
+    ])
+    def test_failing_run_prints_one_stderr_line(self, tmp_path, args,
+                                                message):
+        proc = run_fresh(args, tmp_path)
+        assert proc.returncode == 4
+        assert proc.stderr.startswith(message), proc.stderr
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+    def test_clean_trade_sim_prints_nothing_to_stderr(self, tmp_path):
+        proc = run_fresh(["trade-sim", "--set", "agent.type=passive",
+                          "--set", "pipeline.n_trade=2"], tmp_path)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
 
     # key -> (command that reads it, a good row, a bad row)
     RESOURCES = {

@@ -4,6 +4,7 @@ import pytest
 
 from quantgym.envs import (
     EnvConfig,
+    EnvPopulation,
     PortfolioEnv,
     TradingEnv,
     batch_step,
@@ -444,6 +445,65 @@ class TestEpisodeReturns:
         env = self.make_env(PortfolioEnv)
         with pytest.raises(EnvError, match="shape"):
             env.episode_returns(lambda obs: np.zeros((self.P, 2)), self.P)
+
+
+class TestEnvPopulation:
+    """Auto-resetting lockstep rows against one reset/step loop per env."""
+
+    def make_envs(self, env_cls, allow_short=False, allow_margin=False):
+        table = random_walk_table(24, 3, seed=12)
+        risk = np.zeros(24)
+        risk[8] = 1e9  # liquidation / uniform weights at t=8
+        risk[11] = np.nan
+        config = EnvConfig(initial_capital=3017.3, cost_rate=0.0023, h_max=40,
+                           allow_short=allow_short, allow_margin=allow_margin,
+                           risk_indicator="turbulence", reward_scale=0.01,
+                           turnover_cost_rate=0.0037)
+        features = simple_features(table)
+        # step ranges of different lengths, so rows reset at different steps
+        return [env_cls(config, table, features, risk_series=risk,
+                        start=start, end=end)
+                for start, end in [(2, 6), (3, 12), (5, 9), (7, 20), (2, 3)]]
+
+    @pytest.mark.parametrize("env_cls,short,margin", [
+        (TradingEnv, False, False), (TradingEnv, True, True),
+        (PortfolioEnv, False, False)])
+    def test_equals_auto_reset_loops_bitwise(self, env_cls, short, margin):
+        envs = self.make_envs(env_cls, short, margin)[:4]
+        population = EnvPopulation(envs)
+        act = TestEpisodeReturns.act_row
+        steps = 25
+        seen = []
+        for _ in range(steps):
+            obs = population.observations()
+            actions = np.array([act(p, o) for p, o in enumerate(obs)])
+            rewards, done = population.step(actions)
+            seen.append((obs, rewards, done))
+        for p, env in enumerate(envs):
+            obs = env.reset().observation()
+            for k in range(steps):
+                transition = env.step(act(p, obs))
+                assert_bitwise_equal(seen[k][0][p], obs)
+                assert_bitwise_equal(seen[k][1][p], transition.reward)
+                assert seen[k][2][p] == transition.done
+                state = env.reset() if transition.done \
+                    else transition.next_state
+                obs = state.observation()
+
+    def test_rejects_envs_that_share_nothing(self):
+        envs = self.make_envs(TradingEnv)
+        e = envs[0]
+        unshared = [
+            make_trading_env(random_walk_table(24, 3, seed=12)),
+            PortfolioEnv(e.config, e.table, e.features, e.risk_series),
+            TradingEnv(EnvConfig(risk_indicator="turbulence"), e.table,
+                       e.features, e.risk_series),
+            TradingEnv(e.config, e.table, e.features, e.risk_series.copy())]
+        for other in unshared:
+            with pytest.raises(EnvError, match="share"):
+                EnvPopulation([e, other])
+        with pytest.raises(EnvError, match="no step"):
+            EnvPopulation([envs[1], envs[4]])
 
 
 def test_episode_trace_export(tmp_path, rng):

@@ -53,3 +53,27 @@ def test_execute_trades_population_matches_scalar_rows(allow_short,
             assert_bitwise_equal(new_b[p], b)
             assert_bitwise_equal(executed[p], e)
             assert_bitwise_equal(cost[p], c)
+
+
+def test_execute_trades_population_takes_prices_per_row():
+    rng = np.random.default_rng(9)
+    for allow_short, allow_margin in [(False, False), (True, True)]:
+        P, n = 6, 4
+        prices = rng.uniform(1, 300, (P, n))
+        prices[2, 1] = 0.0  # affords no share without margin
+        holdings = np.floor(rng.uniform(0, 30, (P, n)))
+        deltas = np.floor(rng.uniform(-40, 40, (P, n)))
+        deltas[2, 1] = 5.0
+        balance = rng.uniform(0, 3000, P)
+        balance[1] = 0.0
+        new_h, new_b, executed, cost = kernels.execute_trades_population(
+            prices, holdings, balance, deltas, 0.001, allow_short,
+            allow_margin)
+        for p in range(P):
+            h, b, e, c = kernels.execute_trades_kernel(
+                prices[p], holdings[p], float(balance[p]), deltas[p], 0.001,
+                allow_short, allow_margin)
+            assert_bitwise_equal(new_h[p], h)
+            assert_bitwise_equal(new_b[p], b)
+            assert_bitwise_equal(executed[p], e)
+            assert_bitwise_equal(cost[p], c)

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from quantgym.agents import ZeroPolicy, baseline_passive
+from quantgym.cli import build_rolling_data, make_agent_factory
+from quantgym.config import load_config
 from quantgym.envs import EnvConfig, TradingEnv
 from quantgym.errors import DataError, TrainingError
 from quantgym.pipeline import (
@@ -282,6 +284,30 @@ class TestRunRolling:
         skipped_rows = [r for r in log if r.window_id == skipped[0].window_id]
         assert all((row.executed == 0).all() for row in skipped_rows)
 
+    def test_failed_candidate_skips_window_with_scores_so_far(self):
+        data = self.data(seed=12)
+        plan = self.plan_for(data, 5, 4, 2)
+        calls = []
+
+        def factory(env, hyper, seed):
+            calls.append(hyper["style"])
+            if hyper["style"] == "fail":
+                raise TrainingError("synthetic failure")
+            return (baseline_passive(env) if hyper["style"] == "passive"
+                    else ZeroPolicy(env.n))
+
+        grid = [{"style": "zero"}, {"style": "passive"}, {"style": "fail"}]
+        _, result = run_rolling(data, plan, factory, grid)
+        for report in result.window_reports:
+            assert report.skipped and report.reason == "synthetic failure"
+            # flat zero policy, then a defined Sharpe, then nothing
+            assert report.grid_scores[0] == (0, 0.0)
+            assert report.grid_scores[1][0] == 1
+            assert report.grid_scores[2] == (0, 0.0)
+            assert report.selected == 0
+        # a skipped window fits no retrain
+        assert calls == ["zero", "passive", "fail"] * 2
+
     def test_causality_under_future_perturbation(self):
         base = random_walk_table(40, 2, seed=11)
         config = EnvConfig(initial_capital=50_000.0, cost_rate=0.0,
@@ -311,6 +337,87 @@ class TestRunRolling:
             ra, rb = log_a.rows[i], log_b.rows[i]
             assert ra.value == rb.value
             np.testing.assert_array_equal(ra.executed, rb.executed)
+
+
+class TestPhasedRolling:
+    """Fitting through the CLI factory's ``fit_all`` and fitting job by
+    job replay each window's outcomes alike, failures included."""
+
+    def setup_run(self):
+        config = load_config(None, [
+            "agent.steps=48", "agent.grid=learning_rate=0.01,0.003",
+            "pipeline.n_trade=4", "env.kind=portfolio",
+            "env.turnover_cost_rate=0.002"])
+        data = build_rolling_data(config)
+        plan = plan_windows(data.usable_days().tolist(),
+                            config.get("pipeline", "n_train"),
+                            config.get("pipeline", "n_test"),
+                            config.get("pipeline", "n_trade"))
+        return config, data, plan
+
+    @staticmethod
+    def factories(config, fail):
+        """A plain factory and one with ``fit_all``; both raise
+        TrainingError for the jobs ``fail(env, hyper)`` picks."""
+        factory = make_agent_factory(config)
+
+        def plain(env, hyper, seed):
+            if fail(env, hyper):
+                raise TrainingError("synthetic failure")
+            return factory(env, hyper, seed)
+
+        def batched(env, hyper, seed):
+            return plain(env, hyper, seed)
+
+        def fit_all(jobs):
+            return [TrainingError("synthetic failure") if fail(env, hyper)
+                    else outcome for (env, hyper, _), outcome
+                    in zip(jobs, factory.fit_all(jobs))]
+
+        batched.fit_all = fit_all
+        return plain, batched
+
+    def run_both(self, tmp_path, fail_window, fail_slot):
+        """Reports of both runs, failing one job: grid point `fail_slot`
+        of window `fail_window`, or its retrain when `fail_slot` is
+        None."""
+        config, data, plan = self.setup_run()
+        grid = config.hyper_grid()
+        steps = data.day_first_steps(plan.days)
+        w = plan.windows[fail_window]
+        stop = w.train_stop if fail_slot is not None else w.test_stop
+
+        def fail(env, hyper):
+            return ((env.start, env.end) == (steps[w.train_start], steps[stop])
+                    and (fail_slot is None or hyper == grid[fail_slot]))
+
+        runs = []
+        for name, factory in zip(("plain", "batched"),
+                                 self.factories(config, fail)):
+            _, result = run_rolling(data, plan, factory, grid, seed=7)
+            write_backtest_result(result, str(tmp_path / name),
+                                  data.table.tickers)
+            runs.append(result.window_reports)
+        assert runs[0] == runs[1]
+        for name in ("trades.csv", "values.csv", "metrics.json"):
+            assert ((tmp_path / "plain" / name).read_bytes()
+                    == (tmp_path / "batched" / name).read_bytes())
+        return runs[0]
+
+    def test_failing_second_candidate_skips_its_window(self, tmp_path):
+        reports = self.run_both(tmp_path, 1, 1)
+        assert [r.skipped for r in reports] == [False, True, False, False]
+        assert reports[1].reason == "synthetic failure"
+        assert reports[1].selected == 0
+        # the first candidate's score is kept, the failed one's is not
+        assert reports[1].grid_scores[0] != (0, 0.0)
+        assert reports[1].grid_scores[1] == (0, 0.0)
+
+    def test_failing_retrain_skips_its_window(self, tmp_path):
+        reports = self.run_both(tmp_path, 2, None)
+        assert [r.skipped for r in reports] == [False, False, True, False]
+        assert reports[2].reason == "synthetic failure"
+        assert all(score != (0, 0.0) for score in reports[2].grid_scores)
 
 
 def test_write_backtest_result(tmp_path):
