@@ -10,7 +10,7 @@ from .baselines import (
     baseline_passive,
     baseline_zero,
 )
-from .cem import cem_optimize, train_cem
+from .cem import cem_optimize, train_cem, train_cem_all
 from .ensemble import EnsembleReport, ensemble_select
 from .mean_variance import (
     estimate_moments,
@@ -43,4 +43,5 @@ __all__ = [
     "train_a2c",
     "train_a2c_all",
     "train_cem",
+    "train_cem_all",
 ]

@@ -37,6 +37,7 @@ from .agents import (
     train_a2c,
     train_a2c_all,
     train_cem,
+    train_cem_all,
 )
 from .config import RunConfig, load_config
 from .envs import EnvConfig
@@ -220,6 +221,10 @@ def train_config_from(config: RunConfig, hyper: dict, seed: int) -> TrainConfig:
     return TrainConfig(**values)
 
 
+# trainable agent kind -> trainer of a list of (env, TrainConfig) jobs
+TRAINERS = {"a2c": train_a2c_all, "cem": train_cem_all}
+
+
 def make_agent_factory(config: RunConfig):
     """(env, hyper, seed) -> trained/constructed Policy.
 
@@ -227,8 +232,9 @@ def make_agent_factory(config: RunConfig):
     ``type=...`` grid axis so a window can rank heterogeneous candidates
     (trainable agents against baselines) by validation Sharpe. The
     factory's ``fit_all(jobs)`` fits a list of (env, hyper, seed) jobs,
-    one policy or one raised error per job, training the a2c jobs
-    together with ``train_a2c_all``; ``run_rolling`` calls it.
+    one policy or one raised error per job, training the jobs of each
+    trainable kind together with its ``TRAINERS`` entry; ``run_rolling``
+    calls it.
     """
     default_kind = config.get("agent", "type")
 
@@ -264,19 +270,21 @@ def make_agent_factory(config: RunConfig):
 
     def fit_all(jobs):
         outcomes = [None] * len(jobs)
-        a2c_jobs = []
+        batches = {kind: [] for kind in TRAINERS}
         for k, (env, hyper, seed) in enumerate(jobs):
+            kind = hyper.get("type", default_kind)
             try:
-                if hyper.get("type", default_kind) == "a2c":
-                    a2c_jobs.append(
+                if kind in TRAINERS:
+                    batches[kind].append(
                         (k, env, train_config_from(config, hyper, seed)))
                 else:
                     outcomes[k] = factory(env, hyper, seed)
             except QuantGymError as exc:
                 outcomes[k] = exc
-        fitted = train_a2c_all([(env, cfg) for _, env, cfg in a2c_jobs])
-        for (k, _, _), outcome in zip(a2c_jobs, fitted):
-            outcomes[k] = outcome
+        for kind, batch in batches.items():
+            fitted = TRAINERS[kind]([(env, cfg) for _, env, cfg in batch])
+            for (k, _, _), outcome in zip(batch, fitted):
+                outcomes[k] = outcome
         return outcomes
 
     factory.fit_all = fit_all

@@ -5,10 +5,10 @@ over a half-open step range [start, end); an episode is done when the
 cursor reaches end-1 (no next bar to settle against). Instances are
 single-owner state machines over shared immutable market data, so many
 can run concurrently; ``batch_step`` steps a list of them and
-auto-resets finished ones. ``episode_returns`` runs P episodes of one
-environment in lockstep, one (P, n) step per time step, and
-``EnvPopulation`` steps P auto-resetting episodes on the step ranges of
-P environments the same way.
+auto-resets finished ones. ``population_returns`` runs one episode on
+the step range of each of P environments in lockstep, one (P, n) step
+per time step (``episode_returns`` is its case of one environment), and
+``EnvPopulation`` steps P auto-resetting episodes the same way.
 """
 from __future__ import annotations
 
@@ -188,24 +188,17 @@ class _BaseEnv:
         """Summed rewards of `population` lockstep episodes from ``reset()``.
 
         ``act`` maps a (P, observation_dim) batch of observations to (P, n)
-        actions. Each step applies the rules of ``step`` to every row, so
-        entry p equals the reward sum of a ``reset()``/``step`` loop driven
-        by row p of ``act``, bit for bit.
+        actions; entry p equals the reward sum of a ``reset()``/``step``
+        loop driven by row p of ``act``, bit for bit. A non-finite action
+        raises EnvError at its step.
         """
-        n = self.n
-        cash, held = self._reset_rows(population)
-        total = np.zeros(population)
-        for t in range(self.start, self.end - 1):
-            actions = np.asarray(act(self._observations(t, cash, held)),
-                                 dtype=float)
-            if actions.shape != (population, n):
-                raise EnvError(f"actions have shape {actions.shape}, "
-                               f"expected {(population, n)}")
+        def checked(obs):
+            actions = np.asarray(act(obs), dtype=float)
             if not np.isfinite(actions).all():
                 raise EnvError("non-finite action")
-            cash, held, reward = self._population_step(t, cash, held, actions)
-            total += reward
-        return total
+            return actions
+
+        return population_returns([self] * population, checked)[0]
 
     def _reset_rows(self, population: int):
         """Cash (or value) and holdings (or weights) of ``reset()``, per row."""
@@ -370,6 +363,66 @@ class PortfolioEnv(_BaseEnv):
         return new_value, new_w, reward
 
 
+def _shared_env(envs: Sequence[_BaseEnv]) -> _BaseEnv:
+    """envs[0], once every env shares its class, table, feature matrix,
+    risk series and config, so P rows can step as one population."""
+    env = envs[0]
+    for other in envs:
+        if (type(other) is not type(env) or other.table is not env.table
+                or other.features is not env.features
+                or other.risk_series is not env.risk_series
+                or other.config != env.config):
+            raise EnvError("population envs must share one class, table, "
+                           "feature matrix, risk series and config")
+    return env
+
+
+def population_returns(envs: Sequence[_BaseEnv], act):
+    """Summed rewards of one episode per row, row p on the step range of
+    ``envs[p]`` from its ``reset()``, all rows advanced by one (P, n) step.
+
+    ``act`` maps the (P, observation_dim) observations to (P, n) actions.
+    Row p's sum equals a ``reset()``/``step`` loop on envs[p] driven by
+    row p of ``act``, bit for bit. A row whose episode has ended, or whose
+    action was not finite, keeps its state and adds nothing from then on.
+    Returns the (P,) sums and a (P,) mask of the rows whose actions all
+    stayed finite. The envs must share their data as in ``EnvPopulation``.
+    """
+    env = _shared_env(envs)
+    P, n = len(envs), env.n
+    starts = np.array([e.start for e in envs])
+    last = np.array([e.end for e in envs]) - 2  # each row's last step
+    cash, held = env._reset_rows(P)
+    total = np.zeros(P)
+    finite = np.ones(P, dtype=bool)
+    for k in range(int((last - starts).max()) + 1):
+        t = starts + k
+        live = finite & (t <= last)
+        if not live.all():
+            # an ended row reads a valid step; its result is dropped
+            t = np.minimum(t, np.maximum(last, 0))
+        actions = np.asarray(act(env._observations(t, cash, held)),
+                             dtype=float)
+        if actions.shape != (P, n):
+            raise EnvError(f"actions have shape {actions.shape}, "
+                           f"expected {(P, n)}")
+        if not np.isfinite(actions).all():
+            ok = np.isfinite(actions).all(axis=1)
+            finite &= ok | ~live
+            live &= ok
+            actions = np.where(ok[:, None], actions, 0.0)
+        new_cash, new_held, reward = env._population_step(t, cash, held,
+                                                          actions)
+        if live.all():
+            cash, held = new_cash, new_held
+            total += reward
+        else:
+            cash = np.where(live, new_cash, cash)
+            held = np.where(live[:, None], new_held, held)
+            np.add(total, reward, out=total, where=live)
+    return total, finite
+
+
 class EnvPopulation:
     """P auto-resetting episodes, row p on the step range of ``envs[p]``,
     advanced by one (P, n) step.
@@ -382,14 +435,8 @@ class EnvPopulation:
     """
 
     def __init__(self, envs: Sequence[_BaseEnv]):
-        env = envs[0]
+        env = _shared_env(envs)
         for other in envs:
-            if (type(other) is not type(env) or other.table is not env.table
-                    or other.features is not env.features
-                    or other.risk_series is not env.risk_series
-                    or other.config != env.config):
-                raise EnvError("population envs must share one class, table, "
-                               "feature matrix, risk series and config")
             if other.end - other.start < 2:
                 raise EnvError(f"step range [{other.start}, {other.end}) "
                                f"has no step")

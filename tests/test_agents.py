@@ -1,4 +1,6 @@
 """Agents: gradient correctness, training oracles, baselines, ensemble."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,9 @@ from quantgym.agents import (
     train_a2c,
     train_a2c_all,
     train_cem,
+    train_cem_all,
 )
-from quantgym.agents import a2c
+from quantgym.agents import a2c, cem
 from quantgym.envs import EnvConfig, PortfolioEnv, TradingEnv
 from quantgym.errors import TrainingError
 from quantgym.pipeline import backtest
@@ -280,6 +283,36 @@ class TestCEM:
             cem_optimize(rowwise(lambda th: 0.0), dim=2, iterations=1,
                          population=1, elite_frac=0.5)
 
+    def test_rounds_follow_the_plain_formulas_bitwise(self):
+        # the search samples into a preallocated array in place; its values
+        # are those of the textbook expressions, round after round
+        seen = []
+
+        def objective(samples):
+            seen.append(samples.copy())
+            return samples @ np.arange(3.0)
+
+        init = np.array([0.3, -1.2, 2.0])
+        best, history = cem_optimize(objective, dim=3, iterations=2,
+                                     population=8, elite_frac=0.25, seed=4,
+                                     init_mean=init, init_std=0.7)
+        rng = np.random.default_rng(4)
+        mean, std = init, np.full(3, 0.7)
+        for samples in seen:
+            assert_bitwise_equal(
+                samples, mean + std * rng.standard_normal((8, 3)))
+            scores = samples @ np.arange(3.0)
+            elites = samples[np.argsort(-scores, kind="stable")[:2]]
+            mean = elites.mean(axis=0)
+            std = np.maximum(elites.std(axis=0), 1e-3)
+        assert_bitwise_equal(best, mean)
+        assert history == [float(np.max(s @ np.arange(3.0))) for s in seen]
+
+    def test_iterations_floor(self):
+        with pytest.raises(TrainingError, match="iterations must be at least 1"):
+            cem_optimize(rowwise(lambda th: 0.0), dim=2, iterations=0,
+                         population=4, elite_frac=0.5)
+
     def test_seed_reproducibility(self):
         kwargs = dict(dim=3, iterations=10, population=12, elite_frac=0.25,
                       seed=5)
@@ -331,6 +364,112 @@ def _train_cem_per_member(env, config: TrainConfig) -> GaussianPolicy:
         init_mean=policy.get_flat(), init_std=0.5)
     policy.set_flat(best)
     return policy
+
+
+class TestCEMLockstep:
+    """``train_cem_all`` against ``_train_cem_per_member`` on each job."""
+
+    def jobs(self, env_cls, short=False):
+        close = random_walk_table(40, 3, seed=2).close.copy()
+        close[39, 1] = 1e308  # job 4's last step: its rewards overflow
+        table = make_table(close)
+        risk = np.zeros(40)
+        risk[[9, 20]] = 1e9  # liquidation / uniform weights
+        risk[14] = np.nan
+        config = EnvConfig(initial_capital=5000.0, cost_rate=0.002, h_max=40,
+                           allow_short=short, allow_margin=short,
+                           risk_indicator="turbulence", reward_scale=0.01,
+                           turnover_cost_rate=0.003)
+        features = simple_features(table)
+        # (start, end, hidden): two episode lengths; jobs 5 and 6 form a
+        # second group by their network shape
+        spec = [(2, 15, 6), (3, 11, 6), (4, 17, 6), (5, 13, 6), (32, 40, 6),
+                (6, 19, 4), (7, 15, 4), (8, 21, 6), (20, 33, 6)]
+        jobs = []
+        for k, (start, end, hidden) in enumerate(spec):
+            env = env_cls(config, table, features, risk_series=risk,
+                          start=start, end=end)
+            jobs.append((env, TrainConfig(population=6, iterations=3,
+                                          elite_frac=0.4, hidden=hidden,
+                                          seed=100 + k)))
+        # job 7 runs alone in a third group, where every reward overflows
+        env = jobs[7][0]
+        env.config = dataclasses.replace(env.config, reward_scale=1e308)
+        return jobs
+
+    FAILED = [False, False, False, False, True, False, False, True, False]
+
+    @pytest.mark.parametrize("env_cls,short", [
+        (TradingEnv, False), (TradingEnv, True), (PortfolioEnv, False)])
+    def test_equals_per_member_oracle_bitwise(self, env_cls, short):
+        jobs = self.jobs(env_cls, short)
+        outcomes = train_cem_all(jobs)
+        assert [isinstance(o, TrainingError) for o in outcomes] == self.FAILED
+        for k in (4, 7):
+            assert str(outcomes[k]) == \
+                "non-finite objective value during CEM search"
+        for outcome, (env, config) in zip(outcomes, jobs):
+            if isinstance(outcome, TrainingError):
+                with pytest.raises(TrainingError) as alone:
+                    train_cem(env, config)
+                assert str(alone.value) == str(outcome)
+                continue
+            expected = _train_cem_per_member(env, config)
+            assert_bitwise_equal(outcome.get_flat(), expected.get_flat())
+            assert_bitwise_equal(outcome.obs_scale, expected.obs_scale)
+            assert outcome.metadata() == expected.metadata()
+
+    def test_job_does_not_depend_on_its_group(self, monkeypatch):
+        jobs = self.jobs(PortfolioEnv)
+        grouped = train_cem_all(jobs)
+        order = [3, 7, 0, 8, 6, 1, 5, 2, 4]
+        shuffled = train_cem_all([jobs[k] for k in order])
+        monkeypatch.setattr(cem, "CEM_LOCKSTEP_ROWS", 6)  # one job a chunk
+        capped = train_cem_all(jobs)
+        for k, outcome in enumerate(grouped):
+            alone = train_cem_all([jobs[k]])[0]
+            for other in (alone, shuffled[order.index(k)], capped[k]):
+                if isinstance(outcome, TrainingError):
+                    assert str(other) == str(outcome)
+                else:
+                    assert_bitwise_equal(other.get_flat(), outcome.get_flat())
+                    assert_bitwise_equal(other.obs_scale, outcome.obs_scale)
+
+    def test_non_finite_action_fails_its_job_alone(self, monkeypatch):
+        jobs = self.jobs(TradingEnv)
+        expected = train_cem_all(jobs)
+        poisoned = jobs[0][0].table.close[30]  # seen by job 8 only
+        forward = GaussianPolicy.forward_population
+
+        def nan_at_step_30(self, obs, params, obs_scale=None):
+            mean, value, h = forward(self, obs, params, obs_scale)
+            hit = (obs[:, 0, 1:4] == poisoned).all(axis=1)
+            mean[hit] = np.nan
+            return mean, value, h
+
+        monkeypatch.setattr(GaussianPolicy, "forward_population",
+                            nan_at_step_30)
+        outcomes = train_cem_all(jobs)
+        assert str(outcomes[8]) == "non-finite action in CEM generation 1"
+        with pytest.raises(TrainingError, match="non-finite action"):
+            train_cem(*jobs[8])
+        for k in range(8):
+            if isinstance(expected[k], TrainingError):
+                assert str(outcomes[k]) == str(expected[k])
+            else:
+                assert_bitwise_equal(outcomes[k].get_flat(),
+                                     expected[k].get_flat())
+
+    def test_search_settings_validated(self):
+        jobs = self.jobs(TradingEnv)[:2]
+        for field, value, message in [("iterations", 0, "iterations"),
+                                      ("population", 1, "population"),
+                                      ("elite_frac", 0.0, "elite_frac")]:
+            bad = [(env, dataclasses.replace(c, **{field: value}))
+                   for env, c in jobs]
+            outcomes = train_cem_all(bad + jobs)
+            assert [str(o).split()[0] for o in outcomes[:2]] == [message] * 2
+            assert not any(isinstance(o, TrainingError) for o in outcomes[2:])
 
 
 @pytest.mark.parametrize("obs_dim,action_dim,hidden", [(1, 1, 1), (7, 3, 5),

@@ -357,6 +357,20 @@ class TestExitCodes:
         assert "population must be at least 2" in err
         assert len(err.splitlines()) == 1
 
+    def test_cem_iterations_below_one_exit_4(self, tmp_path, capsys):
+        # a search of no generation would report its random initial policy
+        # as trained
+        assert run(["train"], tmp_path, ["--set", "agent.type=cem",
+                                         "--set", "agent.iterations=0"]) == 4
+        assert not (tmp_path / "train" / "policy.json").exists()
+        assert run(["trade-sim"], tmp_path,
+                   ["--set", "agent.type=cem", "--set", "agent.iterations=-3",
+                    "--set", "pipeline.n_trade=2"]) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "runtime error: iterations must be at least 1",
+            "runtime error: every window was skipped (window 0: iterations "
+            "must be at least 1)"]
+
     @pytest.mark.parametrize("args,message", [
         (["trade-sim", "--set", "agent.type=cem", "--set",
           "agent.population=1", "--set", "pipeline.n_trade=2"],
@@ -366,6 +380,14 @@ class TestExitCodes:
          "runtime error: every window was skipped (window 0: non-finite"),
         (["train", "--set", "agent.learning_rate=1e9"],
          "runtime error: non-finite action at step"),
+        # a diverging CEM fit: its overflow warnings stay off stderr
+        (["train", "--set", "agent.type=cem", "--set",
+          "env.reward_scale=1e308"],
+         "runtime error: non-finite objective value during CEM search"),
+        (["trade-sim", "--set", "agent.type=cem", "--set",
+          "env.reward_scale=1e308", "--set", "pipeline.n_trade=2"],
+         "runtime error: every window was skipped (window 0: non-finite "
+         "objective"),
     ])
     def test_failing_run_prints_one_stderr_line(self, tmp_path, args,
                                                 message):

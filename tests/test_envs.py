@@ -8,6 +8,7 @@ from quantgym.envs import (
     PortfolioEnv,
     TradingEnv,
     batch_step,
+    population_returns,
     softmax,
     write_episode_trace,
 )
@@ -424,6 +425,34 @@ class TestEpisodeReturns:
             seen = []
             assert_bitwise_equal(returns[p], self.loop_return(env, p, seen))
             assert_bitwise_equal([b[p] for b in batches], seen)
+
+    @pytest.mark.parametrize("env_cls", [TradingEnv, PortfolioEnv])
+    def test_population_rows_run_on_their_own_ranges(self, env_cls):
+        env = self.make_env(env_cls)
+        envs = [env_cls(env.config, env.table, env.features,
+                        risk_series=env.risk_series, start=start, end=end)
+                for start, end in [(2, 12), (4, 20), (6, 10), (2, 24), (3, 15)]]
+        calls = []
+
+        def act(obs):
+            calls.append(1)
+            actions = np.array([self.act_row(p, o) for p, o in enumerate(obs)])
+            if len(calls) == 4:
+                actions[4, 0] = np.nan  # row 4 (start 3) at t=6
+            return actions
+
+        returns, finite = population_returns(envs, act)
+        assert len(calls) == 21  # the steps of the longest range
+        assert finite.tolist() == [True, True, True, True, False]
+        for p in range(4):
+            assert_bitwise_equal(returns[p], self.loop_return(envs[p], p, []))
+        # row 4 keeps the rewards of its three steps before t=6
+        total, obs = 0.0, envs[4].reset().observation()
+        for _ in range(3):
+            transition = envs[4].step(self.act_row(4, obs))
+            total += transition.reward
+            obs = transition.next_state.observation()
+        assert_bitwise_equal(returns[4], total)
 
     @pytest.mark.parametrize("env_cls", [TradingEnv, PortfolioEnv])
     def test_non_finite_action_rejected(self, env_cls):

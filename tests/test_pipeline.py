@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from quantgym.agents import ZeroPolicy, baseline_passive
-from quantgym.cli import build_rolling_data, make_agent_factory
+from quantgym import cli
+from quantgym.agents import ZeroPolicy, baseline_passive, cem
+from quantgym.cli import build_rolling_data, main, make_agent_factory
 from quantgym.config import load_config
 from quantgym.envs import EnvConfig, TradingEnv
 from quantgym.errors import DataError, TrainingError
@@ -418,6 +419,38 @@ class TestPhasedRolling:
         assert [r.skipped for r in reports] == [False, False, True, False]
         assert reports[2].reason == "synthetic failure"
         assert all(score != (0, 0.0) for score in reports[2].grid_scores)
+
+    @pytest.mark.parametrize("kind", ["trading", "portfolio"])
+    def test_cem_grid_fits_alike_batched_and_job_by_job(self, tmp_path,
+                                                        monkeypatch, kind):
+        monkeypatch.delenv("QUANTGYM_OUT", raising=False)
+        args = ["trade-sim", "--set", "agent.type=cem", "--set",
+                "agent.grid=hidden=4,6;population=4,6", "--set",
+                "agent.iterations=3", "--set", "pipeline.n_trade=3", "--set",
+                f"env.kind={kind}", "--set", "env.turnover_cost_rate=0.002"]
+        chunks = []  # jobs per lockstep chunk
+        train_chunk = cem._train_chunk
+
+        def counted(jobs):
+            chunks.append(len(jobs))
+            return train_chunk(jobs)
+
+        monkeypatch.setattr(cem, "_train_chunk", counted)
+        assert main(args + ["--set", f"run.output_dir={tmp_path / 'a'}"]) == 0
+        assert max(chunks) == 3  # a grid point's jobs of three windows
+        make_factory = cli.make_agent_factory
+
+        def job_by_job(config):  # a plain callable, without fit_all
+            factory = make_factory(config)
+            return lambda env, hyper, seed: factory(env, hyper, seed)
+
+        monkeypatch.setattr(cli, "make_agent_factory", job_by_job)
+        chunks.clear()
+        assert main(args + ["--set", f"run.output_dir={tmp_path / 'b'}"]) == 0
+        assert set(chunks) == {1}
+        for name in ("windows.json", "trades.csv", "values.csv"):
+            assert ((tmp_path / "a" / "trade-sim" / name).read_bytes()
+                    == (tmp_path / "b" / "trade-sim" / name).read_bytes())
 
 
 def test_write_backtest_result(tmp_path):
