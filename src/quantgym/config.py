@@ -11,6 +11,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -97,7 +98,11 @@ def _coerce(section: str, key: str, raw: str):
         if kind == "int":
             return int(raw)
         if kind == "float":
-            return float(raw)
+            value = float(raw)
+            if not math.isfinite(value):
+                raise ConfigError(
+                    f"[{section}] {key} = {raw!r} is not a finite float")
+            return value
         if kind == "bool":
             low = raw.lower()
             if low in _BOOL_TRUE:

@@ -10,12 +10,13 @@ import calendar as _calendar
 import logging
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from math import isfinite
 
 import numpy as np
 
 from . import kernels
 from .errors import FeatureError, reading
-from .market_data import BarTable, to_datetime64
+from .market_data import BarTable, parse_timestamp, to_datetime64
 
 logger = logging.getLogger(__name__)
 
@@ -100,18 +101,14 @@ class EventSeries:
             (to_datetime64(ts), str(tk), float(v)) for ts, tk, v in self.events)
         object.__setattr__(self, "events", norm)
 
-    def sorted_events(self):
-        return sorted(self.events, key=lambda e: (e[0], e[1]))
-
 
 EVENTS_HEADER = "enter_time,ticker,value"
 
 
 def load_events_csv(path: str, kind: str) -> EventSeries:
     """Load an event file (header: enter_time,ticker,value)."""
-    from .market_data import parse_timestamp
-
     rows = []
+    stamps: dict[str, np.datetime64] = {}  # each distinct text parsed once
     with reading(path) as fh:
         header = fh.readline().strip()
         if header != EVENTS_HEADER:
@@ -125,10 +122,16 @@ def load_events_csv(path: str, kind: str) -> EventSeries:
             if len(parts) != 3:
                 raise FeatureError(f"{path}:{line_no}: expected 3 fields")
             try:
-                rows.append((parse_timestamp(parts[0]), parts[1],
-                             float(parts[2])))
+                ts = stamps.get(parts[0])
+                if ts is None:
+                    ts = stamps[parts[0]] = parse_timestamp(parts[0])
+                value = float(parts[2])
             except ValueError as exc:
                 raise FeatureError(f"{path}:{line_no}: {exc}") from None
+            if not isfinite(value):
+                raise FeatureError(
+                    f"{path}:{line_no}: non-finite event value {parts[2]!r}")
+            rows.append((ts, parts[1], value))
     return EventSeries(tuple(rows), kind)
 
 
@@ -289,43 +292,44 @@ def align_events(table: BarTable, events: EventSeries) -> np.ndarray:
     T, n = table.n_steps, table.n_tickers
     out = np.zeros((T, n))
     index = {tk: j for j, tk in enumerate(table.tickers)}
-    skipped = set()
-    per_ticker: dict[int, list] = {j: [] for j in range(n)}
-    for ts, tk, value in events.sorted_events():
-        j = index.get(tk)
-        if j is None:
-            skipped.add(tk)
-            continue
-        per_ticker[j].append((ts, value))
+    evs = events.events
+    cols = np.array([index.get(tk, -1) for _, tk, _ in evs], dtype=np.intp)
+    skipped = {evs[k][1] for k in np.flatnonzero(cols < 0)}
     if skipped:
         logger.warning("align_events(): skipped events for unknown tickers %s",
                        ", ".join(sorted(skipped)))
+    times = np.array([ts for ts, _, _ in evs], dtype="datetime64[s]")
+    vals = np.array([v for _, _, v in evs], dtype=float)
+    # by ticker, then time, ties in input order: each ticker's events
+    # become one time-sorted slice
+    order = np.lexsort((times, cols))
+    times, vals, cols = times[order], vals[order], cols[order]
+    starts = np.searchsorted(cols, np.arange(n + 1))
 
     cal = table.calendar
     if events.kind == "sentiment":
-        freq = np.timedelta64(table.freq_seconds, "s")
-        for j, evs in per_ticker.items():
-            if not evs:
-                continue
-            times = np.array([e[0] for e in evs], dtype="datetime64[s]")
-            vals = np.array([e[1] for e in evs])
-            for t in range(T):
-                lo = cal[t - 1] if t > 0 else cal[0] - freq
-                mask = (times > lo) & (times <= cal[t])
-                if mask.any():
-                    out[t, j] = float(vals[mask].mean())
+        # bar t's events are those in (edges[t], edges[t + 1]]
+        edges = np.concatenate(
+            (cal[:1] - np.timedelta64(table.freq_seconds, "s"), cal))
+        for j in range(n):
+            a, b = starts[j], starts[j + 1]
+            bounds = a + np.searchsorted(times[a:b], edges, side="right")
+            lo, hi = bounds[:-1], bounds[1:]
+            # numpy's mean of one value x is x + 0.0 (so -0.0 becomes 0.0)
+            one = hi - lo == 1
+            out[one, j] = vals[lo[one]] + 0.0
+            for t in np.flatnonzero(hi - lo > 1).tolist():
+                out[t, j] = float(vals[lo[t]:hi[t]].mean())
     else:
-        for j, evs in per_ticker.items():
-            if not evs:
+        for j in range(n):
+            a, b = starts[j], starts[j + 1]
+            if a == b:
                 continue
-            eff = np.array([fundamental_effective_from(e[0]) for e in evs],
-                           dtype="datetime64[s]")
-            vals = np.array([e[1] for e in evs])
+            eff = np.array(
+                [fundamental_effective_from(ts) for ts in times[a:b]],
+                dtype="datetime64[s]")
             order = np.argsort(eff, kind="stable")
-            eff, vals = eff[order], vals[order]
             # latest event effective at or before each step
-            pos = np.searchsorted(eff, cal, side="right") - 1
-            for t in range(T):
-                if pos[t] >= 0:
-                    out[t, j] = float(vals[pos[t]])
+            pos = np.searchsorted(eff[order], cal, side="right") - 1
+            out[:, j] = np.where(pos >= 0, vals[a:b][order][pos], 0.0)
     return out

@@ -11,8 +11,10 @@ from __future__ import annotations
 import csv
 import logging
 import os
+from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from math import isfinite
 
 import numpy as np
 
@@ -35,20 +37,25 @@ FREQUENCY_SECONDS = {
 }
 
 
-def parse_timestamp(text: str) -> np.datetime64:
-    """Parse an ISO-8601 instant with offset into a UTC datetime64[s]."""
+def parse_epoch(text: str) -> int:
+    """Parse an ISO-8601 instant with offset into UTC epoch seconds."""
     try:
         dt = datetime.fromisoformat(text)
     except ValueError as exc:
         raise ValueError(f"unparsable timestamp {text!r}") from exc
     if dt.tzinfo is None:
         raise ValueError(f"timestamp {text!r} has no UTC offset")
-    dt = dt.astimezone(timezone.utc)
-    return np.datetime64(int(dt.timestamp()), "s")
+    return int(dt.astimezone(timezone.utc).timestamp())
 
 
-def format_timestamp(ts: np.datetime64) -> str:
-    epoch = int(ts.astype("datetime64[s]").astype(np.int64))
+def parse_timestamp(text: str) -> np.datetime64:
+    """Parse an ISO-8601 instant with offset into a UTC datetime64[s]."""
+    return np.datetime64(parse_epoch(text), "s")
+
+
+def format_timestamp(ts) -> str:
+    """ISO-8601 UTC text of a datetime64 or of epoch seconds."""
+    epoch = int(np.datetime64(ts, "s").astype(np.int64))
     return datetime.fromtimestamp(epoch, tz=timezone.utc).isoformat()
 
 
@@ -210,61 +217,69 @@ class SplitSpec:
         return ranges
 
 
-def _build_table(frequency: str, rows: dict) -> BarTable:
-    """rows: {(ticker, datetime64): (o, h, l, c, v)}"""
-    tickers = tuple(sorted({k[0] for k in rows}))
-    calendar = np.array(sorted({k[1] for k in rows}), dtype="datetime64[s]")
-    T, n = len(calendar), len(tickers)
-    idx_t = {ts: i for i, ts in enumerate(calendar)}
-    idx_k = {tk: j for j, tk in enumerate(tickers)}
-    grids = [np.full((T, n), np.nan) for _ in range(5)]
+def _build_table(frequency: str, keys, bars) -> BarTable:
+    """keys: distinct (ticker, epoch seconds) cells; bars: their
+    (o, h, l, c, v) in key order, as rows or flat."""
+    tickers = tuple(sorted({tk for tk, _ in keys}))
+    column = {tk: j for j, tk in enumerate(tickers)}
+    epochs, t_idx = np.unique(
+        np.fromiter((ts for _, ts in keys), np.int64, len(keys)),
+        return_inverse=True)
+    j_idx = np.fromiter((column[tk] for tk, _ in keys), np.intp, len(keys))
+    T, n = len(epochs), len(tickers)
+    grids = np.full((5, T, n), np.nan)
+    grids[:, t_idx, j_idx] = np.asarray(bars, dtype=float).reshape(-1, 5).T
     present = np.zeros((T, n), dtype=bool)
-    for (ticker, ts), values in rows.items():
-        i, j = idx_t[ts], idx_k[ticker]
-        for g, v in zip(grids, values):
-            g[i, j] = v
-        present[i, j] = True
-    return BarTable(frequency, tickers, calendar, grids[0], grids[1],
-                    grids[2], grids[3], grids[4], present,
-                    np.zeros((T, n), dtype=bool))
+    present[t_idx, j_idx] = True
+    return BarTable(frequency, tickers, epochs.astype("datetime64[s]"),
+                    *grids, present, np.zeros((T, n), dtype=bool))
 
 
-def _parse_row(fields: list[str], line_no: int, ticker: str | None) -> tuple:
+def _parse_row(fields: list[str], line_no: int, ticker: str | None,
+               epochs: dict[str, int]) -> tuple:
+    """(ticker, epoch seconds, (o, h, l, c, v)) of one validated row;
+    ``epochs`` memoizes the parse of each distinct timestamp text."""
     offset = 0 if ticker is not None else 1
     expected = len(PER_TICKER_HEADER) if ticker is not None else len(CSV_HEADER)
     if len(fields) != expected:
         raise IngestError(f"expected {expected} fields, got {len(fields)}", line_no)
-    try:
-        ts = parse_timestamp(fields[0])
-    except ValueError as exc:
-        raise IngestError(str(exc), line_no) from None
+    ts = epochs.get(fields[0])
+    if ts is None:
+        try:
+            ts = epochs[fields[0]] = parse_epoch(fields[0])
+        except ValueError as exc:
+            raise IngestError(str(exc), line_no) from None
     if ticker is None:
         ticker = fields[1]
     if not ticker:
         raise IngestError("empty ticker", line_no)
     try:
-        o, h, l, c, v = (float(fields[k + offset]) for k in range(1, 6))
+        values = tuple(map(float, fields[offset + 1:offset + 6]))
     except ValueError:
         raise IngestError("non-numeric price/volume field", line_no) from None
-    problem = _bar_problem(o, h, l, c, v)
+    if not all(map(isfinite, values)):
+        raise IngestError("non-finite price/volume field", line_no)
+    problem = _bar_problem(*values)
     if problem:
         raise IngestError(f"{problem} for ({ticker}, {format_timestamp(ts)})", line_no)
-    return ticker, ts, (o, h, l, c, v)
+    return ticker, ts, values
 
 
-def _ingest_rows(reader, ticker: str | None, rows: dict,
-                 origin: dict, source: str):
+def _ingest_rows(reader, ticker: str | None, rows: dict, bars: array,
+                 source: str):
+    """Map each row's (ticker, epoch) key to its line in ``rows`` and
+    append its bar to ``bars``."""
+    epochs: dict[str, int] = {}
     for line_no, fields in enumerate(reader, start=2):
         if not fields:
             continue
-        tk, ts, values = _parse_row(fields, line_no, ticker)
-        key = (tk, ts)
-        if key in rows:
+        tk, ts, values = _parse_row(fields, line_no, ticker, epochs)
+        first = rows.setdefault((tk, ts), line_no)
+        if first != line_no:  # a key repeats only within one file
             raise IngestError(
                 f"duplicate key ({tk}, {format_timestamp(ts)}), "
-                f"first seen at {origin[key]}", line_no)
-        rows[key] = values
-        origin[key] = f"{source}:{line_no}"
+                f"first seen at {source}:{first}", line_no)
+        bars.extend(values)
 
 
 def ingest_csv(path: str, frequency: str) -> BarTable:
@@ -277,17 +292,17 @@ def ingest_csv(path: str, frequency: str) -> BarTable:
     if frequency not in FREQUENCY_SECONDS:
         raise DataError(f"unknown frequency {frequency!r}")
     rows: dict = {}
-    origin: dict = {}
+    bars = array("d")
     with reading(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(header) != CSV_HEADER:
             raise IngestError(
                 f"bad header {header!r}, expected {','.join(CSV_HEADER)}", 1)
-        _ingest_rows(reader, None, rows, origin, path)
+        _ingest_rows(reader, None, rows, bars, path)
     if not rows:
         raise IngestError("file has no data rows")
-    return _build_table(frequency, rows)
+    return _build_table(frequency, rows, bars)
 
 
 def ingest_dir(path: str, frequency: str) -> BarTable:
@@ -299,7 +314,7 @@ def ingest_dir(path: str, frequency: str) -> BarTable:
     if not os.path.isdir(path):
         raise IngestError(f"no such directory: {path}")
     rows: dict = {}
-    origin: dict = {}
+    bars = array("d")
     names = sorted(f for f in os.listdir(path) if f.endswith(".csv"))
     if not names:
         raise IngestError(f"no csv files under {path}")
@@ -313,8 +328,8 @@ def ingest_dir(path: str, frequency: str) -> BarTable:
                 raise IngestError(
                     f"bad header in {name}: {header!r}, "
                     f"expected {','.join(PER_TICKER_HEADER)}", 1)
-            _ingest_rows(reader, ticker, rows, origin, full)
-    return _build_table(frequency, rows)
+            _ingest_rows(reader, ticker, rows, bars, full)
+    return _build_table(frequency, rows, bars)
 
 
 def write_csv(table: BarTable, path: str) -> None:
@@ -386,28 +401,23 @@ def clean(table: BarTable, policy: CleaningPolicy) -> BarTable:
             pres, synth = pres[:, cols2], synth[:, cols2]
             keep = [keep[j] for j in cols2.tolist()]
         else:
-            T = len(calendar)
-            for j in range(pres.shape[1]):
-                last = np.nan
-                for t in range(T):
-                    if pres[t, j]:
-                        last = c[t, j]
-                    elif not np.isnan(last):
-                        o[t, j] = h[t, j] = l[t, j] = c[t, j] = last
-                        v[t, j] = 0.0
-                        synth[t, j] = True
-                        filled += 1
-                # leading gaps: backward-fill from the first real close
-                first_real = np.flatnonzero(pres[:, j])
-                if len(first_real) == 0:
-                    raise DataError(
-                        f"ticker {table.tickers[keep[j]]} has no bars on the calendar")
-                fr = first_real[0]
-                for t in range(fr):
-                    o[t, j] = h[t, j] = l[t, j] = c[t, j] = c[fr, j]
-                    v[t, j] = 0.0
-                    synth[t, j] = True
-                    filled += 1
+            T, m = pres.shape
+            # row of each cell's latest real bar, -1 before the first one
+            last = np.maximum.accumulate(
+                np.where(pres, np.arange(T)[:, None], -1), axis=0)
+            empty = np.flatnonzero(last[-1] < 0)
+            if len(empty):
+                raise DataError(f"ticker {table.tickers[keep[empty[0]]]} has "
+                                f"no bars on the calendar")
+            # a gap takes the latest real close, a leading gap the first one;
+            # a gap after a present cell whose close is NaN stays unfilled
+            source = np.where(last < 0, np.argmax(pres, axis=0), last)
+            fill = c[source, np.arange(m)]
+            gap = ~pres & ((last < 0) | ~np.isnan(fill))
+            o, h, l, c = (np.where(gap, fill, arr) for arr in (o, h, l, c))
+            v = np.where(gap, 0.0, v)
+            synth = synth | gap
+            filled = int(gap.sum())
             pres = np.ones_like(pres)
 
     if dropped:
@@ -432,11 +442,12 @@ def merge(tables: list[BarTable]) -> BarTable:
     rows: dict = {}
     synth_keys = set()
     for table in tables:
+        epochs = table.calendar.astype(np.int64).tolist()
         for j, ticker in enumerate(table.tickers):
             for i in range(table.n_steps):
                 if not table.present[i, j]:
                     continue
-                key = (ticker, table.calendar[i])
+                key = (ticker, epochs[i])
                 values = (table.open[i, j], table.high[i, j], table.low[i, j],
                           table.close[i, j], table.volume[i, j])
                 if key in rows:
@@ -448,11 +459,11 @@ def merge(tables: list[BarTable]) -> BarTable:
                 rows[key] = values
                 if table.synthetic[i, j]:
                     synth_keys.add(key)
-    merged = _build_table(freq, rows)
+    merged = _build_table(freq, rows, list(rows.values()))
     if synth_keys:
         synth = np.array(merged.synthetic, copy=True)
         for ticker, ts in synth_keys:
-            i = int(np.searchsorted(merged.calendar, ts))
+            i = int(np.searchsorted(merged.calendar, np.datetime64(ts, "s")))
             synth[i, merged.tickers.index(ticker)] = True
         merged = BarTable(merged.frequency, merged.tickers, merged.calendar,
                           merged.open, merged.high, merged.low, merged.close,

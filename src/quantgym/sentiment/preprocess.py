@@ -64,6 +64,10 @@ class LemmaRules:
             self.known.setdefault(pos, set()).add(word)
         for lemma, pos in exceptions.values():
             self.known.setdefault(pos, set()).add(lemma)
+        # per-instance memos for preprocess: raw token -> _normalize(token),
+        # and (word, prefer_noun) -> the Token analyze() gives
+        self._normalized: dict[str, str | None] = {}
+        self._tokens: dict[tuple[str, bool], Token] = {}
 
     @classmethod
     def load(cls, path) -> "LemmaRules":
@@ -135,6 +139,24 @@ class LemmaRules:
             return fallback if reduced[0] == fallback[0] else reduced
         return word, "NOUN"
 
+    def normalize(self, token: str) -> str | None:
+        """``_normalize(token)``, computed once per distinct raw token."""
+        try:
+            return self._normalized[token]
+        except KeyError:
+            word = self._normalized[token] = _normalize(token)
+            return word
+
+    def token(self, word: str, prefer_noun: bool) -> Token:
+        """The Token of ``analyze(word, prefer_noun)``, built once per key."""
+        key = (word, prefer_noun)
+        try:
+            return self._tokens[key]
+        except KeyError:
+            lemma, pos = self.analyze(word, prefer_noun)
+            tok = self._tokens[key] = Token(word, lemma, pos)
+            return tok
+
 
 @lru_cache(maxsize=1)
 def default_rules() -> LemmaRules:
@@ -191,9 +213,10 @@ def preprocess(text: str,
     rules = rules or default_rules()
     abbreviations = default_abbreviations() if abbreviations is None else {
         k.lower(): v for k, v in abbreviations.items()}
+    normalize = rules.normalize
     name_tokens: list[list[str]] = []
     for name in company_names or []:
-        toks = [t for t in (_normalize(x) for x in _TOKEN_RE.findall(name)) if t]
+        toks = [t for t in map(normalize, _TOKEN_RE.findall(name)) if t]
         if toks:
             name_tokens.append(toks)
     name_tokens.sort(key=len, reverse=True)
@@ -205,20 +228,20 @@ def preprocess(text: str,
             continue
         normalized: list[str] = []
         for tok in raw_tokens:
-            word = _normalize(tok)
+            word = normalize(tok)
             expansion = abbreviations.get(word)
             if expansion is not None:
                 normalized.extend(
-                    w for w in map(_normalize, expansion.split()) if w)
+                    w for w in map(normalize, expansion.split()) if w)
             elif word:
                 normalized.append(word)
         normalized = _replace_companies(normalized, name_tokens)
         toks: list[Token] = []
         prev_pos = ""
         for word in normalized:
-            lemma, pos = rules.analyze(word, prefer_noun=(prev_pos == "VERB"))
-            toks.append(Token(word, lemma, pos))
-            prev_pos = pos
+            token = rules.token(word, prev_pos == "VERB")
+            toks.append(token)
+            prev_pos = token.pos
         if toks:
             sentences.append(tuple(toks))
     return Document(text, tuple(sentences))

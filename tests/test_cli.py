@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import quantgym
@@ -336,6 +336,29 @@ class TestExitCodes:
             assert code == 3, (key, path, err)
             assert err.startswith(f"data error: {path}"), err
             assert len(err.splitlines()) == 1
+        # non-finite numbers are bad data, named by their line
+        panel = tmp_path / "nan_panel.csv"
+        panel.write_text(
+            "timestamp,ticker,open,high,low,close,volume\n"
+            "2022-01-03T00:00:00+00:00,AAPL,1,1,1,1,10\n"
+            "2022-01-04T00:00:00+00:00,AAPL,nan,nan,nan,nan,10\n")
+        for command in (["ingest"], ["features"]):
+            code = run(command, tmp_path, ["--set", f"data.source={panel}"])
+            err = capsys.readouterr().err
+            assert code == 3, (command, err)
+            assert err == ("data error: line 3: non-finite price/volume "
+                           "field\n"), err
+        for value in ("nan", "inf", "-inf"):
+            events = tmp_path / f"events_{value}.csv"
+            events.write_text("enter_time,ticker,value\n"
+                              "2022-01-03T00:00:00+00:00,AAA,0.5\n"
+                              f"2022-01-04T00:00:00+00:00,AAA,{value}\n")
+            code = run(["features"], tmp_path,
+                       ["--set", f"data.events_file={events}"])
+            err = capsys.readouterr().err
+            assert code == 3, (value, err)
+            assert err.startswith(f"data error: {events}:3: non-finite"), err
+            assert len(err.splitlines()) == 1
 
     def test_runtime_error_exits_4(self, tmp_path):
         # cem with population 1 raises TrainingError out of cmd_train
@@ -528,6 +551,12 @@ def fuzz_files(tmp_path_factory):
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(command=st.sampled_from(FUZZ_COMMANDS), overrides=fuzz_overrides())
+# a non-finite learning rate once trained to an Infinity-filled policy.json
+# (train) and printed a RuntimeWarning before its error line (trade-sim)
+@example(command=["train"],
+         overrides=["agent.learning_rate=inf", "agent.steps=1"])
+@example(command=["trade-sim"],
+         overrides=["agent.learning_rate=inf", "agent.steps=1"])
 def test_fuzzed_overrides_exit_with_a_documented_code(
         command, overrides, fuzz_files, tmp_path_factory, capsys):
     out = tmp_path_factory.mktemp("run")

@@ -41,6 +41,18 @@ def test_type_errors_rejected(tmp_path):
         load_config(str(path))
 
 
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "Infinity", "-NaN"])
+def test_non_finite_float_rejected(tmp_path, raw):
+    with pytest.raises(ConfigError, match="not a finite float"):
+        load_config(None, [f"agent.learning_rate={raw}"])
+    path = tmp_path / "run.cfg"
+    path.write_text(f"[env]\nrisk_threshold = {raw}\n")
+    with pytest.raises(ConfigError, match=r"\[env\] risk_threshold"):
+        load_config(str(path))
+    with pytest.raises(ConfigError, match="not a finite float"):
+        load_config(None, [f"agent.grid=learning_rate=0.1,{raw}"]).hyper_grid()
+
+
 def test_set_overrides():
     config = load_config(None, ["env.h_max=250", "agent.type=cem"])
     assert config.get("env", "h_max") == 250

@@ -46,9 +46,42 @@ class TestIngest:
 
     def test_duplicate_key_rejected(self, tmp_path):
         text = HEADER + row(0, "AAPL", 100) + row(1, "AAPL", 101) + row(0, "AAPL", 100)
+        path = write(tmp_path, text)
         with pytest.raises(IngestError, match=r"duplicate key \(AAPL") as err:
+            ingest_csv(path, "1day")
+        assert str(err.value) == (
+            f"line 4: duplicate key (AAPL, 2022-01-03T00:00:00+00:00), "
+            f"first seen at {path}:2")
+
+    def test_duplicate_key_in_ticker_file_names_that_file(self, tmp_path):
+        folder = tmp_path / "bars"
+        folder.mkdir()
+        header = "timestamp,open,high,low,close,volume\n"
+        (folder / "AAA.csv").write_text(header + f"{day(0)},1,1,1,1,0\n")
+        (folder / "BBB.csv").write_text(
+            header + f"{day(0)},1,1,1,1,0\n\n{day(0)},2,2,2,2,0\n")
+        with pytest.raises(IngestError) as err:
+            ingest_dir(str(folder), "1day")
+        assert str(err.value).endswith(f"first seen at {folder / 'BBB.csv'}:2")
+        assert err.value.line_no == 4
+
+    @pytest.mark.parametrize("fields", [
+        "nan,nan,nan,nan,10", "1,1,1,1,nan", "1,inf,1,1,10", "1,1,1,1,-inf",
+        "1,1,-inf,1,10", "NaN,1,1,1,10", "1,1,1,1,Infinity"])
+    def test_non_finite_field_rejected(self, tmp_path, fields):
+        text = HEADER + row(0, "AAPL", 100) + f"{day(1)},AAPL,{fields}\n"
+        with pytest.raises(IngestError) as err:
             ingest_csv(write(tmp_path, text), "1day")
-        assert "line 4" in str(err.value)
+        assert str(err.value) == "line 3: non-finite price/volume field"
+        assert err.value.line_no == 3
+
+    def test_non_finite_field_rejected_in_ticker_file(self, tmp_path):
+        folder = tmp_path / "bars"
+        folder.mkdir()
+        (folder / "AAA.csv").write_text(
+            "timestamp,open,high,low,close,volume\n" f"{day(0)},1,1,1,1,nan\n")
+        with pytest.raises(IngestError, match="line 2: non-finite"):
+            ingest_dir(str(folder), "1day")
 
     def test_non_positive_price_rejected(self, tmp_path):
         bad = f"{day(1)},AAPL,1,1,0,0,10\n"

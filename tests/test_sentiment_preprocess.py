@@ -2,7 +2,8 @@
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quantgym.sentiment import COMPANY_TOKEN, preprocess
+from quantgym.sentiment import COMPANY_TOKEN, LemmaRules, preprocess
+from quantgym.sentiment.preprocess import default_rules
 
 
 def lemmas(doc):
@@ -104,3 +105,46 @@ def test_never_crashes_and_lowercase(text):
     for sent in doc.sentences:
         for tok in sent:
             assert tok.lemma == tok.lemma.lower()
+
+
+def conflicting_rules():
+    """Two rule sets that lemmatize and tag the same words differently."""
+    verbs = LemmaRules({"rally": "VERB"}, {"shares": ("share", "NOUN")},
+                       [("VERB", "ing", "", False)])
+    nouns = LemmaRules({"rally": "NOUN", "rallying": "ADJ"},
+                       {"shares": ("stake", "VERB")},
+                       [("NOUN", "s", "", False)])
+    return verbs, nouns
+
+
+TEXT = "Shares rally. Rallying shares rally!"
+
+
+def tagged(doc):
+    return [[(t.text, t.lemma, t.pos) for t in s] for s in doc.sentences]
+
+
+def test_memos_belong_to_their_rules():
+    verbs, nouns = conflicting_rules()
+    want_verbs = [[("shares", "share", "NOUN"), ("rally", "rally", "VERB")],
+                  [("rallying", "rally", "VERB"), ("shares", "share", "NOUN"),
+                   ("rally", "rally", "VERB")]]
+    want_nouns = [[("shares", "stake", "VERB"), ("rally", "rally", "NOUN")],
+                  [("rallying", "rallying", "ADJ"), ("shares", "stake", "VERB"),
+                   ("rally", "rally", "NOUN")]]
+    assert tagged(preprocess(TEXT, rules=verbs)) == want_verbs
+    assert tagged(preprocess(TEXT, rules=nouns)) == want_nouns
+    verbs, nouns = conflicting_rules()  # fresh memos, the other order
+    assert tagged(preprocess(TEXT, rules=nouns)) == want_nouns
+    assert tagged(preprocess(TEXT, rules=verbs)) == want_verbs
+    assert tagged(preprocess(TEXT, rules=nouns)) == want_nouns
+
+
+def test_custom_rules_leave_the_default_rules_alone():
+    before = tagged(preprocess(TEXT))
+    size = len(default_rules()._tokens)
+    for rules in conflicting_rules():
+        preprocess(TEXT, rules=rules)
+    assert tagged(preprocess(TEXT)) == before
+    assert len(default_rules()._tokens) == size
+    assert ("shares", "stake", "VERB") not in tagged(preprocess(TEXT))[0]
