@@ -21,13 +21,18 @@ from .policy import GaussianPolicy, TrainConfig
 
 LOG_2PI = math.log(2.0 * math.pi)
 
-# Rows per lockstep population. A population's arrays grow with every
-# row while its per-step Python cost is shared, and past about a dozen
-# rows most of that cost is shared already: on rolling-a2c-portfolio
-# (2-core host) an op took about 12% longer at 12 rows than at 24, with
-# a 2 MB lower peak RSS. The cap also keeps memory from growing with the
-# number of trade days.
-LOCKSTEP_ROWS = 12
+# Rows per lockstep population. A population's per-step Python cost is
+# shared by all its rows while its arrays grow with them. 30 rows run
+# each 24-job shape group of rolling-a2c-portfolio as one population
+# rather than two of 12, so an op takes 2048 population steps and 128
+# updates instead of 3072 and 192; with the parameters split once and
+# Adam in place, `work_per_s` rose from 26.1 to 38.9 (median of ten
+# 30 s pairs, shared 2-core host) at 0.7% more peak RSS. A larger cap
+# gains nothing there: only jobs of one phase and one network shape
+# share a population, and its two phases and two `hidden` values make
+# 4 chunks whatever the cap. The cap also keeps memory from growing
+# with the number of trade days.
+LOCKSTEP_ROWS = 30
 
 
 def _stacked_loss_and_grad(policy: GaussianPolicy, params: np.ndarray,
@@ -44,7 +49,7 @@ def _stacked_loss_and_grad(policy: GaussianPolicy, params: np.ndarray,
     """
     B = obs.shape[1]
     f = policy._unflatten(params)
-    mean, value, h = policy.forward_population(obs, params, obs_scale)
+    mean, value, h = policy.forward_population(obs, f, obs_scale)
     log_std = f["log_std"]
     std = np.exp(log_std)[:, None, :]
 
@@ -114,29 +119,46 @@ class Adam:
         self.t = 0
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        # m = beta1 * m + (1 - beta1) * grad, and likewise v, then
-        # params - lr * m_hat / (sqrt(v_hat) + eps); in place, so a
-        # (P, size) population allocates few temporaries
+        """Update params in place and return it; grad is spent as scratch.
+
+        m = beta1 * m + (1 - beta1) * grad, and likewise v, then params -=
+        lr * m_hat / (sqrt(v_hat) + eps). Every view of params stays
+        valid, and a (P, size) population allocates one temporary: once
+        the v update has read grad for the last time, grad holds the step.
+        """
         self.t += 1
+        tmp = (1 - self.beta1) * grad
         self.m *= self.beta1
-        self.m += (1 - self.beta1) * grad
+        self.m += tmp
         self.v *= self.beta2
-        g2 = (1 - self.beta2) * grad
-        g2 *= grad
-        self.v += g2
-        step = self.m / (1 - self.beta1 ** self.t)
+        np.multiply(1 - self.beta2, grad, out=tmp)
+        tmp *= grad
+        self.v += tmp
+        step = np.divide(self.m, 1 - self.beta1 ** self.t, out=grad)
         step *= self.lr
-        denom = np.divide(self.v, 1 - self.beta2 ** self.t, out=g2)
+        denom = np.divide(self.v, 1 - self.beta2 ** self.t, out=tmp)
         np.sqrt(denom, out=denom)
         denom += self.eps
         step /= denom
-        return np.subtract(params, step, out=step)
+        return np.subtract(params, step, out=params)
+
+
+def _clip_rows(grad: np.ndarray, limit: float) -> None:
+    """Scale each row of grad whose norm exceeds limit down to that norm,
+    in place. A row within the limit is multiplied by 1.0, which leaves
+    every value as it is."""
+    # np.linalg.norm of a vector is the square root of its dot
+    norms = np.sqrt(_row_dots(grad, grad))
+    grad *= np.divide(limit, norms, out=np.ones_like(norms),
+                      where=norms > limit)[:, None]
 
 
 class _Learners:
     """P A2C learners that share every TrainConfig field but the seed and
     the learning rate. Row p holds the policy, Adam state and sampling
-    stream ``train_a2c`` keeps for configs[p]."""
+    stream ``train_a2c`` keeps for configs[p]. ``fields`` splits
+    ``params`` into views once; Adam updates ``params`` in place, so the
+    views stay current."""
 
     def __init__(self, obs_dim: int, action_dim: int,
                  configs: Sequence[TrainConfig]):
@@ -147,6 +169,7 @@ class _Learners:
         self.template = policies[0]
         self.rngs = [np.random.default_rng(c.seed) for c in configs]
         self.params = np.stack([p.get_flat() for p in policies])
+        self.fields = self.template._unflatten(self.params)
         self.obs_scale = np.ones((len(configs), obs_dim))
         self.adam = Adam(self.params.shape,
                          np.array([[c.learning_rate] for c in configs]))
@@ -163,7 +186,7 @@ class _Learners:
         self.batch_act = np.empty((P, R, t.action_dim))
         self.batch_rew, self.batch_val = np.empty((P, R)), np.empty((P, R))
         self.batch_done = np.empty((P, R), dtype=bool)
-        std = np.exp(t._unflatten(self.params)["log_std"])
+        std = np.exp(self.fields["log_std"])
         self.noise = std * np.stack([rng.standard_normal((R, t.action_dim))
                                      for rng in self.rngs], axis=1)
 
@@ -176,11 +199,13 @@ class _Learners:
         others.
         """
         mean, value, _ = self.template.forward_population(
-            obs[:, None, :], self.params, self.obs_scale)
+            obs[:, None, :], self.fields, self.obs_scale)
         actions = mean[:, 0, :] + self.noise[i]
-        for p in np.flatnonzero(~np.isfinite(actions).all(axis=1)):
-            self._fail(p, f"non-finite action at step {step}; try a "
-                          f"smaller learning rate")
+        finite = np.isfinite(actions)
+        if not finite.all():
+            for p in np.flatnonzero(~finite.all(axis=1)):
+                self._fail(p, f"non-finite action at step {step}; try a "
+                              f"smaller learning rate")
         return actions, value[:, 0]
 
     def record(self, i: int, obs, actions, rewards, values, dones) -> None:
@@ -204,7 +229,7 @@ class _Learners:
             self.batch_obs, self.batch_act, self.batch_rew, self.batch_done,
             self.batch_val)
         _, v_last, _ = self.template.forward_population(
-            next_obs[:, None, :], self.params, self.obs_scale)
+            next_obs[:, None, :], self.fields, self.obs_scale)
         acc = np.where(dones[:, -1], 0.0, v_last[:, 0])
         returns = np.empty(rewards.shape)
         for i in range(rewards.shape[1] - 1, -1, -1):
@@ -227,14 +252,8 @@ class _Learners:
                           f"(loss={float(loss[p])!r}); try a smaller "
                           f"learning rate")
         if c.grad_clip > 0:
-            # np.linalg.norm of a vector is the square root of its dot
-            norms = np.sqrt(_row_dots(grad, grad))
-            clip = norms > c.grad_clip
-            grad = np.where(clip[:, None],
-                            grad * (c.grad_clip / np.where(clip, norms, 1.0)
-                                    )[:, None],
-                            grad)
-        self.params = self.adam.step(self.params, grad)
+            _clip_rows(grad, c.grad_clip)
+        self.adam.step(self.params, grad)
 
     def outcomes(self) -> list[GaussianPolicy | TrainingError]:
         out = []

@@ -148,15 +148,17 @@ class GaussianPolicy(Policy):
                            obs_scale: np.ndarray | None = None):
         """Stacked forward pass of P parameter vectors, each on its own batch.
 
-        obs is (P, B, obs_dim), params (P, n_parameters) and obs_scale
-        (P, obs_dim), by default this policy's for every row. Returns
+        obs is (P, B, obs_dim), params (P, n_parameters) or its
+        ``_unflatten`` split, and obs_scale (P, obs_dim), by default this
+        policy's for every row. Returns
         (mean, value, hidden activations) shaped (P, B, action_dim),
         (P, B) and (P, B, hidden); row p equals ``forward(obs[p])`` of
         a policy holding params[p] and obs_scale[p], bit for bit. Each
         stacked matmul runs the product ``forward`` runs on that row,
         so the summation order is unchanged.
         """
-        p = self._unflatten(np.asarray(params, dtype=float))
+        p = params if isinstance(params, dict) else \
+            self._unflatten(np.asarray(params, dtype=float))
         scale = self.obs_scale if obs_scale is None else obs_scale[:, None, :]
         x = np.asarray(obs, dtype=float) / scale
         h = np.tanh(x @ p["W1"].transpose(0, 2, 1) + p["b1"][:, None, :])

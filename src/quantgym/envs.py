@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -166,13 +167,20 @@ class _BaseEnv:
     def done(self) -> bool:
         return self.state.t >= self.end - 1
 
+    @cached_property
+    def _risk_flags(self):
+        """Per step, whether the risk value is finite and above the
+        threshold; None without risk control. Computed on first use."""
+        if self.config.risk_indicator == "none" or self.risk_series is None:
+            return None
+        value = self.risk_series
+        return np.isfinite(value) & (value > self.config.risk_threshold)
+
     def _risk_triggered(self, t):
         """Whether the risk control acts at step t, an int or a (P,) vector
         (one False for every row when there is no risk control)."""
-        if self.config.risk_indicator == "none" or self.risk_series is None:
-            return np.False_
-        value = self.risk_series[t]
-        return np.isfinite(value) & (value > self.config.risk_threshold)
+        flags = self._risk_flags
+        return np.False_ if flags is None else flags[t]
 
     def _check_steppable(self, action) -> np.ndarray:
         if self.done:
@@ -281,11 +289,11 @@ class TradingEnv(_BaseEnv):
         triggered = self._risk_triggered(t)
         if triggered.any():
             deltas = np.where(triggered[..., None], -holdings, deltas)
-        prices = self.table.close[t].astype(float)
-        new_h, new_b, _, _ = execute_trades_population(
+        prices = self.table.close[t]
+        new_h, new_b, _ = execute_trades_population(
             prices, holdings, balance, deltas, cfg.cost_rate,
             cfg.allow_short, cfg.allow_margin)
-        prices_next = self.table.close[t + 1].astype(float)
+        prices_next = self.table.close[t + 1]
         reward = ((_row_dots(new_h, prices_next) + new_b)
                   - (_row_dots(holdings, prices) + balance)) * cfg.reward_scale
         return new_b, new_h, reward
@@ -323,6 +331,13 @@ class PortfolioEnv(_BaseEnv):
         self._state = state
         return state
 
+    @cached_property
+    def _price_ratios(self) -> np.ndarray:
+        """Row t: close[t + 1] / close[t]. Computed on first use."""
+        close = self.table.close
+        with np.errstate(all="ignore"):
+            return close[1:] / close[:-1]
+
     def step(self, action) -> Transition:
         action = self._check_steppable(action)
         state: PortfolioState = self._state
@@ -357,8 +372,7 @@ class PortfolioEnv(_BaseEnv):
             new_w = np.where(triggered[..., None], 1.0 / self.n, new_w)
         turnover = 0.5 * np.abs(new_w - weights).sum(axis=1)
         fee = value * cfg.turnover_cost_rate * turnover
-        ratio = self.table.close[t + 1].astype(float) / self.table.close[t]
-        new_value = value * _row_dots(new_w, ratio) - fee
+        new_value = value * _row_dots(new_w, self._price_ratios[t]) - fee
         reward = (new_value - value) * cfg.reward_scale
         return new_value, new_w, reward
 

@@ -34,12 +34,13 @@ def reading(path, newline: str | None = None):
 
 
 class IngestError(DataError):
-    """Malformed input file; carries the offending line number when known."""
+    """Malformed input file, named as ``path:line: message`` (or ``path:
+    message`` without a line); carries the offending line number."""
 
-    def __init__(self, message: str, line_no: int | None = None):
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
+    def __init__(self, message: str, path: str | None = None,
+                 line_no: int | None = None):
+        where = ":".join(str(x) for x in (path, line_no) if x is not None)
+        super().__init__(f"{where}: {message}" if where else message)
         self.line_no = line_no
 
 

@@ -16,7 +16,8 @@ import numpy as np
 
 from . import kernels
 from .errors import FeatureError, reading
-from .market_data import BarTable, parse_timestamp, to_datetime64
+from .market_data import BarTable, format_timestamp, parse_timestamp, \
+    to_datetime64
 
 logger = logging.getLogger(__name__)
 
@@ -71,8 +72,14 @@ class FeatureMatrix:
                 f"values shape {self.values.shape} != {(T, n, I)}")
         if len(set(self.feature_names)) != I:
             raise FeatureError("duplicate feature name")
-        if self.warmup < T and not np.isfinite(self.values[self.warmup:]).all():
-            raise FeatureError("non-finite feature values past warmup")
+        finite = np.isfinite(self.values[self.warmup:])
+        if not finite.all():
+            # the first in time, then ticker, then feature
+            t, i, f = np.argwhere(~finite)[0]
+            raise FeatureError(
+                f"non-finite {self.feature_names[f]} for ({self.tickers[i]}, "
+                f"{format_timestamp(self.calendar[self.warmup + t])}) "
+                f"past warmup")
         self.values.setflags(write=False)
 
     @property
@@ -139,6 +146,8 @@ def compute_indicator(table: BarTable, spec: IndicatorSpec) -> np.ndarray:
     """(T, n) indicator values; NaN over the warmup prefix.
 
     The table must be dense and long enough for the slowest period.
+    Prices that overflow the arithmetic give non-finite values, which
+    ``FeatureMatrix`` rejects by name, not floating-point warnings.
     """
     if not table.dense:
         raise FeatureError("indicators need a dense (cleaned) table")
@@ -157,18 +166,20 @@ def compute_indicator(table: BarTable, spec: IndicatorSpec) -> np.ndarray:
             f"{spec.name} needs {needed} steps, table has {T}")
 
     high, low, close = table.high, table.low, table.close
-    if spec.kind == "SMA":
-        return kernels.sma_kernel(close, p[0])
-    if spec.kind == "EMA":
-        return kernels.ema_kernel(close, p[0])
-    if spec.kind == "MACD":
-        return kernels.ema_kernel(close, p[0]) - kernels.ema_kernel(close, p[1])
-    if spec.kind == "RSI":
-        return kernels.rsi_kernel(close, p[0])
-    if spec.kind == "CCI":
-        return kernels.cci_kernel(high, low, close, p[0])
-    if spec.kind == "ADX":
-        return kernels.adx_kernel(high, low, close, p[0])
+    with np.errstate(all="ignore"):
+        if spec.kind == "SMA":
+            return kernels.sma_kernel(close, p[0])
+        if spec.kind == "EMA":
+            return kernels.ema_kernel(close, p[0])
+        if spec.kind == "MACD":
+            return (kernels.ema_kernel(close, p[0])
+                    - kernels.ema_kernel(close, p[1]))
+        if spec.kind == "RSI":
+            return kernels.rsi_kernel(close, p[0])
+        if spec.kind == "CCI":
+            return kernels.cci_kernel(high, low, close, p[0])
+        if spec.kind == "ADX":
+            return kernels.adx_kernel(high, low, close, p[0])
     raise FeatureError(f"unknown indicator kind {spec.kind!r}")
 
 
@@ -252,10 +263,11 @@ def turbulence(table: BarTable, window: int = 252,
         raise FeatureError("turbulence needs a dense (cleaned) table")
     T = table.n_steps
     returns = np.zeros((T, n))
-    returns[1:] = table.close[1:] / table.close[:-1] - 1.0
     cal = turbulence_calibration(window, n) if calibrated else 1.0
-    values = kernels.turbulence_kernel(
-        np.ascontiguousarray(returns), window, 1e-8, cal)
+    with np.errstate(all="ignore"):
+        returns[1:] = table.close[1:] / table.close[:-1] - 1.0
+        values = kernels.turbulence_kernel(
+            np.ascontiguousarray(returns), window, 1e-8, cal)
     return TurbulenceSeries(table.calendar, values, window)
 
 

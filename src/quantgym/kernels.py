@@ -232,16 +232,16 @@ def execute_trades_kernel(prices, holdings, balance, deltas,
 
 def execute_trades_population(prices, holdings, balance, deltas,
                               cost_rate, allow_short, allow_margin):
-    """``execute_trades_kernel`` for P accounts.
+    """``execute_trades_kernel`` for P accounts, without the fee total.
 
     holdings and deltas are (P, n), balance is (P,), and prices is (P, n)
-    or one (n,) vector for every row; row p of each result equals the
-    scalar kernel on row p, bit for bit. Only the buys read
-    the balance, each one the balance the buys before it left, so only
-    they loop over the tickers (with vector operations over P).
-    Everything else runs on the whole (P, n) grid, and the balance and
-    fee totals are summed in the scalar kernel's order: all sells, then
-    buys, in ticker order.
+    or one (n,) vector for every row. Returns (new_holdings, new_balance,
+    executed_deltas); row p of each equals the scalar kernel on row p,
+    bit for bit. Only the buys read the balance, each one the balance
+    the buys before it left, so only they loop over the tickers (with
+    vector operations over P). Everything else runs on the whole (P, n)
+    grid, and the sell proceeds are added to the balance in ticker order,
+    as the scalar kernel adds them.
 
     ``fmin(q, cap)`` stands for the scalar ``cap if q > cap else q``
     (also when cap is NaN). The two can differ only in the sign of a
@@ -271,13 +271,9 @@ def execute_trades_population(prices, holdings, balance, deltas,
     bought = buy > 0.0
     executed = np.where(sold, -sell, np.where(bought, buy, 0.0))
     new_h = np.where(sold | bought, holdings + executed, holdings)
-    fees = cost_rate * (np.abs(executed) * prices)
-    cost = _sum_in_order(np.zeros(len(balance)),
-                         np.concatenate((sold, bought), axis=1),
-                         np.concatenate((fees, fees), axis=1))
     if not allow_margin:
         b = np.where(b < 0.0, 0.0, b)
-    return new_h, b, executed, cost
+    return new_h, b, executed
 
 
 def _sum_in_order(start, mask, terms):

@@ -235,33 +235,37 @@ def _build_table(frequency: str, keys, bars) -> BarTable:
                     *grids, present, np.zeros((T, n), dtype=bool))
 
 
-def _parse_row(fields: list[str], line_no: int, ticker: str | None,
-               epochs: dict[str, int]) -> tuple:
-    """(ticker, epoch seconds, (o, h, l, c, v)) of one validated row;
-    ``epochs`` memoizes the parse of each distinct timestamp text."""
+def _parse_row(fields: list[str], source: str, line_no: int,
+               ticker: str | None, epochs: dict[str, int]) -> tuple:
+    """(ticker, epoch seconds, (o, h, l, c, v)) of one validated row of
+    file ``source``; ``epochs`` memoizes the parse of each distinct
+    timestamp text."""
     offset = 0 if ticker is not None else 1
     expected = len(PER_TICKER_HEADER) if ticker is not None else len(CSV_HEADER)
     if len(fields) != expected:
-        raise IngestError(f"expected {expected} fields, got {len(fields)}", line_no)
+        raise IngestError(f"expected {expected} fields, got {len(fields)}",
+                          source, line_no)
     ts = epochs.get(fields[0])
     if ts is None:
         try:
             ts = epochs[fields[0]] = parse_epoch(fields[0])
         except ValueError as exc:
-            raise IngestError(str(exc), line_no) from None
+            raise IngestError(str(exc), source, line_no) from None
     if ticker is None:
         ticker = fields[1]
     if not ticker:
-        raise IngestError("empty ticker", line_no)
+        raise IngestError("empty ticker", source, line_no)
     try:
         values = tuple(map(float, fields[offset + 1:offset + 6]))
     except ValueError:
-        raise IngestError("non-numeric price/volume field", line_no) from None
+        raise IngestError("non-numeric price/volume field", source,
+                          line_no) from None
     if not all(map(isfinite, values)):
-        raise IngestError("non-finite price/volume field", line_no)
+        raise IngestError("non-finite price/volume field", source, line_no)
     problem = _bar_problem(*values)
     if problem:
-        raise IngestError(f"{problem} for ({ticker}, {format_timestamp(ts)})", line_no)
+        raise IngestError(f"{problem} for ({ticker}, {format_timestamp(ts)})",
+                          source, line_no)
     return ticker, ts, values
 
 
@@ -273,12 +277,12 @@ def _ingest_rows(reader, ticker: str | None, rows: dict, bars: array,
     for line_no, fields in enumerate(reader, start=2):
         if not fields:
             continue
-        tk, ts, values = _parse_row(fields, line_no, ticker, epochs)
+        tk, ts, values = _parse_row(fields, source, line_no, ticker, epochs)
         first = rows.setdefault((tk, ts), line_no)
         if first != line_no:  # a key repeats only within one file
             raise IngestError(
                 f"duplicate key ({tk}, {format_timestamp(ts)}), "
-                f"first seen at {source}:{first}", line_no)
+                f"first seen at {source}:{first}", source, line_no)
         bars.extend(values)
 
 
@@ -298,10 +302,11 @@ def ingest_csv(path: str, frequency: str) -> BarTable:
         header = next(reader, None)
         if header is None or tuple(header) != CSV_HEADER:
             raise IngestError(
-                f"bad header {header!r}, expected {','.join(CSV_HEADER)}", 1)
+                f"bad header {header!r}, expected {','.join(CSV_HEADER)}",
+                path, 1)
         _ingest_rows(reader, None, rows, bars, path)
     if not rows:
-        raise IngestError("file has no data rows")
+        raise IngestError("file has no data rows", path)
     return _build_table(frequency, rows, bars)
 
 
@@ -326,8 +331,8 @@ def ingest_dir(path: str, frequency: str) -> BarTable:
             header = next(reader, None)
             if header is None or tuple(header) != PER_TICKER_HEADER:
                 raise IngestError(
-                    f"bad header in {name}: {header!r}, "
-                    f"expected {','.join(PER_TICKER_HEADER)}", 1)
+                    f"bad header {header!r}, "
+                    f"expected {','.join(PER_TICKER_HEADER)}", full, 1)
             _ingest_rows(reader, ticker, rows, bars, full)
     return _build_table(frequency, rows, bars)
 

@@ -28,6 +28,24 @@ from .market_data import format_timestamp
 # performance metrics
 
 
+def _distinct(values) -> np.ndarray:
+    """``np.unique`` of real or datetime values: the sorted distinct
+    values, with every NaN (or NaT) collapsed into one, as ``np.unique``
+    collapses them.
+
+    The plain ``np.unique`` of numpy 2.x imports ``numpy.ma``, which
+    would cost every rolling run about a megabyte of memory.
+    """
+    v = np.sort(np.ravel(values))
+    keep = np.empty(len(v), dtype=bool)
+    keep[:1] = True
+    keep[1:] = v[1:] != v[:-1]
+    if v.dtype.kind in "fmM":
+        missing = np.isnan(v)
+        keep[1:] &= ~(missing[1:] & missing[:-1])
+    return v[keep]
+
+
 @dataclass(frozen=True)
 class Metrics:
     cumulative_return: float
@@ -84,7 +102,7 @@ def metrics(values, risk_free: float = 0.0, trading_days: int | None = None,
     days = None
     if timestamps is not None:
         stamps = np.asarray(timestamps).astype("datetime64[D]")
-        days = len(np.unique(stamps))
+        days = len(_distinct(stamps))
     t = trading_days if trading_days is not None else (days or steps)
     if t < 1:
         raise DataError("trading_days must be >= 1")
@@ -109,14 +127,14 @@ def metrics(values, risk_free: float = 0.0, trading_days: int | None = None,
     if timestamps is not None:
         stamps = np.asarray(timestamps).astype("datetime64[s]")
         years = stamps.astype("datetime64[Y]").astype(int)
-        uniq = np.unique(years)
+        uniq = _distinct(years)
         if len(uniq) >= 2:
             yearly = []
             for y in uniq:
                 idx = np.flatnonzero(years == y)
                 lo = idx[0] - 1 if idx[0] > 0 else 0
                 seg = values[lo:idx[-1] + 1]
-                seg_days = len(np.unique(stamps[idx].astype("datetime64[D]")))
+                seg_days = len(_distinct(stamps[idx].astype("datetime64[D]")))
                 growth = seg[-1] / seg[0]
                 yearly.append(growth ** (annualization_basis / max(seg_days, 1))
                               - 1.0)
@@ -317,7 +335,7 @@ class RollingData:
         """Calendar days from the feature warmup onward."""
         dates = self.table.calendar.astype("datetime64[D]")
         warm_day = dates[self.features.warmup]
-        uniq = np.unique(dates)
+        uniq = _distinct(dates)
         return uniq[uniq >= warm_day]
 
     def day_first_steps(self, days) -> np.ndarray:

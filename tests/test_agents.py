@@ -255,6 +255,93 @@ class TestA2CLockstep:
                     assert_bitwise_equal(other.get_flat(), outcome.get_flat())
 
 
+def adam_step_oracle(adam, params, grad):
+    """The out-of-place ``Adam.step``: returns new parameters and leaves
+    params and grad as they are."""
+    adam.t += 1
+    adam.m *= adam.beta1
+    adam.m += (1 - adam.beta1) * grad
+    adam.v *= adam.beta2
+    g2 = (1 - adam.beta2) * grad
+    g2 *= grad
+    adam.v += g2
+    step = adam.m / (1 - adam.beta1 ** adam.t)
+    step *= adam.lr
+    denom = np.divide(adam.v, 1 - adam.beta2 ** adam.t, out=g2)
+    np.sqrt(denom, out=denom)
+    denom += adam.eps
+    step /= denom
+    return np.subtract(params, step, out=step)
+
+
+def clip_oracle(grad, limit):
+    """The out-of-place clip of each gradient row to norm `limit`."""
+    norms = np.sqrt(np.array([g @ g for g in grad]))
+    clip = norms > limit
+    return np.where(clip[:, None],
+                    grad * (limit / np.where(clip, norms, 1.0))[:, None],
+                    grad)
+
+
+class TestA2CInPlace:
+    """The in-place Adam step and clip against the out-of-place code."""
+
+    def test_adam_step_equals_out_of_place_bitwise(self):
+        rng = np.random.default_rng(21)
+        P, size = 5, 37
+        lr = rng.uniform(1e-4, 1e-1, (P, 1))
+        adam, oracle = a2c.Adam((P, size), lr), a2c.Adam((P, size), lr)
+        params = rng.normal(0.0, 1.0, (P, size))
+        expected = params.copy()
+        for _ in range(50):
+            grad = rng.normal(0.0, rng.uniform(1e-3, 10.0), (P, size))
+            expected = adam_step_oracle(oracle, expected, grad.copy())
+            assert adam.step(params, grad) is params
+            assert_bitwise_equal(params, expected)
+            assert_bitwise_equal(adam.m, oracle.m)
+            assert_bitwise_equal(adam.v, oracle.v)
+
+    def test_clip_equals_out_of_place_bitwise(self):
+        rng = np.random.default_rng(22)
+        grad = rng.normal(0.0, 1.0, (8, 13)) * rng.uniform(
+            0.01, 3.0, (8, 1))
+        grad[3] = 0.0
+        grad[5, 2] = -0.0
+        limit = 2.0
+        norms = np.sqrt((grad * grad).sum(axis=1))
+        assert (norms > limit).any() and (norms < limit).any()
+        expected = clip_oracle(grad, limit)
+        a2c._clip_rows(grad, limit)
+        assert_bitwise_equal(grad, expected)
+
+    def test_learner_views_alias_params_and_outcomes_copy(self):
+        rng = np.random.default_rng(23)
+        configs = [TrainConfig(rollout_steps=4, hidden=5, seed=s,
+                               learning_rate=lr)
+                   for s, lr in ((1, 0.01), (2, 0.05))]
+        rows = a2c._Learners(3, 2, configs)
+        params = rows.params
+        for update in range(3):
+            rows.begin_rollout()
+            for i in range(4):
+                obs = rng.normal(0.0, 1.0, (2, 3))
+                actions, values = rows.sample(obs, i, 4 * update + i + 1)
+                rows.record(i, obs, actions, rng.normal(0.0, 1.0, 2), values,
+                            np.zeros(2, dtype=bool))
+            rows.update(rng.normal(0.0, 1.0, (2, 3)), 4 * update + 4)
+        assert rows.params is params
+        assert not (params == rows.template.get_flat()).all()
+        split = rows.template._unflatten(params)
+        for name, view in rows.fields.items():
+            assert np.shares_memory(view, params), name
+            assert_bitwise_equal(view, split[name])
+        outcomes = rows.outcomes()
+        trained = params.copy()
+        params += 1.0
+        for policy, row in zip(outcomes, trained):
+            assert_bitwise_equal(policy.get_flat(), row)
+
+
 # --- CEM --------------------------------------------------------------------
 
 def rowwise(f):

@@ -41,6 +41,27 @@ def run_fresh(args, tmp_path):
         capture_output=True, text=True, env=env, timeout=300)
 
 
+def test_rolling_runs_leave_numpy_ma_unimported(tmp_path):
+    """``numpy.ma`` costs about a megabyte; a2c and cem trade-sim runs on
+    the shipped data do not import it (plain ``np.unique`` would)."""
+    src = os.path.dirname(os.path.dirname(quantgym.__file__))
+    script = (
+        "import sys\n"
+        "from quantgym.cli import main\n"
+        "for agent in ('a2c', 'cem'):\n"
+        "    assert main(['trade-sim', '--set', 'agent.type=' + agent,\n"
+        "                 '--set', 'agent.steps=32', '--set',\n"
+        "                 'agent.iterations=2', '--set', 'pipeline.n_trade=2',\n"
+        f"                 '--set', 'run.output_dir={tmp_path}']) == 0\n"
+        "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
+
+
 def read_json(path):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
@@ -346,8 +367,41 @@ class TestExitCodes:
             code = run(command, tmp_path, ["--set", f"data.source={panel}"])
             err = capsys.readouterr().err
             assert code == 3, (command, err)
-            assert err == ("data error: line 3: non-finite price/volume "
-                           "field\n"), err
+            assert err == (f"data error: {panel}:3: non-finite price/volume "
+                           f"field\n"), err
+        folder = tmp_path / "nan_bars"
+        folder.mkdir()
+        (folder / "AAPL.csv").write_text(
+            "timestamp,open,high,low,close,volume\n"
+            "2022-01-03T00:00:00+00:00,1,1,1,1,10\n"
+            "2022-01-04T00:00:00+00:00,1,1,1,1,inf\n")
+        code = run(["ingest"], tmp_path, ["--set", f"data.source={folder}",
+                                          "--set", "data.format=dir"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == (f"data error: {folder / 'AAPL.csv'}:3: non-finite "
+                       f"price/volume field\n"), err
+        # a valid bar whose size overflows an indicator is named by the
+        # feature, ticker and time of its first non-finite value
+        shipped = os.path.join(os.path.dirname(quantgym.__file__), "data",
+                               "synthetic_market.csv")
+        with open(shipped, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        for columns, feature in (((3,), "adx_14"), ((3, 5), "cci_20")):
+            fields = lines[200].split(",")
+            assert fields[:2] == ["2022-03-23T00:00:00+00:00", "SYN1"]
+            for c in columns:
+                fields[c] = "1e308"
+            huge = tmp_path / f"huge_{feature}.csv"
+            huge.write_text("\n".join(lines[:200] + [",".join(fields)]
+                                      + lines[201:]) + "\n")
+            for command in (["features"],
+                            ["trade-sim", "--set", "agent.type=passive"]):
+                code = run(command, tmp_path, ["--set", f"data.source={huge}"])
+                err = capsys.readouterr().err
+                assert code == 3, (command, err)
+                assert err == (f"data error: non-finite {feature} for (SYN1, "
+                               f"2022-03-23T00:00:00+00:00) past warmup\n"), err
         for value in ("nan", "inf", "-inf"):
             events = tmp_path / f"events_{value}.csv"
             events.write_text("enter_time,ticker,value\n"

@@ -241,6 +241,46 @@ class TestRiskControl:
         np.testing.assert_allclose(transition.next_state.weights, [0.5, 0.5])
 
 
+class TestPrecomputedTables:
+    """The per-env risk flags and price ratios against the per-step
+    formulas they replace."""
+
+    def env(self, env_cls, risk_indicator="turbulence"):
+        table = random_walk_table(30, 4, seed=5)
+        risk = np.random.default_rng(6).uniform(0.0, 2.0, 30)
+        risk[[3, 11]] = np.nan
+        risk[17], risk[19] = np.inf, -np.inf
+        config = EnvConfig(risk_indicator=risk_indicator, risk_threshold=1.0)
+        return env_cls(config, table, simple_features(table),
+                       risk_series=risk)
+
+    def steps(self):
+        rng = np.random.default_rng(7)
+        return list(range(29)) + [rng.integers(0, 29, 6), np.arange(29)]
+
+    @pytest.mark.parametrize("env_cls", [TradingEnv, PortfolioEnv])
+    def test_risk_flags_equal_the_per_step_formula(self, env_cls):
+        env = self.env(env_cls)
+        for t in self.steps():
+            value = env.risk_series[t]
+            expected = np.isfinite(value) & (value > 1.0)
+            got = env._risk_triggered(t)
+            assert np.shape(got) == np.shape(t)
+            assert np.array_equal(got, expected), t
+        assert env._risk_flags[[3, 11, 17, 19]].tolist() == [False] * 4
+        assert 0 < env._risk_flags.sum() < 29
+        quiet = self.env(env_cls, risk_indicator="none")
+        for t in self.steps():
+            assert quiet._risk_triggered(t) is np.False_
+
+    def test_price_ratios_equal_the_per_step_division(self):
+        env = self.env(PortfolioEnv)
+        close = env.table.close
+        for t in self.steps():
+            expected = close[t + 1].astype(float) / close[t]
+            assert_bitwise_equal(env._price_ratios[t], expected)
+
+
 class TestPortfolio:
     def test_uniform_reset(self):
         env = make_portfolio_env(random_walk_table(15, 4))

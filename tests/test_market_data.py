@@ -50,7 +50,7 @@ class TestIngest:
         with pytest.raises(IngestError, match=r"duplicate key \(AAPL") as err:
             ingest_csv(path, "1day")
         assert str(err.value) == (
-            f"line 4: duplicate key (AAPL, 2022-01-03T00:00:00+00:00), "
+            f"{path}:4: duplicate key (AAPL, 2022-01-03T00:00:00+00:00), "
             f"first seen at {path}:2")
 
     def test_duplicate_key_in_ticker_file_names_that_file(self, tmp_path):
@@ -62,7 +62,10 @@ class TestIngest:
             header + f"{day(0)},1,1,1,1,0\n\n{day(0)},2,2,2,2,0\n")
         with pytest.raises(IngestError) as err:
             ingest_dir(str(folder), "1day")
-        assert str(err.value).endswith(f"first seen at {folder / 'BBB.csv'}:2")
+        bbb = folder / "BBB.csv"
+        assert str(err.value) == (
+            f"{bbb}:4: duplicate key (BBB, 2022-01-03T00:00:00+00:00), "
+            f"first seen at {bbb}:2")
         assert err.value.line_no == 4
 
     @pytest.mark.parametrize("fields", [
@@ -70,9 +73,10 @@ class TestIngest:
         "1,1,-inf,1,10", "NaN,1,1,1,10", "1,1,1,1,Infinity"])
     def test_non_finite_field_rejected(self, tmp_path, fields):
         text = HEADER + row(0, "AAPL", 100) + f"{day(1)},AAPL,{fields}\n"
+        path = write(tmp_path, text)
         with pytest.raises(IngestError) as err:
-            ingest_csv(write(tmp_path, text), "1day")
-        assert str(err.value) == "line 3: non-finite price/volume field"
+            ingest_csv(path, "1day")
+        assert str(err.value) == f"{path}:3: non-finite price/volume field"
         assert err.value.line_no == 3
 
     def test_non_finite_field_rejected_in_ticker_file(self, tmp_path):
@@ -80,8 +84,10 @@ class TestIngest:
         folder.mkdir()
         (folder / "AAA.csv").write_text(
             "timestamp,open,high,low,close,volume\n" f"{day(0)},1,1,1,1,nan\n")
-        with pytest.raises(IngestError, match="line 2: non-finite"):
+        with pytest.raises(IngestError) as err:
             ingest_dir(str(folder), "1day")
+        assert str(err.value) == (
+            f"{folder / 'AAA.csv'}:2: non-finite price/volume field")
 
     def test_non_positive_price_rejected(self, tmp_path):
         bad = f"{day(1)},AAPL,1,1,0,0,10\n"
@@ -101,8 +107,10 @@ class TestIngest:
 
     def test_malformed_row_reports_line(self, tmp_path):
         text = HEADER + row(0, "AAPL", 100) + "not,enough,fields\n"
-        with pytest.raises(IngestError, match="line 3"):
-            ingest_csv(write(tmp_path, text), "1day")
+        path = write(tmp_path, text)
+        with pytest.raises(IngestError) as err:
+            ingest_csv(path, "1day")
+        assert str(err.value) == f"{path}:3: expected 7 fields, got 3"
 
     def test_ohlc_ordering_enforced(self, tmp_path):
         bad = f"{day(0)},AAPL,100,99,98,100,10\n"  # high < open
@@ -110,8 +118,28 @@ class TestIngest:
             ingest_csv(write(tmp_path, HEADER + bad), "1day")
 
     def test_bad_header(self, tmp_path):
-        with pytest.raises(IngestError, match="bad header"):
-            ingest_csv(write(tmp_path, "time,tic,o,h,l,c,v\n"), "1day")
+        path = write(tmp_path, "time,tic,o,h,l,c,v\n")
+        with pytest.raises(IngestError) as err:
+            ingest_csv(path, "1day")
+        assert str(err.value) == (
+            f"{path}:1: bad header ['time', 'tic', 'o', 'h', 'l', 'c', 'v'], "
+            f"expected timestamp,ticker,open,high,low,close,volume")
+
+    def test_bad_header_in_ticker_file_names_that_file(self, tmp_path):
+        folder = tmp_path / "bars"
+        folder.mkdir()
+        (folder / "AAA.csv").write_text("time,o,h,l,c,v\n")
+        with pytest.raises(IngestError) as err:
+            ingest_dir(str(folder), "1day")
+        assert str(err.value) == (
+            f"{folder / 'AAA.csv'}:1: bad header ['time', 'o', 'h', 'l', 'c', "
+            f"'v'], expected timestamp,open,high,low,close,volume")
+
+    def test_file_without_rows_is_named(self, tmp_path):
+        path = write(tmp_path, HEADER)
+        with pytest.raises(IngestError) as err:
+            ingest_csv(path, "1day")
+        assert str(err.value) == f"{path}: file has no data rows"
 
     def test_timezone_normalized_to_utc(self, tmp_path):
         text = HEADER + f"2022-01-03T09:30:00-05:00,AAPL,1,1.1,0.9,1,5\n"

@@ -12,6 +12,7 @@ from quantgym.envs import EnvConfig, TradingEnv
 from quantgym.errors import DataError, TrainingError
 from quantgym.pipeline import (
     RollingData,
+    _distinct,
     backtest,
     max_drawdown,
     metrics,
@@ -463,3 +464,21 @@ def test_write_backtest_result(tmp_path):
     assert len(values_lines) == 1 + result.values.size
     trades_lines = (tmp_path / "trades.csv").read_text().splitlines()
     assert trades_lines[0].startswith("timestamp,window_id,action_")
+
+
+@pytest.mark.parametrize("values", [
+    np.random.default_rng(1).normal(0.0, 1.0, 50),
+    np.random.default_rng(2).integers(-5, 6, 200),
+    np.random.default_rng(3).integers(1990, 2030, (7, 9)),
+    np.array([3.0, np.nan, 1.0, np.inf, np.nan, -np.inf, 1.0, 3.0]),
+    np.array([]),
+    np.array([], dtype="datetime64[D]"),
+    np.array(["2023-05-01", "NaT", "2021-01-01", "2023-05-01", "NaT"],
+             dtype="datetime64[D]"),
+    (np.datetime64("2022-01-03T00:00:00", "s") + np.random.default_rng(4)
+     .integers(0, 10, 40) * np.timedelta64(86400, "s")),
+])
+def test_distinct_equals_np_unique(values):
+    got, want = _distinct(values), np.unique(values)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
