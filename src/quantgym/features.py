@@ -139,7 +139,11 @@ def load_events_csv(path: str, kind: str) -> EventSeries:
                 raise FeatureError(
                     f"{path}:{line_no}: non-finite event value {parts[2]!r}")
             rows.append((ts, parts[1], value))
-    return EventSeries(tuple(rows), kind)
+    # the rows are normalized already: check the kind on an empty series,
+    # then hand it the rows as they are
+    series = EventSeries((), kind)
+    object.__setattr__(series, "events", tuple(rows))
+    return series
 
 
 def compute_indicator(table: BarTable, spec: IndicatorSpec) -> np.ndarray:
@@ -287,8 +291,12 @@ def fundamental_effective_from(enter_time: np.datetime64) -> np.datetime64:
     length). A quarter ending June 30 becomes tradable September 1.
     """
     epoch = int(enter_time.astype("datetime64[s]").astype(np.int64))
-    dt = datetime.fromtimestamp(epoch, tz=timezone.utc) + timedelta(days=1)
-    shifted = _add_months(dt, 2)
+    try:
+        dt = datetime.fromtimestamp(epoch, tz=timezone.utc) + timedelta(days=1)
+        shifted = _add_months(dt, 2)
+    except (OverflowError, ValueError):
+        raise FeatureError(f"fundamental event at {enter_time} takes effect "
+                           f"outside years 1-9999") from None
     return np.datetime64(int(shifted.timestamp()), "s")
 
 

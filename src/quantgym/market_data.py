@@ -14,7 +14,7 @@ import os
 from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from math import isfinite
+from math import inf, isfinite
 
 import numpy as np
 
@@ -45,7 +45,10 @@ def parse_epoch(text: str) -> int:
         raise ValueError(f"unparsable timestamp {text!r}") from exc
     if dt.tzinfo is None:
         raise ValueError(f"timestamp {text!r} has no UTC offset")
-    return int(dt.astimezone(timezone.utc).timestamp())
+    try:
+        return int(dt.astimezone(timezone.utc).timestamp())
+    except OverflowError:  # the offset moves it out of years 1-9999
+        raise ValueError(f"timestamp {text!r} is out of range in UTC") from None
 
 
 def parse_timestamp(text: str) -> np.datetime64:
@@ -235,55 +238,54 @@ def _build_table(frequency: str, keys, bars) -> BarTable:
                     *grids, present, np.zeros((T, n), dtype=bool))
 
 
-def _parse_row(fields: list[str], source: str, line_no: int,
-               ticker: str | None, epochs: dict[str, int]) -> tuple:
-    """(ticker, epoch seconds, (o, h, l, c, v)) of one validated row of
-    file ``source``; ``epochs`` memoizes the parse of each distinct
-    timestamp text."""
-    offset = 0 if ticker is not None else 1
-    expected = len(PER_TICKER_HEADER) if ticker is not None else len(CSV_HEADER)
-    if len(fields) != expected:
-        raise IngestError(f"expected {expected} fields, got {len(fields)}",
-                          source, line_no)
-    ts = epochs.get(fields[0])
-    if ts is None:
-        try:
-            ts = epochs[fields[0]] = parse_epoch(fields[0])
-        except ValueError as exc:
-            raise IngestError(str(exc), source, line_no) from None
-    if ticker is None:
-        ticker = fields[1]
-    if not ticker:
-        raise IngestError("empty ticker", source, line_no)
-    try:
-        values = tuple(map(float, fields[offset + 1:offset + 6]))
-    except ValueError:
-        raise IngestError("non-numeric price/volume field", source,
-                          line_no) from None
-    if not all(map(isfinite, values)):
-        raise IngestError("non-finite price/volume field", source, line_no)
-    problem = _bar_problem(*values)
-    if problem:
-        raise IngestError(f"{problem} for ({ticker}, {format_timestamp(ts)})",
-                          source, line_no)
-    return ticker, ts, values
-
-
 def _ingest_rows(reader, ticker: str | None, rows: dict, bars: array,
                  source: str):
-    """Map each row's (ticker, epoch) key to its line in ``rows`` and
-    append its bar to ``bars``."""
+    """Validate each row of file ``source``, map its (ticker, epoch) key
+    to its line in ``rows`` and append its (o, h, l, c, v) to ``bars``.
+
+    ``ticker`` is None for the combined format, whose second field names
+    the ticker. Each distinct timestamp text is parsed once.
+    """
+    expected = len(CSV_HEADER) if ticker is None else len(PER_TICKER_HEADER)
+    first_value = expected - 5  # the open's index
+    first_line = rows.setdefault
+    append = bars.extend
     epochs: dict[str, int] = {}
     for line_no, fields in enumerate(reader, start=2):
         if not fields:
             continue
-        tk, ts, values = _parse_row(fields, source, line_no, ticker, epochs)
-        first = rows.setdefault((tk, ts), line_no)
+        if len(fields) != expected:
+            raise IngestError(f"expected {expected} fields, got {len(fields)}",
+                              source, line_no)
+        ts = epochs.get(fields[0])
+        if ts is None:
+            try:
+                ts = epochs[fields[0]] = parse_epoch(fields[0])
+            except ValueError as exc:
+                raise IngestError(str(exc), source, line_no) from None
+        tk = fields[1] if ticker is None else ticker
+        if not tk:
+            raise IngestError("empty ticker", source, line_no)
+        try:
+            values = o, h, l, c, v = tuple(map(float, fields[first_value:]))
+        except ValueError:
+            raise IngestError("non-numeric price/volume field", source,
+                              line_no) from None
+        # true exactly for a finite bar _bar_problem accepts: a NaN or an
+        # infinity fails one of the comparisons
+        if not (0.0 < l <= o <= h and l <= c <= h < inf and 0.0 <= v < inf):
+            if not all(map(isfinite, values)):
+                raise IngestError("non-finite price/volume field", source,
+                                  line_no)
+            raise IngestError(f"{_bar_problem(*values)} for "
+                              f"({tk}, {format_timestamp(ts)})",
+                              source, line_no)
+        first = first_line((tk, ts), line_no)
         if first != line_no:  # a key repeats only within one file
             raise IngestError(
                 f"duplicate key ({tk}, {format_timestamp(ts)}), "
                 f"first seen at {source}:{first}", source, line_no)
-        bars.extend(values)
+        append(values)
 
 
 def ingest_csv(path: str, frequency: str) -> BarTable:

@@ -33,33 +33,35 @@ def normalize_compound(total: float, alpha: float = COMPOUND_ALPHA) -> float:
 
 def _sentence_raw(tokens, dictionary: SentimentDictionary,
                   shifters: ShifterTable) -> float:
-    # clause id increments after every verb, scoping the shifters
-    clause = []
-    cid = 0
-    for tok in tokens:
-        clause.append(cid)
-        if tok.pos == "VERB":
-            cid += 1
+    # one pass: a hit takes the boosts of the intensifiers before it in
+    # its clause, and the negation of a negator at most negation_window
+    # tokens back in it; a verb ends the clause
+    valence_of = dictionary.entries.get
+    boost_of = shifters.intensifiers.get
+    negators, window = shifters.negators, shifters.negation_window
+    factor = shifters.negation_factor
     raw = 0.0
+    boost = 0.0  # never -0.0, so skipping zero boosts changes no bit
+    negated_through = -1  # last index the clause's last negator reaches
     for i, tok in enumerate(tokens):
-        valence = dictionary.get(tok.lemma)
-        if valence is None:
-            continue
-        boost = 0.0
-        for j in range(i):
-            if clause[j] != clause[i]:
-                continue
-            boost += shifters.intensifiers.get(tokens[j].lemma, 0.0)
-        if valence > 0:
-            valence += boost
-        elif valence < 0:
-            valence -= boost
-        negated = any(
-            clause[j] == clause[i] and tokens[j].lemma in shifters.negators
-            for j in range(max(0, i - shifters.negation_window), i))
-        if negated:
-            valence *= shifters.negation_factor
-        raw += valence
+        lemma = tok.lemma
+        valence = valence_of(lemma)
+        if valence is not None:
+            if valence > 0:
+                valence += boost
+            elif valence < 0:
+                valence -= boost
+            if i <= negated_through:
+                valence *= factor
+            raw += valence
+        extra = boost_of(lemma)
+        if extra:
+            boost += extra
+        if lemma in negators:
+            negated_through = i + window
+        if tok.pos == "VERB":
+            boost = 0.0
+            negated_through = -1
     return raw
 
 
@@ -72,12 +74,15 @@ def score_document(doc: Document, dictionary: SentimentDictionary,
     valence absorbs every preceding intensifier boost in its clause
     (pushed away from zero) and is flipped and damped by the negation
     factor when a negator sits within the negation window. Sentence raw
-    sums add with equal weight and the total is squashed to [-1, 1].
+    sums add with equal weight, left to right, and the total is squashed
+    to [-1, 1].
     """
     if len(dictionary) == 0:
         raise ValueError("empty sentiment dictionary")
     per_sentence = tuple(
         _sentence_raw(tokens, dictionary, shifters) for tokens in doc.sentences)
-    total = sum(per_sentence)
+    total = 0.0  # left to right: ``sum`` compensates from Python 3.12 on
+    for raw in per_sentence:
+        total += raw
     compound = normalize_compound(total, alpha)
     return SentimentScore(compound, polarity_of(compound), per_sentence)

@@ -625,3 +625,123 @@ def test_fuzzed_overrides_exit_with_a_documented_code(
     assert code in (0, 2, 3, 4), argv
     if code:
         assert len(err.splitlines()) == 1, (argv, err)
+
+
+# file-content fuzzing: rows and fields of the market csv (both formats),
+# the events csv and the headlines are edited, and every command that
+# reads the file runs on it
+
+CONTENT_TEXTS = ("", "nan", "1e308", "1e-320", "-1", "x",
+                 "2022-02-30T00:00:00+00:00", "2022-01-03T00:00:00",
+                 "9999-12-31T23:59:59+00:00", "0001-01-01T00:00:00+01:00")
+CONTENT_READERS = {"csv": (["ingest"], ["features"]),
+                   "dir": (["ingest"], ["features"]),
+                   "events": (["features"],),
+                   "headlines": (["sentiment", "score"],)}
+
+
+@st.composite
+def content_edits(draw):
+    """(kind, line, ...) edits; lines and fields are taken modulo the
+    file's counts, so line 0 is the header."""
+    edits = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("field", "cut", "duplicate")))
+        line = draw(st.integers(0, 400))
+        if kind == "field":
+            edits.append((kind, line, draw(st.integers(0, 7)),
+                          draw(st.sampled_from(CONTENT_TEXTS))))
+        elif kind == "cut":
+            edits.append((kind, line, draw(st.integers(0, 60))))
+        else:
+            edits.append((kind, line))
+    return edits
+
+
+def edited(text, edits, sep):
+    lines = text.split("\n")
+    for kind, line, *args in edits:
+        k = line % len(lines)
+        if kind == "field":
+            fields = lines[k].split(sep)
+            fields[args[0] % len(fields)] = args[1]
+            lines[k] = sep.join(fields)
+        elif kind == "cut":
+            lines[k] = lines[k][:args[0]]
+        else:
+            lines.insert(k, lines[k])
+    return "\n".join(lines)
+
+
+@pytest.fixture(scope="module")
+def content_files(tmp_path_factory):
+    """Texts of the base files: the shipped csv, its per-ticker split,
+    events on its tickers and dates, and headlines."""
+    with open(cli._data_source(cli.load_config(None, [])),
+              encoding="utf-8") as fh:
+        market = fh.read()
+    per_ticker = {}
+    for line in market.splitlines()[1:]:
+        ts, ticker, rest = line.split(",", 2)
+        per_ticker.setdefault(ticker, ["timestamp,open,high,low,close,volume"]
+                              ).append(f"{ts},{rest}")
+    events = "\n".join(["enter_time,ticker,value"] + [
+        f"2022-0{1 + k % 4}-{10 + k}T1{k % 10}:30:00+00:00,SYN{k % 3},"
+        f"{(k - 6) / 4}" for k in range(14)]) + "\n"
+    root = tmp_path_factory.mktemp("content")
+    (root / "events.csv").write_text(events)
+    return {"csv": market,
+            "dir": {tk: "\n".join(rows) + "\n"
+                    for tk, rows in per_ticker.items()},
+            "events": events,
+            "headlines": "Shares rally on record profit\nProfit warning "
+                         "hits the stock\nNo gains for investors. Losses "
+                         "widen\n",
+            "events_path": str(root / "events.csv")}
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(target=st.sampled_from(sorted(CONTENT_READERS)), edits=content_edits(),
+       member=st.sampled_from(("SYN0", "SYN1", "SYN2")),
+       kind=st.sampled_from(("sentiment", "fundamental")))
+# an instant that leaves years 1-9999 once shifted to UTC, or once lagged
+# to its fundamental effective date, raised OverflowError
+@example(target="csv", edits=[("field", 1, 0, "0001-01-01T00:00:00+01:00")],
+         member="SYN0", kind="sentiment")
+@example(target="events",
+         edits=[("field", 1, 0, "0001-01-01T00:00:00+01:00")],
+         member="SYN0", kind="sentiment")
+@example(target="events",
+         edits=[("field", 1, 0, "9999-12-31T23:59:59+00:00")],
+         member="SYN0", kind="fundamental")
+def test_fuzzed_file_contents_exit_with_a_documented_code(
+        target, edits, member, kind, content_files, tmp_path_factory,
+        capsys):
+    root = tmp_path_factory.mktemp("edited")
+    overrides = [f"run.output_dir={root / 'run'}", f"data.events_kind={kind}",
+                 "features.turbulence_window=20",
+                 f"data.events_file={content_files['events_path']}"]
+    if target == "dir":
+        (root / "dir").mkdir()
+        for ticker, text in content_files["dir"].items():
+            if ticker == member:
+                text = edited(text, edits, ",")
+            (root / "dir" / f"{ticker}.csv").write_text(text)
+        overrides += [f"data.source={root / 'dir'}", "data.format=dir"]
+    else:
+        path = root / target
+        path.write_text(edited(content_files[target], edits,
+                               " " if target == "headlines" else ","))
+        key = {"csv": "data.source", "events": "data.events_file",
+               "headlines": "sentiment.input"}[target]
+        overrides.append(f"{key}={path}")
+    for command in CONTENT_READERS[target]:
+        argv = list(command)
+        for item in overrides:
+            argv += ["--set", item]
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4), argv
+        assert len(err.splitlines()) == (1 if code else 0), (argv, err)

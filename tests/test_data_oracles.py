@@ -1,13 +1,18 @@
 """The whole-array data path against the scalar code it replaced.
 
 Each oracle below is the per-row, per-cell or per-bar loop that ingest,
-``clean``, ``align_events`` and ``preprocess`` ran before they worked on
-index arrays and memos. The new code must give the same float64 bytes,
-the same masks and the same errors on seeded sparse panels, awkward
-event timings and random words.
+``clean``, ``align_events``, ``preprocess`` and sentence scoring ran
+before they worked on index arrays, memos and single passes. The new
+code must give the same float64 bytes, the same masks and the same
+errors on seeded sparse panels, defective rows, awkward event timings,
+random words and random token sequences.
 """
+import csv
+import itertools
 import string
+from array import array
 from datetime import datetime, timedelta, timezone
+from math import isfinite
 
 import numpy as np
 import pytest
@@ -19,12 +24,18 @@ from quantgym.features import (
     fundamental_effective_from,
 )
 from quantgym.market_data import (
+    CSV_HEADER,
+    PER_TICKER_HEADER,
     BarTable,
     CleaningPolicy,
+    _bar_problem,
     _build_table,
+    _ingest_rows,
     clean,
+    format_timestamp,
     ingest_csv,
     merge,
+    parse_epoch,
 )
 from quantgym.sentiment.preprocess import (
     _SENTENCE_RE,
@@ -38,7 +49,12 @@ from quantgym.sentiment.preprocess import (
     default_rules,
     preprocess,
 )
-from quantgym.sentiment.lexicon import packaged
+from quantgym.sentiment.lexicon import (
+    SentimentDictionary,
+    ShifterTable,
+    packaged,
+)
+from quantgym.sentiment.scoring import _sentence_raw
 
 from conftest import assert_bitwise_equal
 
@@ -213,6 +229,84 @@ def preprocess_oracle(text, rules, company_names=()):
     return Document(text, tuple(sentences))
 
 
+def parse_row_oracle(fields, source, line_no, ticker, epochs):
+    """(ticker, epoch seconds, (o, h, l, c, v)) of one validated row."""
+    offset = 0 if ticker is not None else 1
+    expected = len(PER_TICKER_HEADER) if ticker is not None else len(CSV_HEADER)
+    if len(fields) != expected:
+        raise IngestError(f"expected {expected} fields, got {len(fields)}",
+                          source, line_no)
+    ts = epochs.get(fields[0])
+    if ts is None:
+        try:
+            ts = epochs[fields[0]] = parse_epoch(fields[0])
+        except ValueError as exc:
+            raise IngestError(str(exc), source, line_no) from None
+    if ticker is None:
+        ticker = fields[1]
+    if not ticker:
+        raise IngestError("empty ticker", source, line_no)
+    try:
+        values = tuple(map(float, fields[offset + 1:offset + 6]))
+    except ValueError:
+        raise IngestError("non-numeric price/volume field", source,
+                          line_no) from None
+    if not all(map(isfinite, values)):
+        raise IngestError("non-finite price/volume field", source, line_no)
+    problem = _bar_problem(*values)
+    if problem:
+        raise IngestError(f"{problem} for ({ticker}, {format_timestamp(ts)})",
+                          source, line_no)
+    return ticker, ts, values
+
+
+def ingest_rows_oracle(reader, ticker, rows, bars, source):
+    """_ingest_rows() calling a per-row parse and _bar_problem per bar."""
+    epochs = {}
+    for line_no, fields in enumerate(reader, start=2):
+        if not fields:
+            continue
+        tk, ts, values = parse_row_oracle(fields, source, line_no, ticker,
+                                          epochs)
+        first = rows.setdefault((tk, ts), line_no)
+        if first != line_no:
+            raise IngestError(
+                f"duplicate key ({tk}, {format_timestamp(ts)}), "
+                f"first seen at {source}:{first}", source, line_no)
+        bars.extend(values)
+
+
+def sentence_raw_oracle(tokens, dictionary, shifters):
+    """_sentence_raw() rescanning the clause before every hit."""
+    clause = []
+    cid = 0
+    for tok in tokens:
+        clause.append(cid)
+        if tok.pos == "VERB":
+            cid += 1
+    raw = 0.0
+    for i, tok in enumerate(tokens):
+        valence = dictionary.get(tok.lemma)
+        if valence is None:
+            continue
+        boost = 0.0
+        for j in range(i):
+            if clause[j] != clause[i]:
+                continue
+            boost += shifters.intensifiers.get(tokens[j].lemma, 0.0)
+        if valence > 0:
+            valence += boost
+        elif valence < 0:
+            valence -= boost
+        negated = any(
+            clause[j] == clause[i] and tokens[j].lemma in shifters.negators
+            for j in range(max(0, i - shifters.negation_window), i))
+        if negated:
+            valence *= shifters.negation_factor
+        raw += valence
+    return raw
+
+
 # ---------------------------------------------------------------------------
 # seeded sparse panels
 
@@ -301,6 +395,139 @@ def test_ingest_matches_cell_loop(seed, tmp_path):
 
 def test_build_table_of_nothing_is_empty():
     assert_tables_bitwise(_build_table("1h", {}, []), build_table_oracle("1h", {}))
+
+
+# ---------------------------------------------------------------------------
+# row validation
+
+# valid bars at the edges: equal prices, the largest and a subnormal price,
+# signed zero volume
+EDGE_BARS = (["5", "5", "5", "5", "0"], ["1", "1e308", "1e-320", "2", "-0.0"])
+DEFECTS = ("field count", "timestamp", "empty ticker", "non-numeric",
+           "non-finite", "non-positive price", "OHLC ordering",
+           "negative volume", "duplicate key")
+# the message fragment each defect is reported with
+DEFECT_MESSAGES = ("fields, got", "has no UTC offset", "empty ticker",
+                   "non-numeric", "non-finite", "non-positive price",
+                   "OHLC ordering", "negative volume", "duplicate key")
+
+
+def panel_fields(seed, combined, n_rows=10):
+    """Valid rows as field lists, one instant each, written with a random
+    UTC offset; the first rows hold the edge bars."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(n_rows):
+        offset = timezone(timedelta(hours=int(rng.integers(-11, 12))))
+        text = datetime.fromtimestamp(1_640_995_200 + k * DAY,
+                                      tz=offset).isoformat()
+        if k < len(EDGE_BARS):
+            bar = list(EDGE_BARS[k])
+        else:
+            c = 1.0 + 100.0 * float(rng.random())
+            bar = [repr(x) for x in (c * 1.001, c * 1.01, c * 0.99, c,
+                                     float(rng.integers(0, 1000)))]
+        ticker = [f"T{int(rng.integers(2))}"] if combined else []
+        out.append([text] + ticker + bar)
+    return out
+
+
+def with_defect(fields, kind, prior):
+    """A copy of the row with one defect; a duplicate takes the key of
+    ``prior``, an earlier valid row."""
+    f = list(fields)
+    o = len(prior) - 5  # the open's index
+    if kind == "field count":
+        f.append("1")
+    elif kind == "timestamp":
+        f[0] = "2022-01-03T00:00:00"
+    elif kind == "empty ticker":
+        f[1] = ""
+    elif kind == "non-numeric":
+        f[o] = "x"
+    elif kind == "non-finite":
+        f[o + 1] = "nan"
+    elif kind == "non-positive price":
+        f[o + 2] = "-0.0"
+    elif kind == "OHLC ordering":
+        f[o + 1] = "1e-300"  # a high below every open
+    elif kind == "negative volume":
+        f[o + 4] = "-1"
+    else:  # duplicate key
+        f[:o] = prior[:o]
+    return f
+
+
+def ingest_outcome(ingest_rows, lines, ticker):
+    """(keys with their lines, bar bytes) of one file's rows, or its error."""
+    rows, bars = {}, array("d")
+    try:
+        ingest_rows(csv.reader(lines), ticker, rows, bars, "src.csv")
+    except IngestError as exc:
+        return str(exc)
+    return list(rows.items()), bars.tobytes()
+
+
+def assert_ingest_matches_oracle(rows, combined):
+    lines = [",".join(f) for f in rows]
+    ticker = None if combined else "T0"
+    got = ingest_outcome(_ingest_rows, lines, ticker)
+    assert got == ingest_outcome(ingest_rows_oracle, lines, ticker), lines
+    return got
+
+
+@pytest.mark.parametrize("combined", [True, False], ids=["csv", "dir"])
+@pytest.mark.parametrize("seed", range(3))
+def test_ingest_rows_match_per_row_parse(seed, combined):
+    rows = panel_fields(seed, combined)
+    rows.insert(4, [])  # a blank line is skipped
+    keys, _ = assert_ingest_matches_oracle(rows, combined)
+    assert len(keys) == len(rows) - 1
+
+
+@pytest.mark.parametrize("combined", [True, False], ids=["csv", "dir"])
+def test_first_of_two_defects_matches_per_row_parse(combined):
+    """Every ordered pair of defects, on two lines and on one line."""
+    base = panel_fields(0, combined)
+    kinds = [k for k in DEFECTS if combined or k != "empty ticker"]
+    messages = []
+    for first, second in itertools.permutations(kinds, 2):
+        rows = list(base)
+        rows[4] = with_defect(base[4], first, base[2])
+        rows[7] = with_defect(base[7], second, base[2])
+        messages.append(assert_ingest_matches_oracle(rows, combined))
+        rows = list(base)
+        rows[6] = with_defect(with_defect(base[6], first, base[2]), second,
+                              base[2])
+        messages.append(assert_ingest_matches_oracle(rows, combined))
+    for fragment in DEFECT_MESSAGES:
+        if combined or fragment != "empty ticker":
+            assert any(fragment in m for m in messages), fragment
+    assert all(isinstance(m, str) for m in messages)
+
+
+FIELD_TEXTS = ("1", "2", "0", "-0.0", "-1", "1e-320", "1e308", "nan", "inf",
+               "-inf", "x", "")
+
+
+@pytest.mark.parametrize("combined", [True, False], ids=["csv", "dir"])
+def test_bar_checks_match_per_row_parse(combined):
+    """Valid bars with up to three fields swapped for edge texts."""
+    rng = np.random.default_rng(5)
+    head = ["2022-01-03T00:00:00+00:00"] + (["AAA"] if combined else [])
+    bars = EDGE_BARS + (["1.5", "2", "0.5", "1", "3"],)
+    outcomes = set()
+    for _ in range(1500):
+        bar = list(bars[rng.integers(len(bars))])
+        for k in rng.integers(5, size=int(rng.integers(4))):
+            bar[k] = FIELD_TEXTS[rng.integers(len(FIELD_TEXTS))]
+        got = assert_ingest_matches_oracle([head + bar], combined)
+        outcomes.add(got.split(": ")[1].split(" for ")[0]
+                     if isinstance(got, str) else "valid")
+    assert outcomes == {"valid", "non-numeric price/volume field",
+                        "non-finite price/volume field", "non-positive price",
+                        "OHLC ordering violated (need low <= open,close <= "
+                        "high)", "negative volume"}
 
 
 POLICIES = [CleaningPolicy(calendar_rule=cal, fill_rule=fill, min_coverage=cov)
@@ -551,3 +778,74 @@ def test_preprocess_matches_uncached_loop(seed):
         for rules in (fresh, default_rules()):
             got = preprocess(text, company_names=names, rules=rules)
             assert got == preprocess_oracle(text, oracle_rules, names), text
+
+
+# ---------------------------------------------------------------------------
+# sentence scoring
+
+SCORING_DICTIONARY = SentimentDictionary(
+    {"gain": 2.0, "loss": -1.5, "flat": 0.0, "rally": 1.25, "beat": 0.7,
+     "plunge": -3.0})
+
+
+def scoring_shifters(window=3):
+    return ShifterTable(
+        {"very": 0.3, "slightly": -0.2, "most": 0.55, "rally": 0.1,
+         "zero": 0.0},
+        frozenset({"not", "never", "fail", "plunge"}), -0.5, window)
+
+
+# (lemma, pos): hits, intensifiers, negators and verbs, some in two roles
+VOCABULARY = (("gain", "NOUN"), ("loss", "NOUN"), ("flat", "ADJ"),
+              ("rally", "NOUN"), ("rally", "VERB"), ("beat", "VERB"),
+              ("plunge", "VERB"), ("very", "ADV"), ("slightly", "ADV"),
+              ("most", "ADV"), ("zero", "ADV"), ("not", "ADV"),
+              ("never", "ADV"), ("fail", "VERB"), ("say", "VERB"),
+              ("the", "OTHER"), ("stock", "NOUN"))
+
+
+def sentence(*words):
+    """Tokens of "lemma" (a NOUN) or "lemma/POS" words."""
+    return tuple(Token(lemma, lemma, pos or "NOUN") for lemma, _, pos in
+                 (word.partition("/") for word in words))
+
+
+def assert_raw_matches_oracle(tokens, shifters):
+    got = _sentence_raw(tokens, SCORING_DICTIONARY, shifters)
+    assert_bitwise_equal(
+        got, sentence_raw_oracle(tokens, SCORING_DICTIONARY, shifters))
+    return got
+
+
+@pytest.mark.parametrize("window", [0, 1, 3, 5])
+@pytest.mark.parametrize("seed", range(3))
+def test_sentence_raw_matches_clause_rescan(seed, window):
+    rng = np.random.default_rng(seed)
+    shifters = scoring_shifters(window)
+    for _ in range(300):
+        picks = rng.integers(len(VOCABULARY), size=int(rng.integers(0, 25)))
+        assert_raw_matches_oracle(
+            tuple(Token(VOCABULARY[k][0], *VOCABULARY[k]) for k in picks),
+            shifters)
+
+
+@pytest.mark.parametrize("words,expected", [
+    ((), 0.0),  # an empty sentence
+    (("not", "the", "stock", "gain"), -1.0),  # a negator window tokens back
+    (("not", "the", "stock", "the", "gain"), 2.0),  # one further: no reach
+    (("not", "say/VERB", "gain"), 2.0),  # a negator before a verb
+    (("very", "beat/VERB", "gain"), 3.0),  # a verb hit takes its clause's boost
+    (("not", "beat/VERB", "gain"), 1.65),  # ... and its negation
+    (("not", "never", "gain"), -1.0),  # two negators negate once
+    (("not", "the", "stock", "the", "never", "gain"), -1.0),  # the later one
+    (("slightly", "gain"), 1.8),  # a negative intensifier
+    (("slightly", "loss"), -1.3),
+    (("very", "flat"), 0.0),  # a zero-valence hit takes no boost
+    (("not", "flat"), 0.0),  # ... and its negation, -0.0, adds to 0.0
+    (("zero", "slightly", "very", "most", "gain"), 2.65),
+    # hits that also boost, or also negate
+    (("rally", "rally/VERB", "plunge", "gain"), -1.4),
+])
+def test_sentence_raw_edge_cases(words, expected):
+    got = assert_raw_matches_oracle(sentence(*words), scoring_shifters())
+    assert got == pytest.approx(expected, abs=1e-12)

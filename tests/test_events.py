@@ -4,6 +4,7 @@ import logging
 import numpy as np
 import pytest
 
+from quantgym.errors import FeatureError
 from quantgym.features import (
     EventSeries,
     align_events,
@@ -110,6 +111,16 @@ class TestFundamentalAlignment:
                              "fundamental")
         col = align_events(table, events)
         assert (col[:, 0] == 0).all()  # effective only from Sep 16
+
+
+def test_effective_date_past_year_9999_is_a_feature_error():
+    table = daily_table(5)
+    events = EventSeries(((ts("9999-12-31T23:59:59"), "AAPL", 1.0),),
+                         "fundamental")
+    with pytest.raises(FeatureError) as err:
+        align_events(table, events)
+    assert str(err.value) == ("fundamental event at 9999-12-31T23:59:59 "
+                              "takes effect outside years 1-9999")
 
 
 def test_event_series_validates_kind():

@@ -112,6 +112,17 @@ class TestIngest:
             ingest_csv(path, "1day")
         assert str(err.value) == f"{path}:3: expected 7 fields, got 3"
 
+    def test_timestamp_out_of_range_in_utc_reports_line(self, tmp_path):
+        # valid ISO text whose offset moves it before year 1 in UTC
+        text = HEADER + row(0, "AAPL", 100) + \
+            "0001-01-01T00:00:00+01:00,AAPL,1,1,1,1,1\n"
+        path = write(tmp_path, text)
+        with pytest.raises(IngestError) as err:
+            ingest_csv(path, "1day")
+        assert str(err.value) == (f"{path}:3: timestamp "
+                                  f"'0001-01-01T00:00:00+01:00' is out of "
+                                  f"range in UTC")
+
     def test_ohlc_ordering_enforced(self, tmp_path):
         bad = f"{day(0)},AAPL,100,99,98,100,10\n"  # high < open
         with pytest.raises(IngestError, match="OHLC ordering"):

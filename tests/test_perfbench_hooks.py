@@ -4,11 +4,17 @@
 that no longer resolves turns its per-layer metrics absent. A change that
 removes a hooked name must list it here, which states that its metric
 goes absent. The module is read and executed, never imported from disk,
-so nothing is written under ``perfbench/``.
+so nothing is written under ``perfbench/``. The curate commands must also
+still call each hooked function where, and as often as, the traced
+metrics count it.
 """
 import os
 import sys
 import types
+from collections import Counter
+
+import quantgym.sentiment
+from quantgym import cli
 
 # hook targets that no longer resolve, each one's metric reported absent
 EXPECTED_ABSENT: set[str] = set()
@@ -38,3 +44,49 @@ def test_every_hook_target_resolves_except_the_listed_ones(monkeypatch):
             absent.add(target)
     assert absent == EXPECTED_ABSENT
     assert EXPECTED_ABSENT <= targets  # a listed name is still hooked
+
+
+def run_curate(out, headlines, events):
+    settings = ["--set", f"run.output_dir={out}",
+                "--set", f"sentiment.input={headlines}",
+                "--set", f"data.events_file={events}",
+                "--set", "features.turbulence_window=20"]
+    assert cli.main(["sentiment", "score"] + settings) == 0
+    assert cli.main(["features"] + settings) == 0
+    return {os.path.relpath(os.path.join(d, name), out):
+            open(os.path.join(d, name), "rb").read()
+            for d, _, names in os.walk(out) for name in names
+            if name != "manifest.json"}
+
+
+def test_curate_commands_call_each_hooked_function_as_counted(
+        tmp_path, monkeypatch, capsys):
+    """sentiment.docs counts score_document calls and docs_per_s times
+    preprocess with it: one call each per document. Ingest, event load
+    and alignment run once per features run. Wrapping them with counting
+    pass-throughs, as the tracer does, changes no artifact."""
+    headlines = tmp_path / "headlines.txt"
+    headlines.write_text("Shares rally on record profit\n\n"
+                         "Profit warning hits the stock. Losses widen\n")
+    events = tmp_path / "events.csv"
+    events.write_text("enter_time,ticker,value\n"
+                      "2022-01-05T12:00:00+00:00,SYN0,0.5\n"
+                      "2022-02-01T09:30:00+00:00,SYN2,-0.25\n")
+    plain = run_curate(tmp_path / "plain", headlines, events)
+    calls = Counter()
+    for owner, name in ((quantgym.sentiment, "preprocess"),
+                        (quantgym.sentiment, "score_document"),
+                        (cli, "ingest_csv"), (cli, "load_events_csv"),
+                        (cli, "align_events")):
+        def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    wrapped = run_curate(tmp_path / "wrapped", headlines, events)
+    assert calls == {"preprocess": 3, "score_document": 3, "ingest_csv": 1,
+                     "load_events_csv": 1, "align_events": 1}
+    assert sorted(wrapped) == sorted(plain) == [
+        os.path.join("features", "features.npz"),
+        os.path.join("features", "turbulence.csv"),
+        os.path.join("sentiment", "scores.csv")]
+    assert wrapped == plain

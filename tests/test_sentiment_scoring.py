@@ -12,6 +12,7 @@ from quantgym.sentiment import (
     default_shifters,
     mini_financial_dictionary,
     preprocess,
+    normalize_compound,
     score_document,
 )
 
@@ -83,6 +84,17 @@ def test_sentences_aggregate_with_equal_weight():
     score = score_document(doc, dictionary, NOT_SHIFTERS)
     assert score.per_sentence == (1.0, -2.0)
     assert score.compound == pytest.approx(compound_of(-1.0), abs=1e-12)
+
+
+def test_sentence_sums_add_left_to_right():
+    # Python 3.12's compensated sum gives 1.2 for these three sentences;
+    # added left to right from 0.0 they give 1.1999999999999997 everywhere
+    dictionary = SentimentDictionary({"rise": 2.9, "fall": -0.85})
+    doc = preprocess("prices rise. prices fall. prices fall.")
+    score = score_document(doc, dictionary, NOT_SHIFTERS)
+    assert score.per_sentence == (2.9, -0.85, -0.85)
+    assert score.compound.hex() == normalize_compound(1.1999999999999997).hex()
+    assert score.compound != normalize_compound(1.2)
 
 
 def test_deterministic():

@@ -7,6 +7,7 @@ from quantgym.cli import parse_indicators, split_risk_ticker
 from quantgym.envs import EnvConfig, PortfolioEnv, write_episode_trace
 from quantgym.errors import DataError, FeatureError
 from quantgym.features import (
+    EventSeries,
     IndicatorSpec,
     compute_indicator,
     load_events_csv,
@@ -59,6 +60,37 @@ class TestEventsLoader:
         path.write_text("enter_time,ticker,value\nnot-a-time,AAPL,1\n")
         with pytest.raises(FeatureError, match=":2:"):
             load_events_csv(str(path), "sentiment")
+
+    def test_rows_are_what_the_series_would_normalize(self, tmp_path):
+        """The loader's series skips the normalization of EventSeries, so
+        its rows must equal, in value and type, what that makes of them."""
+        rows = [("2022-01-05T12:00:00+02:00", "AAPL", "0.25"),
+                ("2022-01-05T12:00:00+02:00", "MSFT", "-0.0"),
+                ("2022-02-01T00:00:00-05:00", "AAPL", "3")]
+        path = tmp_path / "events.csv"
+        path.write_text("enter_time,ticker,value\n"
+                        + "".join(",".join(row) + "\n" for row in rows))
+        for kind in ("sentiment", "fundamental"):
+            loaded = load_events_csv(str(path), kind)
+            built = EventSeries(tuple((text, tk, float(v))
+                                      for text, tk, v in rows), kind)
+            assert loaded == built
+            for got, want in zip(loaded.events, built.events):
+                assert list(map(type, got)) == list(map(type, want))
+                assert got[0].dtype == want[0].dtype
+                assert np.float64(got[2]).tobytes() == \
+                    np.float64(want[2]).tobytes()
+
+    def test_unknown_kind_fails_as_the_series_does(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_text("enter_time,ticker,value\n"
+                        "2022-01-05T00:00:00+00:00,AAPL,0.25\n")
+        with pytest.raises(FeatureError) as loaded:
+            load_events_csv(str(path), "news")
+        with pytest.raises(FeatureError) as built:
+            EventSeries((), "news")
+        assert str(loaded.value) == str(built.value) == \
+            "unknown event kind 'news'"
 
 
 class TestRiskTickerSplit:
