@@ -1,15 +1,17 @@
 """Synchronous advantage actor-critic trained with numpy backprop.
 
 ``train_a2c`` trains one policy on any reset/step environment.
-``train_a2c_all`` trains many (env, config) jobs, advancing the jobs
-that share a network shape as one lockstep population over an
-``EnvPopulation``; every job's policy equals ``train_a2c`` on its own
-env and config, bit for bit. The two share everything but the rollout
-loop: the ``_Learners`` rows sample, update and check for divergence.
+``train_a2c_all`` trains many (env, config) jobs as lockstep populations
+over an ``EnvPopulation``: one env step per rollout step for all rows,
+whatever their network shapes, and one stacked forward, loss and Adam
+step per shape. Every job's policy equals ``train_a2c`` on its own env
+and config, bit for bit. The two share everything but the rollout loop:
+the ``_Learners`` rows sample, update and check for divergence.
 """
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from typing import Sequence
 
@@ -22,17 +24,16 @@ from .policy import GaussianPolicy, TrainConfig
 LOG_2PI = math.log(2.0 * math.pi)
 
 # Rows per lockstep population. A population's per-step Python cost is
-# shared by all its rows while its arrays grow with them. 30 rows run
-# each 24-job shape group of rolling-a2c-portfolio as one population
-# rather than two of 12, so an op takes 2048 population steps and 128
-# updates instead of 3072 and 192; with the parameters split once and
-# Adam in place, `work_per_s` rose from 26.1 to 38.9 (median of ten
-# 30 s pairs, shared 2-core host) at 0.7% more peak RSS. A larger cap
-# gains nothing there: only jobs of one phase and one network shape
-# share a population, and its two phases and two `hidden` values make
-# 4 chunks whatever the cap. The cap also keeps memory from growing
-# with the number of trade days.
-LOCKSTEP_ROWS = 30
+# shared by all its rows, of every network shape, while its arrays grow
+# with them. 64 rows run each 48-job candidate phase of
+# rolling-a2c-portfolio (two learning rates by two `hidden` values over
+# 12 trade days) as one population, where 30 rows and one population per
+# shape took two, so an op steps the market 1024 times instead of 2048:
+# `work_per_s` rose from 37.6 to 43.5 (median of ten 12 s pairs, shared
+# 2-core host) at 2.6% more peak RSS (44.5 -> 45.7 MB), as both shapes'
+# parameters and Adam moments now live at once. The cap also keeps
+# memory from growing with the number of trade days.
+LOCKSTEP_ROWS = 64
 
 
 def _stacked_loss_and_grad(policy: GaussianPolicy, params: np.ndarray,
@@ -153,27 +154,56 @@ def _clip_rows(grad: np.ndarray, limit: float) -> None:
                       where=norms > limit)[:, None]
 
 
+class _Shape:
+    """The rows of a ``_Learners`` population that share one ``hidden``:
+    a policy supplying the shapes, the rows' stacked parameters, views
+    of each field split once, and Adam state. Adam updates ``params`` in
+    place, so the views stay current."""
+
+    def __init__(self, rows: slice, policies: Sequence[GaussianPolicy],
+                 configs: Sequence[TrainConfig]):
+        self.rows = rows
+        self.template = policies[0]
+        self.params = np.stack([p.get_flat() for p in policies])
+        self.fields = self.template._unflatten(self.params)
+        self.adam = Adam(self.params.shape,
+                         np.array([[c.learning_rate] for c in configs]))
+
+
 class _Learners:
-    """P A2C learners that share every TrainConfig field but the seed and
-    the learning rate. Row p holds the policy, Adam state and sampling
-    stream ``train_a2c`` keeps for configs[p]. ``fields`` splits
-    ``params`` into views once; Adam updates ``params`` in place, so the
-    views stay current."""
+    """P A2C learners that share every TrainConfig field but the seed,
+    the learning rate and ``hidden``. Row p holds the policy, Adam state
+    and sampling stream ``train_a2c`` keeps for configs[p]. Each run of
+    rows with one ``hidden`` is a ``_Shape`` whose network math runs
+    stacked; the action noise, the finiteness check and the rollout
+    buffers cover every row at once."""
 
     def __init__(self, obs_dim: int, action_dim: int,
                  configs: Sequence[TrainConfig]):
         self.configs = configs
         self.config = configs[0]
-        policies = [GaussianPolicy(obs_dim, action_dim, c.hidden, c.seed)
-                    for c in configs]
-        self.template = policies[0]
+        self.obs_dim, self.action_dim = obs_dim, action_dim
+        self.shapes = []
+        start = 0
+        for hidden, run in itertools.groupby(configs, lambda c: c.hidden):
+            run = list(run)
+            self.shapes.append(_Shape(
+                slice(start, start + len(run)),
+                [GaussianPolicy(obs_dim, action_dim, hidden, c.seed)
+                 for c in run], run))
+            start += len(run)
         self.rngs = [np.random.default_rng(c.seed) for c in configs]
-        self.params = np.stack([p.get_flat() for p in policies])
-        self.fields = self.template._unflatten(self.params)
         self.obs_scale = np.ones((len(configs), obs_dim))
-        self.adam = Adam(self.params.shape,
-                         np.array([[c.learning_rate] for c in configs]))
         self.failed: list[TrainingError | None] = [None] * len(configs)
+
+    # a population of one shape reads as that shape's block
+    template = property(lambda self: self._only_shape().template)
+    params = property(lambda self: self._only_shape().params)
+    fields = property(lambda self: self._only_shape().fields)
+
+    def _only_shape(self) -> _Shape:
+        (shape,) = self.shapes
+        return shape
 
     def begin_rollout(self) -> None:
         """Clear the rollout buffers and draw each row's action noise,
@@ -181,14 +211,26 @@ class _Learners:
         gives the values of R draws of (action_dim,), in order, and std
         only changes in ``update``."""
         P, R = len(self.configs), self.config.rollout_steps
-        t = self.template
-        self.batch_obs = np.empty((P, R, t.obs_dim))
-        self.batch_act = np.empty((P, R, t.action_dim))
+        self.batch_obs = np.empty((P, R, self.obs_dim))
+        self.batch_act = np.empty((P, R, self.action_dim))
         self.batch_rew, self.batch_val = np.empty((P, R)), np.empty((P, R))
         self.batch_done = np.empty((P, R), dtype=bool)
-        std = np.exp(self.fields["log_std"])
-        self.noise = std * np.stack([rng.standard_normal((R, t.action_dim))
+        std = np.empty((P, self.action_dim))
+        for s in self.shapes:
+            np.exp(s.fields["log_std"], out=std[s.rows])
+        self.noise = std * np.stack([rng.standard_normal((R, self.action_dim))
                                      for rng in self.rngs], axis=1)
+
+    def _forward(self, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Action means and values of every row on its (obs_dim,)
+        observation, one stacked forward per shape."""
+        P = len(self.configs)
+        mean, value = np.empty((P, self.action_dim)), np.empty(P)
+        for s in self.shapes:
+            m, v, _ = s.template.forward_population(
+                obs[s.rows, None, :], s.fields, self.obs_scale[s.rows])
+            mean[s.rows], value[s.rows] = m[:, 0, :], v[:, 0]
+        return mean, value
 
     def sample(self, obs: np.ndarray, i: int, step: int):
         """Actions and values of every row on its (obs_dim,) observation,
@@ -198,15 +240,14 @@ class _Learners:
         mix, so a failed row can go on stepping without touching the
         others.
         """
-        mean, value, _ = self.template.forward_population(
-            obs[:, None, :], self.fields, self.obs_scale)
-        actions = mean[:, 0, :] + self.noise[i]
+        actions, values = self._forward(obs)
+        actions += self.noise[i]
         finite = np.isfinite(actions)
         if not finite.all():
             for p in np.flatnonzero(~finite.all(axis=1)):
                 self._fail(p, f"non-finite action at step {step}; try a "
                               f"smaller learning rate")
-        return actions, value[:, 0]
+        return actions, values
 
     def record(self, i: int, obs, actions, rewards, values, dones) -> None:
         """Store rollout step i of every row."""
@@ -222,15 +263,15 @@ class _Learners:
         """One A2C update of every row from its recorded rollout.
 
         n-step returns bootstrap from the value of next_obs unless the
-        rollout ended an episode; advantages are normalized per row.
+        rollout ended an episode; advantages are normalized per row. The
+        loss, gradient clip and Adam step run per shape.
         """
         c = self.config
         obs, actions, rewards, dones, values = (
             self.batch_obs, self.batch_act, self.batch_rew, self.batch_done,
             self.batch_val)
-        _, v_last, _ = self.template.forward_population(
-            next_obs[:, None, :], self.fields, self.obs_scale)
-        acc = np.where(dones[:, -1], 0.0, v_last[:, 0])
+        _, v_last = self._forward(next_obs)
+        acc = np.where(dones[:, -1], 0.0, v_last)
         returns = np.empty(rewards.shape)
         for i in range(rewards.shape[1] - 1, -1, -1):
             acc = rewards[:, i] + c.gamma * np.where(dones[:, i], 0.0, acc)
@@ -243,30 +284,34 @@ class _Learners:
             (advantages - advantages.mean(axis=1)[:, None])
             / np.where(scaled, adv_std, 1.0)[:, None],
             advantages)
-        loss, grad = _stacked_loss_and_grad(
-            self.template, self.params, self.obs_scale, obs, actions, returns,
-            advantages, c.entropy_coef, c.vf_coef)
-        for p in np.flatnonzero(~(np.isfinite(loss)
-                                  & np.isfinite(grad).all(axis=1))):
-            self._fail(p, f"non-finite loss/gradient at step {steps_done} "
-                          f"(loss={float(loss[p])!r}); try a smaller "
-                          f"learning rate")
-        if c.grad_clip > 0:
-            _clip_rows(grad, c.grad_clip)
-        self.adam.step(self.params, grad)
+        for s in self.shapes:
+            r = s.rows
+            loss, grad = _stacked_loss_and_grad(
+                s.template, s.params, self.obs_scale[r], obs[r], actions[r],
+                returns[r], advantages[r], c.entropy_coef, c.vf_coef)
+            for p in np.flatnonzero(~(np.isfinite(loss)
+                                      & np.isfinite(grad).all(axis=1))):
+                self._fail(r.start + p,
+                           f"non-finite loss/gradient at step {steps_done} "
+                           f"(loss={float(loss[p])!r}); try a smaller "
+                           f"learning rate")
+            if c.grad_clip > 0:
+                _clip_rows(grad, c.grad_clip)
+            s.adam.step(s.params, grad)
 
     def outcomes(self) -> list[GaussianPolicy | TrainingError]:
         out = []
-        for p, failure in enumerate(self.failed):
-            if failure is not None:
-                out.append(failure)
-                continue
-            t = self.template
-            policy = GaussianPolicy(t.obs_dim, t.action_dim, t.hidden,
-                                    self.configs[p].seed,
-                                    obs_scale=self.obs_scale[p].copy())
-            policy.set_flat(self.params[p])
-            out.append(policy)
+        for s in self.shapes:
+            t = s.template
+            for p, row in enumerate(s.params, s.rows.start):
+                if self.failed[p] is not None:
+                    out.append(self.failed[p])
+                    continue
+                policy = GaussianPolicy(t.obs_dim, t.action_dim, t.hidden,
+                                        self.configs[p].seed,
+                                        obs_scale=self.obs_scale[p].copy())
+                policy.set_flat(row)
+                out.append(policy)
         return out
 
 
@@ -307,9 +352,10 @@ def train_a2c(env, config: TrainConfig) -> GaussianPolicy:
 def _train_lockstep(envs, configs) -> list[GaussianPolicy | TrainingError]:
     """``train_a2c`` on each (envs[p], configs[p]), all rows in lockstep.
 
-    The configs agree in every field but the seed and the learning
-    rate, and the envs form an ``EnvPopulation``. A row that diverges
-    fails alone; the others carry on unchanged.
+    The configs agree in every field but the seed, the learning rate and
+    ``hidden``, and the envs form one ``EnvPopulation``, stepped once per
+    rollout step for every row whatever its network shape. A row that
+    diverges fails alone; the others carry on unchanged.
     """
     population = EnvPopulation(envs)
     env = population.env
@@ -334,18 +380,21 @@ def _train_lockstep(envs, configs) -> list[GaussianPolicy | TrainingError]:
 def train_a2c_all(jobs: Sequence[tuple]) -> list[GaussianPolicy | TrainingError]:
     """Train (env, TrainConfig) jobs: one policy or TrainingError per job.
 
-    Jobs whose configs agree in every field but the seed and the
-    learning rate train in lockstep populations of at most
+    Jobs whose configs agree in every field but the seed, the learning
+    rate and ``hidden`` train in lockstep populations of at most
     ``LOCKSTEP_ROWS`` rows, so their envs must form an
-    ``EnvPopulation``. Each outcome equals ``train_a2c`` on that job
-    alone, bit for bit.
+    ``EnvPopulation``; the rows of each ``hidden`` value run their
+    network math as one stacked block. Each outcome equals ``train_a2c``
+    on that job alone, bit for bit.
     """
     groups: dict[TrainConfig, list[int]] = {}
     for k, (_env, config) in enumerate(jobs):
-        shape = dataclasses.replace(config, seed=0, learning_rate=0.0)
-        groups.setdefault(shape, []).append(k)
+        key = dataclasses.replace(config, seed=0, learning_rate=0.0, hidden=0)
+        groups.setdefault(key, []).append(k)
     outcomes: list = [None] * len(jobs)
     for members in groups.values():
+        # rows of one shape side by side: one block per shape and chunk
+        members.sort(key=lambda k: jobs[k][1].hidden)
         for rows in np.array_split(members, -(-len(members) // LOCKSTEP_ROWS)):
             fitted = _train_lockstep([jobs[k][0] for k in rows],
                                      [jobs[k][1] for k in rows])

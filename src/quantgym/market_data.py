@@ -63,7 +63,10 @@ def format_timestamp(ts) -> str:
 
 
 def to_datetime64(value) -> np.datetime64:
-    """Coerce datetime / ISO string / datetime64 to UTC datetime64[s]."""
+    """Coerce datetime / ISO string / datetime64 to UTC datetime64[s].
+
+    Text with a UTC offset is converted to UTC; other text is read as
+    UTC by ``np.datetime64``."""
     if isinstance(value, np.datetime64):
         return value.astype("datetime64[s]")
     if isinstance(value, datetime):
@@ -72,9 +75,12 @@ def to_datetime64(value) -> np.datetime64:
         return np.datetime64(value).astype("datetime64[s]")
     if isinstance(value, str):
         try:
-            return parse_timestamp(value)
+            aware = datetime.fromisoformat(value).tzinfo is not None
         except ValueError:
-            return np.datetime64(value).astype("datetime64[s]")
+            aware = False
+        if aware:  # an instant; out of range in UTC raises ValueError
+            return parse_timestamp(value)
+        return np.datetime64(value).astype("datetime64[s]")
     raise TypeError(f"cannot interpret {value!r} as a timestamp")
 
 

@@ -23,7 +23,7 @@ from quantgym.agents import (
     train_cem_all,
 )
 from quantgym.agents import a2c, cem
-from quantgym.envs import EnvConfig, PortfolioEnv, TradingEnv
+from quantgym.envs import EnvConfig, EnvPopulation, PortfolioEnv, TradingEnv
 from quantgym.errors import TrainingError
 from quantgym.pipeline import backtest
 
@@ -253,6 +253,69 @@ class TestA2CLockstep:
                     assert str(other) == str(outcome)
                 else:
                     assert_bitwise_equal(other.get_flat(), outcome.get_flat())
+
+    def test_one_env_step_per_rollout_step_for_two_shapes(self, monkeypatch):
+        jobs = self.jobs(PortfolioEnv)
+        assert {c.hidden for _, c in jobs} == {4, 6}
+        expected = train_a2c_all(jobs)
+        steps = []
+        step = EnvPopulation.step
+
+        def counted(population, actions):
+            steps.append(len(actions))
+            return step(population, actions)
+
+        monkeypatch.setattr(EnvPopulation, "step", counted)
+        outcomes = train_a2c_all(jobs)
+        # one population of all seven rows, stepped once per rollout step
+        assert steps == [len(jobs)] * jobs[0][1].steps
+        for got, want in zip(outcomes, expected):
+            if isinstance(want, TrainingError):
+                assert str(got) == str(want)
+            else:
+                assert_bitwise_equal(got.get_flat(), want.get_flat())
+
+    def test_diverging_shape_leaves_the_other_shape_training(self):
+        jobs = self.jobs(TradingEnv)
+        # shape 4 holds one row, which diverges; shape 6 holds four
+        # rows that train
+        jobs = [jobs[k] for k in (0, 1, 3, 4)] + [
+            (jobs[5][0], dataclasses.replace(jobs[5][1], learning_rate=1e9))]
+        outcomes = train_a2c_all(jobs)
+        failure = outcomes[-1]
+        assert isinstance(failure, TrainingError)
+        with pytest.raises(TrainingError) as alone:
+            train_a2c(*jobs[-1])
+        assert str(alone.value) == str(failure)
+        step = int(str(failure).split("at step ")[1].split()[0].rstrip(";"))
+        assert step < jobs[0][1].steps
+        for outcome, (env, config) in zip(outcomes[:-1], jobs):
+            assert_bitwise_equal(outcome.get_flat(),
+                                 train_a2c(env, config).get_flat())
+            # the row went on training after the other shape failed
+            stopped = train_a2c(env, dataclasses.replace(config, steps=step))
+            assert not (outcome.get_flat() == stopped.get_flat()).all()
+
+    def test_cap_splits_mixed_shape_chunks_unchanged(self, monkeypatch):
+        jobs = self.jobs(PortfolioEnv)
+        expected = train_a2c_all(jobs)
+        chunks = []
+        lockstep = a2c._train_lockstep
+
+        def recorded(envs, configs):
+            chunks.append(sorted(c.hidden for c in configs))
+            return lockstep(envs, configs)
+
+        monkeypatch.setattr(a2c, "_train_lockstep", recorded)
+        monkeypatch.setattr(a2c, "LOCKSTEP_ROWS", 3)
+        outcomes = train_a2c_all(jobs)
+        assert max(len(c) for c in chunks) == 3
+        assert any(len(set(c)) == 2 for c in chunks)
+        for got, want in zip(outcomes, expected):
+            if isinstance(want, TrainingError):
+                assert str(got) == str(want)
+            else:
+                assert_bitwise_equal(got.get_flat(), want.get_flat())
 
 
 def adam_step_oracle(adam, params, grad):
@@ -558,6 +621,26 @@ class TestCEMLockstep:
             assert [str(o).split()[0] for o in outcomes[:2]] == [message] * 2
             assert not any(isinstance(o, TrainingError) for o in outcomes[2:])
 
+    @pytest.mark.parametrize("env_cls", [TradingEnv, PortfolioEnv])
+    def test_grid_over_hidden_equals_train_cem_per_job(self, env_cls):
+        env = self.jobs(env_cls)[0][0]
+        grid = [TrainConfig(population=6, iterations=3, elite_frac=0.4,
+                            hidden=hidden, seed=seed)
+                for seed in (1, 2) for hidden in (5, 3, 8)]
+        jobs = [(env, c) for c in grid]
+        # a network that cannot be built fails its own job alone
+        jobs.insert(2, (env, dataclasses.replace(grid[0], hidden=0)))
+        outcomes = train_cem_all(jobs)
+        assert str(outcomes[2]).startswith("policy sizes must be positive")
+        for outcome, (env, config) in zip(outcomes, jobs):
+            if config.hidden == 0:
+                continue
+            expected = train_cem(env, config)
+            assert_bitwise_equal(outcome.get_flat(), expected.get_flat())
+            assert_bitwise_equal(outcome.obs_scale, expected.obs_scale)
+            assert outcome.metadata() == expected.metadata()
+            oracle = _train_cem_per_member(env, config)
+            assert_bitwise_equal(outcome.get_flat(), oracle.get_flat())
 
 @pytest.mark.parametrize("obs_dim,action_dim,hidden", [(1, 1, 1), (7, 3, 5),
                                                        (41, 10, 64)])

@@ -12,6 +12,7 @@ from quantgym.market_data import (
     merge,
     split,
     tables_equal,
+    to_datetime64,
     write_csv,
 )
 
@@ -333,3 +334,19 @@ class TestBarTable:
         table = make_table(np.full((2, 1), 10.0))
         with pytest.raises(ValueError):
             table.close[0, 0] = 1.0
+
+
+class TestToDatetime64:
+    def test_offset_text_out_of_range_in_utc_raises(self):
+        # one hour before year 1 in UTC: an error, not numpy's reading of
+        # the text with the offset dropped
+        with pytest.raises(ValueError, match="out of range in UTC"):
+            to_datetime64("0001-01-01T00:00:00+01:00")
+
+    def test_text_without_offset_falls_back_to_numpy(self):
+        assert to_datetime64("0001-01-01T00:00:00") == np.datetime64(
+            "0001-01-01T00:00:00", "s")
+        assert to_datetime64("2022-01-03") == np.datetime64(
+            "2022-01-03T00:00:00", "s")
+        assert to_datetime64("2022-01-03T05:00:00+02:00") == np.datetime64(
+            "2022-01-03T03:00:00", "s")

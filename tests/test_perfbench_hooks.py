@@ -6,9 +6,11 @@ removes a hooked name must list it here, which states that its metric
 goes absent. The module is read and executed, never imported from disk,
 so nothing is written under ``perfbench/``. The curate commands must also
 still call each hooked function where, and as often as, the traced
-metrics count it.
+metrics count it, and a traced harness run must end in a result line.
 """
+import json
 import os
+import subprocess
 import sys
 import types
 from collections import Counter
@@ -20,9 +22,11 @@ from quantgym import cli
 EXPECTED_ABSENT: set[str] = set()
 
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
 def load_tracing(monkeypatch):
-    path = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "perfbench", "tracing.py")
+    path = os.path.join(ROOT, "perfbench", "tracing.py")
     with open(path, encoding="utf-8") as fh:
         source = fh.read()
     module = types.ModuleType("perfbench_tracing")
@@ -90,3 +94,25 @@ def test_curate_commands_call_each_hooked_function_as_counted(
         os.path.join("features", "turbulence.csv"),
         os.path.join("sentiment", "scores.csv")]
     assert wrapped == plain
+
+
+def reject_constant(name):
+    raise ValueError(f"non-finite number {name} in the result line")
+
+
+def test_traced_run_ends_in_a_strict_json_result():
+    # a traced op must print nothing to stdout and report only finite
+    # metrics, or the last line stops being the result; the run writes
+    # under the ignored .perfbench_work/ and no bytecode under perfbench/
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "perfbench", "run.py"),
+         "--workload", "rolling-a2c-portfolio", "--seed", "1",
+         "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1],
+                        parse_constant=reject_constant)
+    assert result["correct"] is True
+    assert result["attempted"] >= 1 and result["failed"] == 0
+    assert result["metrics"]
