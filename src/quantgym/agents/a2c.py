@@ -19,7 +19,7 @@ import numpy as np
 
 from ..envs import EnvPopulation, _row_dots
 from ..errors import TrainingError
-from .policy import GaussianPolicy, TrainConfig
+from .policy import GaussianPolicy, TrainConfig, check_policy_sizes
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -388,10 +388,16 @@ def train_a2c_all(jobs: Sequence[tuple]) -> list[GaussianPolicy | TrainingError]
     on that job alone, bit for bit.
     """
     groups: dict[TrainConfig, list[int]] = {}
-    for k, (_env, config) in enumerate(jobs):
+    outcomes: list = [None] * len(jobs)
+    for k, (env, config) in enumerate(jobs):
+        try:  # a job whose network cannot be built fails alone
+            check_policy_sizes(env.observation_dim, env.action_dim,
+                               config.hidden)
+        except TrainingError as exc:
+            outcomes[k] = exc
+            continue
         key = dataclasses.replace(config, seed=0, learning_rate=0.0, hidden=0)
         groups.setdefault(key, []).append(k)
-    outcomes: list = [None] * len(jobs)
     for members in groups.values():
         # rows of one shape side by side: one block per shape and chunk
         members.sort(key=lambda k: jobs[k][1].hidden)

@@ -54,6 +54,14 @@ class Policy:
         return {"name": self.name, "hyperparameters": self.hyperparameters}
 
 
+def check_policy_sizes(obs_dim: int, action_dim: int, hidden: int) -> None:
+    """TrainingError unless a ``GaussianPolicy`` of these sizes can be built."""
+    if min(obs_dim, action_dim, hidden) < 1:
+        raise TrainingError(f"policy sizes must be positive, got obs_dim="
+                            f"{obs_dim}, action_dim={action_dim}, "
+                            f"hidden={hidden}")
+
+
 class GaussianPolicy(Policy):
     """Two-layer tanh perceptron with a state-independent log-std per
     action dimension and a value head sharing the trunk."""
@@ -64,10 +72,7 @@ class GaussianPolicy(Policy):
                  seed: int = 0, obs_scale: np.ndarray | None = None):
         super().__init__({"obs_dim": obs_dim, "action_dim": action_dim,
                           "hidden": hidden, "seed": seed})
-        if min(obs_dim, action_dim, hidden) < 1:
-            raise TrainingError(f"policy sizes must be positive, got obs_dim="
-                                f"{obs_dim}, action_dim={action_dim}, "
-                                f"hidden={hidden}")
+        check_policy_sizes(obs_dim, action_dim, hidden)
         rng = np.random.default_rng(seed)
         self.obs_dim = obs_dim
         self.action_dim = action_dim
@@ -194,8 +199,21 @@ def save_policy(policy: GaussianPolicy, path: str) -> None:
         fh.write("\n")
 
 
+def _finite_numbers(values, name: str) -> np.ndarray:
+    """A JSON list of finite numbers as float64; ValueError otherwise."""
+    if not (isinstance(values, list) and all(
+            type(x) in (int, float) for x in values)):
+        raise ValueError(f"{name} must be a list of numbers")
+    out = np.array(values, dtype=float)
+    if not np.isfinite(out).all():
+        raise ValueError(f"{name} must be finite")
+    return out
+
+
 def load_policy(path: str) -> GaussianPolicy:
-    """Read a ``save_policy`` file; DataError when it cannot be one."""
+    """Read a ``save_policy`` file; DataError when it cannot be one: its
+    obs_scale must be finite and positive and its parameters finite,
+    written as JSON numbers."""
     try:
         with reading(path) as fh:
             blob = json.load(fh)
@@ -204,11 +222,13 @@ def load_policy(path: str) -> GaussianPolicy:
         if blob.get("name") != "gaussian":
             raise ValueError(f"unknown policy kind {blob.get('name')!r}")
         hp = blob["hyperparameters"]
+        obs_scale = _finite_numbers(blob["obs_scale"], "obs_scale")
+        if not (obs_scale > 0.0).all():
+            raise ValueError("obs_scale must be positive")
         policy = GaussianPolicy(hp["obs_dim"], hp["action_dim"], hp["hidden"],
-                                hp.get("seed", 0),
-                                obs_scale=np.asarray(blob["obs_scale"], float))
-        policy.set_flat(np.asarray(blob["parameters"], float))
+                                hp.get("seed", 0), obs_scale=obs_scale)
+        policy.set_flat(_finite_numbers(blob["parameters"], "parameters"))
     except (ValueError, LookupError, TypeError, AttributeError,
-            TrainingError) as exc:
+            OverflowError, TrainingError) as exc:
         raise DataError(f"{path}: not a policy file ({exc!r})") from None
     return policy

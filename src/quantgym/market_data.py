@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import logging
 import os
+import warnings
 from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -226,22 +227,65 @@ class SplitSpec:
         return ranges
 
 
+def _codes(values: list) -> tuple[list, np.ndarray]:
+    """The distinct values in first-seen order, and the index of each
+    value among them."""
+    index = dict.fromkeys(values)
+    for k, value in enumerate(index):
+        index[value] = k
+    return list(index), np.fromiter(map(index.__getitem__, values), np.intp,
+                                    len(values))
+
+
+def _table(frequency: str, names: list, codes, epochs, bars) -> BarTable:
+    """The sparse table of m distinct cells: cell i is ticker
+    ``names[codes[i]]`` at UTC epoch second ``epochs[i]`` and holds
+    column i of the (5, m) o, h, l, c, v ``bars``. ``names`` are distinct
+    and each one has a cell."""
+    order = sorted(range(len(names)), key=names.__getitem__)
+    column = np.empty(len(names), dtype=np.intp)
+    column[order] = np.arange(len(names))
+    j_idx = column[codes]
+    calendar, t_idx = np.unique(epochs, return_inverse=True)
+    T, n = len(calendar), len(names)
+    grids = np.full((5, T, n), np.nan)
+    grids[:, t_idx, j_idx] = bars
+    present = np.zeros((T, n), dtype=bool)
+    present[t_idx, j_idx] = True
+    return BarTable(frequency, tuple(names[k] for k in order),
+                    calendar.astype("datetime64[s]"), *grids, present,
+                    np.zeros((T, n), dtype=bool))
+
+
+def _key_columns(keys, bars):
+    """(names, codes, epochs, (5, m) bars) of distinct (ticker, epoch)
+    ``keys`` and their (o, h, l, c, v) in key order, as rows or flat."""
+    return (*_codes([tk for tk, _ in keys]),
+            np.fromiter((ts for _, ts in keys), np.int64, len(keys)),
+            np.asarray(bars, dtype=float).reshape(-1, 5).T)
+
+
 def _build_table(frequency: str, keys, bars) -> BarTable:
     """keys: distinct (ticker, epoch seconds) cells; bars: their
     (o, h, l, c, v) in key order, as rows or flat."""
-    tickers = tuple(sorted({tk for tk, _ in keys}))
-    column = {tk: j for j, tk in enumerate(tickers)}
-    epochs, t_idx = np.unique(
-        np.fromiter((ts for _, ts in keys), np.int64, len(keys)),
-        return_inverse=True)
-    j_idx = np.fromiter((column[tk] for tk, _ in keys), np.intp, len(keys))
-    T, n = len(epochs), len(tickers)
-    grids = np.full((5, T, n), np.nan)
-    grids[:, t_idx, j_idx] = np.asarray(bars, dtype=float).reshape(-1, 5).T
-    present = np.zeros((T, n), dtype=bool)
-    present[t_idx, j_idx] = True
-    return BarTable(frequency, tickers, epochs.astype("datetime64[s]"),
-                    *grids, present, np.zeros((T, n), dtype=bool))
+    return _table(frequency, *_key_columns(keys, bars))
+
+
+def _bars_ok(o, h, l, c, v):
+    """True exactly for a finite bar ``_bar_problem`` accepts, elementwise
+    on arrays: a NaN or an infinity fails one of the comparisons."""
+    return ((0.0 < l) & (l <= o) & (o <= h) & (l <= c) & (c <= h) & (h < inf)
+            & (0.0 <= v) & (v < inf))
+
+
+def _number(text: str) -> float:
+    """``text`` as numpy's C reader parses a float: surrounding whitespace
+    is skipped, and the rest must be ASCII with no ``_`` between digits,
+    two spellings only Python's ``float`` reads."""
+    core = text.strip()
+    if "_" in core or not core.isascii():
+        raise ValueError(f"not a number: {text!r}")
+    return float(core)
 
 
 def _ingest_rows(reader, ticker: str | None, rows: dict, bars: array,
@@ -250,7 +294,9 @@ def _ingest_rows(reader, ticker: str | None, rows: dict, bars: array,
     to its line in ``rows`` and append its (o, h, l, c, v) to ``bars``.
 
     ``ticker`` is None for the combined format, whose second field names
-    the ticker. Each distinct timestamp text is parsed once.
+    the ticker. Each distinct timestamp text is parsed once. Ingest runs
+    this loop only on a file ``_read_columns`` refuses, to raise its first
+    error with the line it is on.
     """
     expected = len(CSV_HEADER) if ticker is None else len(PER_TICKER_HEADER)
     first_value = expected - 5  # the open's index
@@ -273,13 +319,11 @@ def _ingest_rows(reader, ticker: str | None, rows: dict, bars: array,
         if not tk:
             raise IngestError("empty ticker", source, line_no)
         try:
-            values = o, h, l, c, v = tuple(map(float, fields[first_value:]))
+            values = tuple(map(_number, fields[first_value:]))
         except ValueError:
             raise IngestError("non-numeric price/volume field", source,
                               line_no) from None
-        # true exactly for a finite bar _bar_problem accepts: a NaN or an
-        # infinity fails one of the comparisons
-        if not (0.0 < l <= o <= h and l <= c <= h < inf and 0.0 <= v < inf):
+        if not _bars_ok(*values):
             if not all(map(isfinite, values)):
                 raise IngestError("non-finite price/volume field", source,
                                   line_no)
@@ -294,6 +338,58 @@ def _ingest_rows(reader, ticker: str | None, rows: dict, bars: array,
         append(values)
 
 
+def _read_columns(fh, ticker: str | None):
+    """(names, codes, epochs, (5, m) bars), as ``_table`` takes them, of
+    the rows of ``fh`` after its header, read in one pass of numpy's C
+    parser and checked whole-array as ``_ingest_rows`` checks each row;
+    None when a row fails."""
+    keys = ("timestamp",) if ticker is not None else ("timestamp", "ticker")
+    try:
+        with warnings.catch_warnings():  # it warns on a header-only file
+            warnings.filterwarnings("ignore", "loadtxt: input contained no "
+                                    "data", UserWarning)
+            data = np.loadtxt(
+                fh, delimiter=",", comments=None, quotechar='"', ndmin=1,
+                dtype=[(k, object) for k in keys] + [(k, float) for k in
+                                                     CSV_HEADER[2:]])
+    except ValueError:  # a field count, a number or the text encoding
+        return None
+    texts, at = _codes(data["timestamp"].tolist())
+    names, codes = _codes(data["ticker"].tolist() if ticker is None
+                          else [ticker] * len(data))
+    try:  # each distinct text once
+        epochs = np.array([parse_epoch(t) for t in texts], np.int64)[at]
+    except ValueError:
+        return None
+    bars = np.array([data[k] for k in CSV_HEADER[2:]])
+    cells = np.lexsort((epochs, codes))  # a repeated key sorts by its twin
+    repeated = (np.diff(codes[cells]) == 0) & (np.diff(epochs[cells]) == 0)
+    if "" in names or not _bars_ok(*bars).all() or repeated.any():
+        return None
+    return names, codes, epochs, bars
+
+
+def _read_market_file(path: str, header: tuple, ticker: str | None):
+    """(names, codes, epochs, (5, m) bars) of one validated market csv;
+    the first bad row raises its IngestError (``path:line``)."""
+    with reading(path, newline="") as fh:
+        reader = csv.reader(fh)
+        found = next(reader, None)
+        if found is None or tuple(found) != header:
+            raise IngestError(
+                f"bad header {found!r}, expected {','.join(header)}", path, 1)
+        if fh.seekable():  # a pipe is read once, by the row loop
+            columns = _read_columns(fh, ticker)
+            if columns is not None:
+                return columns
+            fh.seek(0)
+            next(reader)
+        rows: dict = {}
+        bars = array("d")
+        _ingest_rows(reader, ticker, rows, bars, path)
+    return _key_columns(rows, bars)
+
+
 def ingest_csv(path: str, frequency: str) -> BarTable:
     """Load a combined OHLCV csv (header: timestamp,ticker,open,...,volume).
 
@@ -303,19 +399,10 @@ def ingest_csv(path: str, frequency: str) -> BarTable:
     """
     if frequency not in FREQUENCY_SECONDS:
         raise DataError(f"unknown frequency {frequency!r}")
-    rows: dict = {}
-    bars = array("d")
-    with reading(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != CSV_HEADER:
-            raise IngestError(
-                f"bad header {header!r}, expected {','.join(CSV_HEADER)}",
-                path, 1)
-        _ingest_rows(reader, None, rows, bars, path)
-    if not rows:
+    columns = _read_market_file(path, CSV_HEADER, None)
+    if not columns[0]:
         raise IngestError("file has no data rows", path)
-    return _build_table(frequency, rows, bars)
+    return _table(frequency, *columns)
 
 
 def ingest_dir(path: str, frequency: str) -> BarTable:
@@ -326,23 +413,16 @@ def ingest_dir(path: str, frequency: str) -> BarTable:
     """
     if not os.path.isdir(path):
         raise IngestError(f"no such directory: {path}")
-    rows: dict = {}
-    bars = array("d")
-    names = sorted(f for f in os.listdir(path) if f.endswith(".csv"))
-    if not names:
+    files = sorted(f for f in os.listdir(path) if f.endswith(".csv"))
+    if not files:
         raise IngestError(f"no csv files under {path}")
-    for name in names:
-        ticker = os.path.splitext(name)[0]
-        full = os.path.join(path, name)
-        with reading(full, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or tuple(header) != PER_TICKER_HEADER:
-                raise IngestError(
-                    f"bad header {header!r}, "
-                    f"expected {','.join(PER_TICKER_HEADER)}", full, 1)
-            _ingest_rows(reader, ticker, rows, bars, full)
-    return _build_table(frequency, rows, bars)
+    names, codes, epochs, bars = zip(*(
+        _read_market_file(os.path.join(path, f), PER_TICKER_HEADER,
+                          os.path.splitext(f)[0]) for f in files))
+    first = np.cumsum([0] + [len(part) for part in names])
+    return _table(frequency, sum(names, []),
+                  np.concatenate([c + k for c, k in zip(codes, first)]),
+                  np.concatenate(epochs), np.concatenate(bars, axis=1))
 
 
 def write_csv(table: BarTable, path: str) -> None:

@@ -276,7 +276,8 @@ def backtest(policy, env, reset_kwargs: dict | None = None,
     log = trade_log if trade_log is not None else TradeLog()
     transitions: list[Transition] = []
     while not env.done:
-        action = np.asarray(policy.act(state.observation()), dtype=float)
+        with np.errstate(all="ignore"):  # a non-finite action fails in step
+            action = np.asarray(policy.act(state.observation()), dtype=float)
         transition = env.step(action)
         log.append(TradeRow(
             timestamp=state.timestamp, window_id=window_id, action=action,

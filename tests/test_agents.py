@@ -317,6 +317,20 @@ class TestA2CLockstep:
             else:
                 assert_bitwise_equal(got.get_flat(), want.get_flat())
 
+    def test_network_that_cannot_be_built_fails_its_job_alone(self):
+        env, config = self.jobs(TradingEnv)[0]
+        jobs = [(env, dataclasses.replace(config, hidden=0)),
+                (env, dataclasses.replace(config, hidden=4))]
+        outcomes = train_a2c_all(jobs)
+        assert isinstance(outcomes[0], TrainingError)
+        assert str(outcomes[0]).startswith("policy sizes must be positive")
+        with pytest.raises(TrainingError) as alone:
+            train_a2c(*jobs[0])
+        assert str(alone.value) == str(outcomes[0])
+        expected = train_a2c(*jobs[1])
+        assert_bitwise_equal(outcomes[1].get_flat(), expected.get_flat())
+        assert_bitwise_equal(outcomes[1].obs_scale, expected.obs_scale)
+
 
 def adam_step_oracle(adam, params, grad):
     """The out-of-place ``Adam.step``: returns new parameters and leaves

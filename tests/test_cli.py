@@ -745,3 +745,100 @@ def test_fuzzed_file_contents_exit_with_a_documented_code(
         err = capsys.readouterr().err
         assert code in (0, 2, 3, 4), argv
         assert len(err.splitlines()) == (1 if code else 0), (argv, err)
+
+
+# policy-file fuzzing: keys and entries of a trained policy.json are
+# replaced, and backtest runs the file
+
+POLICY_VALUES = (0.0, -1.0, 1e-320, 1e308, -1e308, float("nan"), float("inf"),
+                 10**400, 3, "1", "x", None, True, [])
+POLICY_KEYS = ("format", "name", "obs_scale", "parameters", "hyperparameters",
+               "obs_dim", "action_dim", "hidden", "seed")
+
+
+@st.composite
+def policy_edits(draw):
+    """(kind, key, ...) edits: "key" replaces a top-level or
+    hyperparameter key, "all" every entry of a list, "entry" one entry."""
+    edits = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("key", "all", "entry")))
+        value = draw(st.sampled_from(POLICY_VALUES))
+        if kind == "key":
+            edits.append((kind, draw(st.sampled_from(POLICY_KEYS)), value))
+        else:
+            edits.append((kind, draw(st.sampled_from(("obs_scale",
+                                                      "parameters"))),
+                          draw(st.integers(0, 400)), value))
+    return edits
+
+
+def edited_policy(blob, edits):
+    blob = json.loads(json.dumps(blob))
+    for kind, key, *args in edits:
+        owner = blob if key in blob else blob["hyperparameters"]
+        if not isinstance(owner, dict):  # hyperparameters was replaced
+            continue
+        if kind == "key":
+            owner[key] = args[0]
+        elif not isinstance(owner.get(key), list) or not owner[key]:
+            continue
+        elif kind == "all":
+            owner[key] = [args[1]] * len(owner[key])
+        else:
+            owner[key][args[0] % len(owner[key])] = args[1]
+    return json.dumps(blob)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=policy_edits())
+# a zero obs_scale and a finite policy that overflows each printed numpy
+# RuntimeWarnings before `runtime error: non-finite action`; obs_scale
+# entries written as strings were read as numbers and exited 0
+@example(edits=[("all", "obs_scale", 0, 0.0)])
+@example(edits=[("all", "parameters", 0, 1e308)])
+@example(edits=[("all", "obs_scale", 0, "1")])
+def test_fuzzed_policy_file_exits_with_a_documented_code(
+        edits, fuzz_files, tmp_path_factory, capsys):
+    code, err, _ = backtest_edited_policy(edits, fuzz_files,
+                                          tmp_path_factory, capsys)
+    assert code in (0, 2, 3, 4)
+    assert len(err.splitlines()) == (1 if code else 0), (edits, err)
+
+
+def backtest_edited_policy(edits, fuzz_files, tmp_path_factory, capsys):
+    """(exit code, stderr, path) of backtest on the edited policy file."""
+    with open(fuzz_files["<policy>"], encoding="utf-8") as fh:
+        blob = json.load(fh)
+    root = tmp_path_factory.mktemp("policy")
+    path = root / "policy.json"
+    path.write_text(edited_policy(blob, edits))
+    capsys.readouterr()
+    code = main(["backtest", "--set", "agent.type=a2c",
+                 "--set", f"agent.policy_file={path}",
+                 "--set", f"run.output_dir={root / 'run'}"])
+    return code, capsys.readouterr().err, str(path)
+
+
+@pytest.mark.parametrize("edits,message", [
+    ([("all", "obs_scale", 0, 0.0)], "obs_scale must be positive"),
+    ([("entry", "obs_scale", 1, float("inf"))], "obs_scale must be finite"),
+    ([("all", "obs_scale", 0, "1")], "obs_scale must be a list of numbers"),
+    ([("entry", "parameters", 7, float("nan"))], "parameters must be finite"),
+    ([("entry", "parameters", 7, True)], "parameters must be a list of "),
+    ([("entry", "parameters", 7, 10**400)], "OverflowError")])
+def test_policy_numbers_are_checked_on_load(edits, message, fuzz_files,
+                                            tmp_path_factory, capsys):
+    code, err, path = backtest_edited_policy(edits, fuzz_files,
+                                             tmp_path_factory, capsys)
+    assert code == 3
+    assert err.startswith(f"data error: {path}: not a policy file")
+    assert message in err and len(err.splitlines()) == 1
+
+
+def test_overflowing_policy_ends_in_one_line(fuzz_files, tmp_path_factory,
+                                             capsys):
+    code, err, _ = backtest_edited_policy([("all", "parameters", 0, 1e308)],
+                                          fuzz_files, tmp_path_factory, capsys)
+    assert (code, err) == (4, "runtime error: non-finite action\n")

@@ -10,6 +10,7 @@ random words and random token sequences.
 import csv
 import itertools
 import string
+import warnings
 from array import array
 from datetime import datetime, timedelta, timezone
 from math import isfinite
@@ -17,6 +18,7 @@ from math import isfinite
 import numpy as np
 import pytest
 
+from quantgym import market_data
 from quantgym.errors import DataError, IngestError
 from quantgym.features import (
     EventSeries,
@@ -34,6 +36,7 @@ from quantgym.market_data import (
     clean,
     format_timestamp,
     ingest_csv,
+    ingest_dir,
     merge,
     parse_epoch,
 )
@@ -371,6 +374,14 @@ def test_build_table_matches_cell_loop(seed):
                           build_table_oracle("1day", as_datetime_keys(rows)))
 
 
+def strict(ingest, path):
+    """``ingest`` of a file or folder with every warning raised: pytest's
+    warnings plugin would keep one from reaching ``capsys``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return ingest(str(path), "1day")
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_ingest_matches_cell_loop(seed, tmp_path):
     """Rows in random order, each instant spelled with a random UTC offset,
@@ -384,8 +395,17 @@ def test_ingest_matches_cell_loop(seed, tmp_path):
         lines.append(",".join([text, tk] + [repr(x) for x in bar]))
     path = tmp_path / "panel.csv"
     path.write_text("\n".join(lines) + "\n")
-    assert_tables_bitwise(ingest_csv(str(path), "1day"),
-                          build_table_oracle("1day", as_datetime_keys(rows)))
+    expected = build_table_oracle("1day", as_datetime_keys(rows))
+    assert_tables_bitwise(strict(ingest_csv, path), expected)
+    folder = tmp_path / "dir"
+    folder.mkdir()
+    for ticker in expected.tickers:  # the same rows, one file per ticker
+        (folder / f"{ticker}.csv").write_text("\n".join(
+            ["timestamp,open,high,low,close,volume"]
+            + [",".join([text] + rest)
+               for text, tk, *rest in (line.split(",") for line in lines[1:])
+               if tk == ticker]) + "\n")
+    assert_tables_bitwise(strict(ingest_dir, folder), expected)
     (tk, ts), bar = next(iter(rows.items()))
     utc = datetime.fromtimestamp(ts, tz=timezone.utc).isoformat()
     path.write_text("\n".join(lines + [",".join([utc, tk] + ["1"] * 5)]) + "\n")
@@ -468,26 +488,61 @@ def ingest_outcome(ingest_rows, lines, ticker):
     return list(rows.items()), bars.tobytes()
 
 
-def assert_ingest_matches_oracle(rows, combined):
+def file_outcome(lines, ticker, root):
+    """``ingest_csv`` (or, given a ticker, ``ingest_dir``) of the lines
+    written under their header, against the oracle rows of that file: the
+    table the oracle rows build, or the error text of both."""
+    folder = root / ("csv" if ticker is None else "dir")
+    folder.mkdir(exist_ok=True)
+    path = folder / ("panel.csv" if ticker is None else f"{ticker}.csv")
+    header = CSV_HEADER if ticker is None else PER_TICKER_HEADER
+    path.write_text("\n".join([",".join(header)] + lines) + "\n")
+    rows, bars = {}, array("d")
+    try:
+        ingest_rows_oracle(csv.reader(lines), ticker, rows, bars, str(path))
+        if ticker is None and not rows:
+            raise IngestError("file has no data rows", str(path))
+        expected = build_table_oracle("1day", as_datetime_keys(dict(zip(
+            rows, np.frombuffer(bars).reshape(-1, 5).tolist()))))
+    except IngestError as exc:
+        expected = str(exc)
+    try:
+        got = strict(ingest_csv if ticker is None else ingest_dir,
+                     path if ticker is None else folder)
+    except IngestError as exc:
+        got = str(exc)
+    if isinstance(expected, str) or isinstance(got, str):
+        assert got == expected, lines
+    else:
+        assert_tables_bitwise(got, expected)
+    return got
+
+
+def assert_ingest_matches_oracle(rows, combined, root=None):
+    """The row loop against the oracle on the rows; given a folder, the
+    file-level ingest of the rows too."""
     lines = [",".join(f) for f in rows]
     ticker = None if combined else "T0"
     got = ingest_outcome(_ingest_rows, lines, ticker)
     assert got == ingest_outcome(ingest_rows_oracle, lines, ticker), lines
+    if root is not None:
+        file_outcome(lines, ticker, root)
     return got
 
 
 @pytest.mark.parametrize("combined", [True, False], ids=["csv", "dir"])
 @pytest.mark.parametrize("seed", range(3))
-def test_ingest_rows_match_per_row_parse(seed, combined):
+def test_ingest_rows_match_per_row_parse(seed, combined, tmp_path):
     rows = panel_fields(seed, combined)
     rows.insert(4, [])  # a blank line is skipped
-    keys, _ = assert_ingest_matches_oracle(rows, combined)
+    keys, _ = assert_ingest_matches_oracle(rows, combined, tmp_path)
     assert len(keys) == len(rows) - 1
 
 
 @pytest.mark.parametrize("combined", [True, False], ids=["csv", "dir"])
-def test_first_of_two_defects_matches_per_row_parse(combined):
-    """Every ordered pair of defects, on two lines and on one line."""
+def test_first_of_two_defects_matches_per_row_parse(combined, tmp_path):
+    """Every ordered pair of defects, on two lines and on one line, in
+    the row loop and in files."""
     base = panel_fields(0, combined)
     kinds = [k for k in DEFECTS if combined or k != "empty ticker"]
     messages = []
@@ -495,11 +550,13 @@ def test_first_of_two_defects_matches_per_row_parse(combined):
         rows = list(base)
         rows[4] = with_defect(base[4], first, base[2])
         rows[7] = with_defect(base[7], second, base[2])
-        messages.append(assert_ingest_matches_oracle(rows, combined))
+        messages.append(assert_ingest_matches_oracle(rows, combined,
+                                                     tmp_path))
         rows = list(base)
         rows[6] = with_defect(with_defect(base[6], first, base[2]), second,
                               base[2])
-        messages.append(assert_ingest_matches_oracle(rows, combined))
+        messages.append(assert_ingest_matches_oracle(rows, combined,
+                                                     tmp_path))
     for fragment in DEFECT_MESSAGES:
         if combined or fragment != "empty ticker":
             assert any(fragment in m for m in messages), fragment
@@ -511,8 +568,9 @@ FIELD_TEXTS = ("1", "2", "0", "-0.0", "-1", "1e-320", "1e308", "nan", "inf",
 
 
 @pytest.mark.parametrize("combined", [True, False], ids=["csv", "dir"])
-def test_bar_checks_match_per_row_parse(combined):
-    """Valid bars with up to three fields swapped for edge texts."""
+def test_bar_checks_match_per_row_parse(combined, tmp_path):
+    """Valid bars with up to three fields swapped for edge texts, in the
+    row loop and in files."""
     rng = np.random.default_rng(5)
     head = ["2022-01-03T00:00:00+00:00"] + (["AAA"] if combined else [])
     bars = EDGE_BARS + (["1.5", "2", "0.5", "1", "3"],)
@@ -521,13 +579,87 @@ def test_bar_checks_match_per_row_parse(combined):
         bar = list(bars[rng.integers(len(bars))])
         for k in rng.integers(5, size=int(rng.integers(4))):
             bar[k] = FIELD_TEXTS[rng.integers(len(FIELD_TEXTS))]
-        got = assert_ingest_matches_oracle([head + bar], combined)
+        got = assert_ingest_matches_oracle([head + bar], combined, tmp_path)
         outcomes.add(got.split(": ")[1].split(" for ")[0]
                      if isinstance(got, str) else "valid")
     assert outcomes == {"valid", "non-numeric price/volume field",
                         "non-finite price/volume field", "non-positive price",
                         "OHLC ordering violated (need low <= open,close <= "
                         "high)", "negative volume"}
+
+
+BAR = "2022-01-03T00:00:00+00:00,AAA,1.5,2,0.5,1,3"
+# second line of a file -> its error after "path:line: " ({n}: the header's
+# field count), or None when the file reads as the plain bar does
+SPELLINGS = {
+    "quoted and padded": (
+        '2022-01-03T00:00:00+00:00,"AAA","1.5", 2 ,0.5,"1",\t3', None),
+    "no-break spaces": (BAR.replace(",3", ",\u00a03\u00a0"), None),
+    "blank of spaces": (" ", "3: expected {n} fields, got 1"),
+    "blank of a tab": ("\t", "3: expected {n} fields, got 1"),
+    "trailing comma": (BAR + ",", "3: expected {n} fields, got {n1}"),
+    "digit grouping": (BAR.replace(",3", ",1_000"),
+                       "3: non-numeric price/volume field"),
+    "arabic-indic digit": (BAR.replace(",3", ",\u0663"),
+                           "3: non-numeric price/volume field"),
+    "fullwidth digit": (BAR.replace(",3", ",\uff13"),
+                        "3: non-numeric price/volume field"),
+}
+
+
+@pytest.mark.parametrize("combined", [True, False], ids=["csv", "dir"])
+@pytest.mark.parametrize("spelling", sorted(SPELLINGS))
+def test_file_spellings_read_as_numpy_parses_them(spelling, combined,
+                                                   tmp_path, monkeypatch):
+    """Quoted fields and whitespace around numbers read; a blank line of
+    whitespace, a trailing comma and the number spellings only Python's
+    ``float`` reads (``_`` grouping, non-ASCII digits) are refused with
+    their line. The row loop words the error of a file the C reader
+    refuses, so both refuse the same lines; a file that reads never
+    reaches it."""
+    second, error = SPELLINGS[spelling]
+    lines = [BAR.replace("2022-01-03", "2022-01-04"), second]
+    if not combined:
+        lines = [line.replace(",AAA,", ",").replace(',"AAA",', ",")
+                 for line in lines]
+    folder = tmp_path / "dir"
+    folder.mkdir()
+    path = folder / ("panel.csv" if combined else "AAA.csv")
+    header = CSV_HEADER if combined else PER_TICKER_HEADER
+    path.write_text("\n".join([",".join(header)] + lines) + "\n")
+    ingest, source = (ingest_csv, path) if combined else (ingest_dir, folder)
+    if error is not None:
+        with pytest.raises(IngestError) as exc:
+            strict(ingest, source)
+        n = len(header)
+        assert str(exc.value) == f"{path}:" + error.format(n=n, n1=n + 1)
+        return
+    monkeypatch.setattr(market_data, "_ingest_rows", None)
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    (plain / path.name).write_text("\n".join(
+        [",".join(header)] + lines[:1]
+        + [lines[0].replace("2022-01-04", "2022-01-03")]) + "\n")
+    assert_tables_bitwise(strict(ingest, source),
+                          strict(ingest, plain / path.name if combined
+                                 else plain))
+
+
+def test_header_only_files_read_without_a_warning(tmp_path):
+    """``loadtxt`` warns on input without data; the warning must not
+    reach stderr."""
+    panel = tmp_path / "panel.csv"
+    panel.write_text(",".join(CSV_HEADER) + "\n\n")
+    with pytest.raises(IngestError, match="file has no data rows"):
+        strict(ingest_csv, panel)
+    folder = tmp_path / "dir"
+    folder.mkdir()
+    (folder / "AAA.csv").write_text(",".join(PER_TICKER_HEADER) + "\n")
+    assert strict(ingest_dir, folder).tickers == ()
+    (folder / "BBB.csv").write_text(
+        ",".join(PER_TICKER_HEADER) + "\n"
+        + BAR.replace(",AAA,", ",") + "\n")
+    assert strict(ingest_dir, folder).tickers == ("BBB",)
 
 
 POLICIES = [CleaningPolicy(calendar_rule=cal, fill_rule=fill, min_coverage=cov)

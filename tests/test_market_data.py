@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -170,6 +173,33 @@ class TestIngest:
         table = ingest_dir(str(d), "1day")
         assert table.tickers == ("AAPL", "MSFT")
         assert table.n_steps == 1
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_pipe_is_read_once(self, tmp_path):
+        """A pipe cannot be read twice, so its rows go through the row
+        loop alone: a good pipe reads as the file, a bad row names its
+        line."""
+        good = HEADER + row(0, "A", 2.0) + row(1, "A", 3.0)
+        bad = good + row(2, "A", 4.0).replace(",1000", ",1_000")
+        pipe = str(tmp_path / "pipe.csv")
+        os.mkfifo(pipe)
+
+        def feed(text):
+            with open(pipe, "w") as fh:
+                fh.write(text)
+
+        outcomes = []
+        for text in (good, bad):
+            writer = threading.Thread(target=feed, args=(text,), daemon=True)
+            writer.start()
+            try:
+                outcomes.append(ingest_csv(pipe, "1day"))
+            except IngestError as exc:
+                outcomes.append(str(exc))
+            writer.join(timeout=30)
+        assert tables_equal(outcomes[0],
+                            ingest_csv(write(tmp_path, good), "1day"))
+        assert outcomes[1] == f"{pipe}:4: non-numeric price/volume field"
 
     def test_round_trip(self, tmp_path):
         text = HEADER + "".join(

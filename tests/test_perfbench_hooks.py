@@ -15,6 +15,8 @@ import sys
 import types
 from collections import Counter
 
+import pytest
+
 import quantgym.sentiment
 from quantgym import cli
 
@@ -100,14 +102,16 @@ def reject_constant(name):
     raise ValueError(f"non-finite number {name} in the result line")
 
 
-def test_traced_run_ends_in_a_strict_json_result():
+@pytest.mark.parametrize("workload", ["curate-panel", "rolling-cem-trading",
+                                      "rolling-a2c-portfolio"])
+def test_traced_run_ends_in_a_strict_json_result(workload):
     # a traced op must print nothing to stdout and report only finite
     # metrics, or the last line stops being the result; the run writes
     # under the ignored .perfbench_work/ and no bytecode under perfbench/
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run(
         [sys.executable, os.path.join(ROOT, "perfbench", "run.py"),
-         "--workload", "rolling-a2c-portfolio", "--seed", "1",
+         "--workload", workload, "--seed", "1",
          "--seconds", "1", "--trace", "1"],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
