@@ -374,14 +374,13 @@ def cmd_sentiment_score(config: RunConfig) -> int:
     if lines[-1] == "":
         lines.pop()  # the newline that ends the last document
     outdir = os.path.join(config.get("run", "output_dir"), "sentiment")
-    dictionary = _load_dictionary(config)
-    shifters = _load_shifters(config)
+    scorer = sn.TextScorer(_load_dictionary(config), _load_shifters(config))
     os.makedirs(outdir, exist_ok=True)
     out_csv = os.path.join(outdir, "scores.csv")
     with open(out_csv, "w", encoding="utf-8") as dst:
         dst.write("line,compound,polarity\n")
         for i, text in enumerate(lines, start=1):
-            score = sn.score_document(sn.preprocess(text), dictionary, shifters)
+            score = scorer.score(text)
             dst.write(f"{i},{score.compound!r},{score.polarity}\n")
     write_manifest(outdir, "sentiment score", config, [input_path])
     print(f"scores -> {out_csv}")

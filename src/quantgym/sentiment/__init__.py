@@ -26,6 +26,7 @@ from .preprocess import COMPANY_TOKEN, Document, LemmaRules, Token, preprocess
 from .scoring import (
     COMPOUND_ALPHA,
     SentimentScore,
+    TextScorer,
     normalize_compound,
     polarity_of,
     score_document,
@@ -43,6 +44,7 @@ __all__ = [
     "SentimentDictionary",
     "SentimentScore",
     "ShifterTable",
+    "TextScorer",
     "Token",
     "apply_overrides",
     "combine",

@@ -36,13 +36,6 @@ class Document:
     raw_text: str
     sentences: tuple[tuple[Token, ...], ...]
 
-    def lemma_sentences(self) -> list[list[str]]:
-        return [[tok.lemma for tok in sent] for sent in self.sentences]
-
-    @property
-    def n_tokens(self) -> int:
-        return sum(len(s) for s in self.sentences)
-
 
 def _smart_stem(stem: str) -> str:
     # undouble a trailing consonant pair except ss/ll/ee (plann -> plan)
@@ -64,8 +57,9 @@ class LemmaRules:
             self.known.setdefault(pos, set()).add(word)
         for lemma, pos in exceptions.values():
             self.known.setdefault(pos, set()).add(lemma)
-        # per-instance memos for preprocess: raw token -> _normalize(token),
-        # and (word, prefer_noun) -> the Token analyze() gives
+        # per-instance memos for preprocess and TextScorer: raw token ->
+        # _normalize(token), and (word, prefer_noun) -> the Token of
+        # analyze()
         self._normalized: dict[str, str | None] = {}
         self._tokens: dict[tuple[str, bool], Token] = {}
 
@@ -180,6 +174,17 @@ def _normalize(token: str) -> str | None:
     return low or None
 
 
+def token_words(token: str, abbreviations: dict[str, str],
+                normalize) -> tuple[str, ...]:
+    """The normalized words of one raw token: those of its abbreviation's
+    expansion if it has one, else itself; none if it normalizes away."""
+    word = normalize(token)
+    expansion = abbreviations.get(word)
+    if expansion is not None:
+        return tuple(w for w in map(normalize, expansion.split()) if w)
+    return (word,) if word else ()
+
+
 def _replace_companies(tokens: list[str], names: list[list[str]]) -> list[str]:
     if not names:
         return tokens
@@ -228,13 +233,7 @@ def preprocess(text: str,
             continue
         normalized: list[str] = []
         for tok in raw_tokens:
-            word = normalize(tok)
-            expansion = abbreviations.get(word)
-            if expansion is not None:
-                normalized.extend(
-                    w for w in map(normalize, expansion.split()) if w)
-            elif word:
-                normalized.append(word)
+            normalized.extend(token_words(tok, abbreviations, normalize))
         normalized = _replace_companies(normalized, name_tokens)
         toks: list[Token] = []
         prev_pos = ""

@@ -1,6 +1,7 @@
 """End-to-end CLI runs on the shipped synthetic dataset."""
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import quantgym
 from quantgym import cli
+from quantgym import sentiment as sn
 from quantgym.cli import main
 from quantgym.config import SCHEMA
 from quantgym.market_data import ingest_csv
@@ -641,7 +643,7 @@ CONTENT_READERS = {"csv": (["ingest"], ["features"]),
 
 
 @st.composite
-def content_edits(draw):
+def content_edits(draw, texts=CONTENT_TEXTS):
     """(kind, line, ...) edits; lines and fields are taken modulo the
     file's counts, so line 0 is the header."""
     edits = []
@@ -650,7 +652,7 @@ def content_edits(draw):
         line = draw(st.integers(0, 400))
         if kind == "field":
             edits.append((kind, line, draw(st.integers(0, 7)),
-                          draw(st.sampled_from(CONTENT_TEXTS))))
+                          draw(st.sampled_from(texts))))
         elif kind == "cut":
             edits.append((kind, line, draw(st.integers(0, 60))))
         else:
@@ -745,6 +747,45 @@ def test_fuzzed_file_contents_exit_with_a_documented_code(
         err = capsys.readouterr().err
         assert code in (0, 2, 3, 4), argv
         assert len(err.splitlines()) == (1 if code else 0), (argv, err)
+
+
+# shifter-table fuzzing: rows and fields of the shipped shifters.tsv are
+# edited, and both commands that read it run on it
+
+SHIFTER_TEXTS = ("", "x", "nan", "inf", "-inf", "1e308", "-1e308", "1e-320",
+                 "0", "-0.0", "-1", "-0.5", "2", "negator", "intensifier",
+                 "negation_factor", "booster", "#", "not", "very", "rally",
+                 "profit", "significantly", "fall")
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=content_edits(SHIFTER_TEXTS))
+@example(edits=[("field", 9, 2, "x")])  # a boost that is not a number
+@example(edits=[("field", 1, 1, "0")])  # a negation factor out of range
+# a boost so large that the compound's square overflows
+@example(edits=[("field", 15, 2, "1e308"), ("field", 15, 1, "significantly"),
+                ("duplicate", 15)])
+def test_fuzzed_shifters_exit_with_a_documented_code(
+        edits, content_files, tmp_path_factory, capsys):
+    root = tmp_path_factory.mktemp("shifters")
+    path = root / "shifters.tsv"
+    with open(sn.packaged("shifters.tsv"), encoding="utf-8") as fh:
+        path.write_text(edited(fh.read(), edits, "\t"), encoding="utf-8")
+    headlines = root / "headlines.txt"
+    headlines.write_text(content_files["headlines"])
+    for command in (["sentiment", "score"], ["sentiment", "eval"]):
+        argv = command + ["--set", f"run.output_dir={root / 'run'}",
+                          "--set", f"sentiment.shifters={path}",
+                          "--set", f"sentiment.input={headlines}"]
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4), argv
+        assert len(err.splitlines()) == (1 if code else 0), (argv, err)
+        if code == 3:  # a bad row is named by path:line
+            assert re.match(rf"data error: {re.escape(str(path))}:\d+: ",
+                            err), err
 
 
 # policy-file fuzzing: keys and entries of a trained policy.json are

@@ -57,7 +57,13 @@ from quantgym.sentiment.lexicon import (
     ShifterTable,
     packaged,
 )
-from quantgym.sentiment.scoring import _sentence_raw
+from quantgym.sentiment import scoring
+from quantgym.sentiment.scoring import (
+    TextScorer,
+    _sentence_raw,
+    score_document,
+    token_row,
+)
 
 from conftest import assert_bitwise_equal
 
@@ -943,7 +949,9 @@ def sentence(*words):
 
 
 def assert_raw_matches_oracle(tokens, shifters):
-    got = _sentence_raw(tokens, SCORING_DICTIONARY, shifters)
+    got = _sentence_raw(
+        [token_row(tok, SCORING_DICTIONARY, shifters) for tok in tokens],
+        shifters)
     assert_bitwise_equal(
         got, sentence_raw_oracle(tokens, SCORING_DICTIONARY, shifters))
     return got
@@ -959,6 +967,20 @@ def test_sentence_raw_matches_clause_rescan(seed, window):
         assert_raw_matches_oracle(
             tuple(Token(VOCABULARY[k][0], *VOCABULARY[k]) for k in picks),
             shifters)
+
+
+def test_text_scorer_keys_rows_on_the_word_before(monkeypatch):
+    # under verb-first rules "rallies" after a verb is a NOUN, which does
+    # not end its clause, so the boost of the "rally" hit reaches "gain"
+    rules = verb_first_rules()
+    monkeypatch.setattr(scoring, "default_rules", lambda: rules)
+    text = "Very rallies say rallies gain. Rallies rallies gain"
+    shifters = scoring_shifters()
+    want = score_document(preprocess(text, rules=rules), SCORING_DICTIONARY,
+                          shifters)
+    got = TextScorer(SCORING_DICTIONARY, shifters).score(text)
+    assert_bitwise_equal(got.compound, want.compound)
+    assert got.per_sentence == want.per_sentence
 
 
 @pytest.mark.parametrize("words,expected", [

@@ -4,11 +4,13 @@
 that no longer resolves turns its per-layer metrics absent. A change that
 removes a hooked name must list it here, which states that its metric
 goes absent. The module is read and executed, never imported from disk,
-so nothing is written under ``perfbench/``. The curate commands must also
-still call each hooked function where, and as often as, the traced
-metrics count it, and a traced harness run must end in a result line.
+so nothing is written under ``perfbench/``. The curate commands must call
+the hooked functions where, and as often as, the traced metrics count
+them, and a traced harness run must end in a result line that reports
+every declared per-layer metric as a finite number.
 """
 import json
+import math
 import os
 import subprocess
 import sys
@@ -67,10 +69,11 @@ def run_curate(out, headlines, events):
 
 def test_curate_commands_call_each_hooked_function_as_counted(
         tmp_path, monkeypatch, capsys):
-    """sentiment.docs counts score_document calls and docs_per_s times
-    preprocess with it: one call each per document. Ingest, event load
-    and alignment run once per features run. Wrapping them with counting
-    pass-throughs, as the tracer does, changes no artifact."""
+    """Ingest, event load and alignment run once per features run.
+    ``sentiment score`` scores text through ``TextScorer`` and calls
+    neither preprocess nor score_document, so the sentiment.* metrics
+    read 0 on the curate path. Wrapping the hooked functions with
+    counting pass-throughs, as the tracer does, changes no artifact."""
     headlines = tmp_path / "headlines.txt"
     headlines.write_text("Shares rally on record profit\n\n"
                          "Profit warning hits the stock. Losses widen\n")
@@ -89,8 +92,7 @@ def test_curate_commands_call_each_hooked_function_as_counted(
             return _fn(*args, **kwargs)
         monkeypatch.setattr(owner, name, counted)
     wrapped = run_curate(tmp_path / "wrapped", headlines, events)
-    assert calls == {"preprocess": 3, "score_document": 3, "ingest_csv": 1,
-                     "load_events_csv": 1, "align_events": 1}
+    assert calls == {"ingest_csv": 1, "load_events_csv": 1, "align_events": 1}
     assert sorted(wrapped) == sorted(plain) == [
         os.path.join("features", "features.npz"),
         os.path.join("features", "turbulence.csv"),
@@ -115,8 +117,15 @@ def test_traced_run_ends_in_a_strict_json_result(workload):
          "--seconds", "1", "--trace", "1"],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    result = json.loads(done.stdout.splitlines()[-1],
-                        parse_constant=reject_constant)
+    *_, record, last = done.stdout.splitlines()
+    assert json.loads(record, parse_constant=reject_constant)[
+        "absent_metrics"] == []
+    result = json.loads(last, parse_constant=reject_constant)
     assert result["correct"] is True
     assert result["attempted"] >= 1 and result["failed"] == 0
-    assert result["metrics"]
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        declared = {m["name"] for m in json.load(fh)["per_layer"]}
+    assert set(result["metrics"]) == declared
+    for name, metric in result["metrics"].items():
+        value = metric["value"]
+        assert type(value) in (int, float) and math.isfinite(value), name

@@ -3,18 +3,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quantgym.sentiment import (
     SentimentDictionary,
     ShifterTable,
+    TextScorer,
     default_shifters,
     mini_financial_dictionary,
     preprocess,
     normalize_compound,
     score_document,
 )
+from quantgym.sentiment.preprocess import default_abbreviations, default_rules
 
 
 def compound_of(total, alpha=15.0):
@@ -155,3 +157,57 @@ def test_monotone_in_total():
         for k in range(6)]
     assert compounds == sorted(compounds)
     assert all(np.diff(compounds) > 0)
+
+
+# the text path against score_document(preprocess(text)): headline-like
+# text mixing abbreviations, shifters, verbs, dictionary hits, digits,
+# possessives, sentence punctuation and line breaks
+
+def headline_words():
+    shifters, rules = default_shifters(), default_rules()
+    verbs = [w for w, pos in rules.lexicon.items() if pos == "VERB"]
+    return sorted({*default_abbreviations(), *shifters.negators,
+                   *shifters.intensifiers, *verbs, *rules.exceptions,
+                   *mini_financial_dictionary().entries,
+                   "rallies", "rallied", "gains", "profits", "soared",
+                   "beats", "developed", "the", "stock", "shares", "and",
+                   "company", "12", "3.5%", "Q3", "x1", "2024", "$", "-"})
+
+
+HEADLINE_WORDS = headline_words()
+SEPARATORS = (" ", " ", " ", " ", ". ", "! ", "? ", "; ", ", ", "... ",
+              "\n", " - ", "", "'", "’")
+
+
+@st.composite
+def headline_texts(draw):
+    pieces = []
+    for _ in range(draw(st.integers(0, 25))):
+        word = draw(st.sampled_from(HEADLINE_WORDS))
+        case = draw(st.sampled_from((str.lower, str.upper, str.capitalize)))
+        suffix = draw(st.sampled_from(("", "", "", "'s", "’s")))
+        pieces.append(case(word) + suffix + draw(st.sampled_from(SEPARATORS)))
+    return "".join(pieces)
+
+
+@settings(max_examples=300, deadline=None)
+@given(headline_texts())
+@example("Shares did not rise and profits never fell")  # negator, then verb
+@example("Extremely weak sales fell and profits rise")  # boost, clause cut
+@example("Stock hits ATH after the CEO's EPS beat YoY")  # multi-word expansion
+@example("")
+@example("\n. ! ;")
+def test_text_scorer_matches_score_document(text):
+    dictionary, shifters = mini_financial_dictionary(), default_shifters()
+    want = score_document(preprocess(text), dictionary, shifters)
+    scorer = TextScorer(dictionary, shifters)
+    for _ in range(2):  # memo misses, then hits
+        got = scorer.score(text)
+        assert repr(got.compound) == repr(want.compound)
+        assert got.polarity == want.polarity
+        assert got.per_sentence == want.per_sentence
+
+
+def test_text_scorer_rejects_an_empty_dictionary():
+    with pytest.raises(ValueError, match="empty"):
+        TextScorer(SentimentDictionary({}), NOT_SHIFTERS)
