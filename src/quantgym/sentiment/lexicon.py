@@ -48,11 +48,11 @@ def read_tsv(path, row) -> list:
     return rows
 
 
-def checked_valence(lemma: str, valence) -> float:
+def checked_valence(lemma: str, valence, what: str = "valence") -> float:
     valence = float(valence)
     if not math.isfinite(valence) or not VALENCE_MIN <= valence <= VALENCE_MAX:
         raise ValueError(
-            f"valence for {lemma!r} must be finite in "
+            f"{what} for {lemma!r} must be finite in "
             f"[{VALENCE_MIN}, {VALENCE_MAX}], got {valence}")
     return valence
 
@@ -154,10 +154,9 @@ def checked_negation_factor(factor) -> float:
 
 
 def checked_boost(lemma: str, boost) -> float:
-    boost = float(boost)
-    if not math.isfinite(boost):
-        raise ValueError(f"non-finite boost for {lemma!r}")
-    return boost
+    # bounded like a valence: a huge boost would overflow the square in
+    # normalize_compound and score a strong text neutral or nan
+    return checked_valence(lemma, boost, "boost")
 
 
 def default_shifters() -> ShifterTable:

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 from .lexicon import SentimentDictionary, ShifterTable
 from .preprocess import (
-    _SENTENCE_RE,
     _TOKEN_RE,
     Document,
     Token,
@@ -18,6 +17,10 @@ from .preprocess import (
 COMPOUND_ALPHA = 15.0
 POSITIVE_THRESHOLD = 0.05
 NEGATIVE_THRESHOLD = -0.05
+# the most (piece, after-verb) entries one TextScorer keeps; a piece past
+# it is scored without being stored, so the memo does not grow with the
+# distinct numbers, tickers or URLs of a large corpus
+PIECE_MEMO_MAX = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -41,6 +44,9 @@ def normalize_compound(total: float, alpha: float = COMPOUND_ALPHA) -> float:
 
 # a word's row: (valence or None, intensifier boost or None, negator?, verb?)
 Row = tuple[float | None, float | None, bool, bool]
+# a whitespace-free piece's rows, the after-verb flag after it, and
+# whether it ends a sentence
+Piece = tuple[tuple[Row, ...], bool, bool]
 
 
 def token_row(tok: Token, dictionary: SentimentDictionary,
@@ -110,12 +116,18 @@ class TextScorer:
     bit, in one pass over the text and with no Token or Document built
     per line.
 
-    Each sentence is tokenized as ``preprocess`` does it; a raw token maps
-    through a memo to its normalized words (abbreviations expanded), and
-    a word, keyed with whether the word before it in its sentence is a
-    verb, through a second memo to its row for ``_sentence_raw``. That
-    memo is two dicts, indexed by the flag, so no key is built per word.
-    The default lemma rules and abbreviations apply, and no company names.
+    The text is walked in whitespace-free pieces: ``str.split`` cuts at
+    the characters the sentence pattern takes for whitespace, and no
+    token spans whitespace. A piece, keyed with whether the word before it
+    in its sentence is a verb, maps through a memo to its rows for
+    ``_sentence_raw``, the flag after it, and whether it ends a sentence
+    (only a run of terminators at its end can; its terminators tokenize
+    to punctuation, which yields no words). A memo miss is tokenized as
+    ``preprocess`` does it: a raw token maps through a second memo to
+    its normalized words (abbreviations expanded), and a (word, after a
+    verb) key through a third to its row. The piece and row memos are two
+    dicts each, indexed by the flag, so no key is built per piece. The
+    default lemma rules and abbreviations apply, and no company names.
     """
 
     def __init__(self, dictionary: SentimentDictionary,
@@ -125,31 +137,53 @@ class TextScorer:
         self.dictionary, self.shifters = dictionary, shifters
         self.rules = default_rules()
         self.abbreviations = default_abbreviations()
+        # piece -> Piece, for a piece after a non-verb and after a verb;
+        # at most PIECE_MEMO_MAX entries in all
+        self._pieces: tuple[dict[str, Piece], dict[str, Piece]] = ({}, {})
         self._words: dict[str, tuple[str, ...]] = {}
         # word -> row, for a word after a non-verb and after a verb
         self._rows: tuple[dict[str, Row], dict[str, Row]] = ({}, {})
 
     def score(self, text: str) -> SentimentScore:
-        words_memo, rows_memo = self._words, self._rows
-        dictionary, shifters = self.dictionary, self.shifters
-        rules = self.rules
+        pieces_memo, shifters = self._pieces, self.shifters
         per_sentence = []
-        for chunk in _SENTENCE_RE.split(text):
-            rows = []
-            after_verb = False
-            for token in _TOKEN_RE.findall(chunk):
-                words = words_memo.get(token)
-                if words is None:
-                    words = words_memo[token] = token_words(
-                        token, self.abbreviations, rules.normalize)
-                for word in words:
-                    row = rows_memo[after_verb].get(word)
-                    if row is None:
-                        row = rows_memo[after_verb][word] = token_row(
-                            rules.token(word, after_verb), dictionary,
-                            shifters)
-                    rows.append(row)
-                    after_verb = row[3]
-            if rows:
-                per_sentence.append(_sentence_raw(rows, shifters))
+        rows: list[Row] = []
+        after_verb = False
+        for piece in text.split():
+            entry = pieces_memo[after_verb].get(piece)
+            if entry is None:
+                entry = self._piece(piece, after_verb)
+            piece_rows, after_verb, ends = entry
+            rows += piece_rows
+            if ends:
+                if rows:
+                    per_sentence.append(_sentence_raw(rows, shifters))
+                    rows = []
+                after_verb = False
+        if rows:
+            per_sentence.append(_sentence_raw(rows, shifters))
         return _score(tuple(per_sentence), COMPOUND_ALPHA)
+
+    def _piece(self, piece: str, after_verb: bool) -> Piece:
+        """The memo entry of a piece, stored while the memo has room."""
+        words_memo, rows_memo, rules = self._words, self._rows, self.rules
+        rows = []
+        flag = after_verb
+        for token in _TOKEN_RE.findall(piece):
+            words = words_memo.get(token)
+            if words is None:
+                words = words_memo[token] = token_words(
+                    token, self.abbreviations, rules.normalize)
+            for word in words:
+                row = rows_memo[flag].get(word)
+                if row is None:
+                    row = rows_memo[flag][word] = token_row(
+                        rules.token(word, flag), self.dictionary,
+                        self.shifters)
+                rows.append(row)
+                flag = row[3]
+        entry = (tuple(rows), flag, piece[-1] in ".!?;")
+        pieces_memo = self._pieces
+        if len(pieces_memo[0]) + len(pieces_memo[1]) < PIECE_MEMO_MAX:
+            pieces_memo[after_verb][piece] = entry
+        return entry

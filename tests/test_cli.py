@@ -135,6 +135,55 @@ class TestSentimentCommands:
         assert lines[1].endswith("positive")
         assert lines[2].endswith("negative")
 
+    def test_score_equals_score_document_per_line(self, tmp_path):
+        # CRLF endings, tabs, no-break spaces, blank and punctuation-only
+        # lines: each row is score_document(preprocess(line))
+        texts = ["Profits surge significantly\tas EPS beats; shares rally",
+                 "",
+                 "\xa0Shares\xa0crash after the downgrade. Not good!",
+                 "...",
+                 "; ! ?",
+                 "U.S. stocks rally\t\tx;y gains.!  Company does not rise",
+                 "\t",
+                 "Revenue never fell?\xa0Losses widen sharply (12.5%)"]
+        path = tmp_path / "texts.txt"
+        path.write_bytes("\r\n".join(texts + [""]).encode("utf-8"))
+        assert run(["sentiment", "score"], tmp_path,
+                   ["--set", f"sentiment.input={path}"]) == 0
+        rows = (tmp_path / "sentiment" / "scores.csv").read_text(
+            encoding="utf-8").splitlines()
+        dictionary, shifters = sn.mini_financial_dictionary(), \
+            sn.default_shifters()
+        want = ["line,compound,polarity"]
+        for i, text in enumerate(texts, start=1):
+            score = sn.score_document(sn.preprocess(text), dictionary,
+                                      shifters)
+            want.append(f"{i},{score.compound!r},{score.polarity}")
+        assert rows == want
+        assert {row.rsplit(",", 1)[1] for row in rows[1:]} == {
+            "positive", "negative", "neutral"}
+
+    @pytest.mark.parametrize("command", ["score", "eval"])
+    @pytest.mark.parametrize("boost", ["1e200", "1e308", "4.5"])
+    def test_boost_out_of_range_exits_3(self, tmp_path, capsys, command,
+                                        boost):
+        with open(sn.packaged("shifters.tsv"), encoding="utf-8") as fh:
+            table = fh.read().replace("significantly\t0.293",
+                                      f"significantly\t{boost}")
+        shifters = tmp_path / "shifters.tsv"
+        shifters.write_text(table, encoding="utf-8")
+        line = table.splitlines().index(f"intensifier\tsignificantly\t{boost}")
+        texts = tmp_path / "texts.txt"
+        texts.write_text("Company significantly beats estimates\n")
+        capsys.readouterr()
+        assert run(["sentiment", command], tmp_path,
+                   ["--set", f"sentiment.shifters={shifters}",
+                    "--set", f"sentiment.input={texts}"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {shifters}:{line + 1}: boost for "
+                              f"'significantly' must be finite in "), err
+        assert not (tmp_path / "sentiment" / "scores.csv").exists()
+
     def test_build_dict_cascade(self, tmp_path):
         assert run(["sentiment", "build-dict"], tmp_path) == 0
         out = tmp_path / "sentiment"

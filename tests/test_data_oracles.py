@@ -971,16 +971,31 @@ def test_sentence_raw_matches_clause_rescan(seed, window):
 
 def test_text_scorer_keys_rows_on_the_word_before(monkeypatch):
     # under verb-first rules "rallies" after a verb is a NOUN, which does
-    # not end its clause, so the boost of the "rally" hit reaches "gain"
+    # not end its clause, so the boost of the "rally" hit reaches "gain".
+    # One scorer serves every text, so a piece memoized after a non-verb
+    # meets the same piece after a verb, and a sentence that ends in a
+    # verb is followed by one that starts with "rallies"
     rules = verb_first_rules()
     monkeypatch.setattr(scoring, "default_rules", lambda: rules)
-    text = "Very rallies say rallies gain. Rallies rallies gain"
+    texts = ["Very rallies say rallies gain. Rallies rallies gain",
+             "rallies gain", "say rallies gain", "Say. rallies gain"]
+    rng = np.random.default_rng(0)
+    words = ("rallies", "Rallies", "say", "gain", "very", "not", "the")
+    separators = (" ", " ", ". ", "; ", "\t", "!\xa0")
+    for _ in range(200):
+        n = int(rng.integers(0, 12))
+        texts.append("".join(
+            words[i] + separators[j] for i, j in
+            zip(rng.integers(len(words), size=n),
+                rng.integers(len(separators), size=n))))
     shifters = scoring_shifters()
-    want = score_document(preprocess(text, rules=rules), SCORING_DICTIONARY,
-                          shifters)
-    got = TextScorer(SCORING_DICTIONARY, shifters).score(text)
-    assert_bitwise_equal(got.compound, want.compound)
-    assert got.per_sentence == want.per_sentence
+    scorer = TextScorer(SCORING_DICTIONARY, shifters)
+    for text in texts + texts:  # memo misses, then hits
+        want = score_document(preprocess(text, rules=rules),
+                              SCORING_DICTIONARY, shifters)
+        got = scorer.score(text)
+        assert_bitwise_equal(got.compound, want.compound)
+        assert got.per_sentence == want.per_sentence
 
 
 @pytest.mark.parametrize("words,expected", [

@@ -17,6 +17,7 @@ from quantgym.sentiment import (
     score_document,
 )
 from quantgym.sentiment.preprocess import default_abbreviations, default_rules
+from quantgym.sentiment.scoring import PIECE_MEMO_MAX
 
 
 def compound_of(total, alpha=15.0):
@@ -161,7 +162,8 @@ def test_monotone_in_total():
 
 # the text path against score_document(preprocess(text)): headline-like
 # text mixing abbreviations, shifters, verbs, dictionary hits, digits,
-# possessives, sentence punctuation and line breaks
+# possessives, terminator runs inside and at the end of a piece, and
+# every kind of whitespace
 
 def headline_words():
     shifters, rules = default_shifters(), default_rules()
@@ -171,12 +173,15 @@ def headline_words():
                    *mini_financial_dictionary().entries,
                    "rallies", "rallied", "gains", "profits", "soared",
                    "beats", "developed", "the", "stock", "shares", "and",
-                   "company", "12", "3.5%", "Q3", "x1", "2024", "$", "-"})
+                   "company", "12", "3.5%", "Q3", "x1", "2024", "$", "-",
+                   "U.S.", "a.b", ".!?", ";;", "x;y", "gain.!", "fell;"})
 
 
 HEADLINE_WORDS = headline_words()
 SEPARATORS = (" ", " ", " ", " ", ". ", "! ", "? ", "; ", ", ", "... ",
-              "\n", " - ", "", "'", "’")
+              "\n", " - ", "", "'", "’", "\t", "\r", "\x0b", "\x0c",
+              "\x1c", "\x85", "\xa0", "\u2028", "\u3000", " \t ", ".\t",
+              "?\xa0", ";\u2028", "!\x85", ".\u3000")
 
 
 @st.composite
@@ -191,23 +196,56 @@ def headline_texts(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(headline_texts())
-@example("Shares did not rise and profits never fell")  # negator, then verb
-@example("Extremely weak sales fell and profits rise")  # boost, clause cut
-@example("Stock hits ATH after the CEO's EPS beat YoY")  # multi-word expansion
-@example("")
-@example("\n. ! ;")
-def test_text_scorer_matches_score_document(text):
+@given(st.lists(headline_texts(), min_size=1, max_size=4))
+@example(["Shares did not rise and profits never fell"])  # negator, then verb
+@example(["Extremely weak sales fell and profits rise"])  # boost, clause cut
+@example(["Stock hits ATH after the CEO's EPS beat YoY"])  # multi-word expansion
+@example([""])
+@example(["\n. ! ;"])
+@example(["U.S. shares rise", "Shares rise U.S.", "a.b;;x;y fell .!?"])
+def test_text_scorer_matches_score_document(texts):
+    # one scorer for every text, so entries one text memoizes serve the
+    # next; the texts twice, through memo misses and then hits
     dictionary, shifters = mini_financial_dictionary(), default_shifters()
-    want = score_document(preprocess(text), dictionary, shifters)
-    scorer = TextScorer(dictionary, shifters)
-    for _ in range(2):  # memo misses, then hits
+    assert_scores_match(TextScorer(dictionary, shifters), texts * 2)
+
+
+def assert_scores_match(scorer, texts):
+    for text in texts:
+        want = score_document(preprocess(text), scorer.dictionary,
+                              scorer.shifters)
         got = scorer.score(text)
         assert repr(got.compound) == repr(want.compound)
         assert got.polarity == want.polarity
         assert got.per_sentence == want.per_sentence
 
 
+def test_text_scorer_memo_stays_bounded():
+    # more distinct pieces than the memo keeps, among ones that score
+    dictionary, shifters = mini_financial_dictionary(), default_shifters()
+    scorer = TextScorer(dictionary, shifters)
+    numbers = [f"{n}%" for n in range(PIECE_MEMO_MAX + 1000)]
+    texts = [" ".join(n if k % 50 else f"Profits rise {n}; never fell"
+                      for k, n in enumerate(numbers)),
+             "Shares did not rise 99999999% and 88888888 fell."]
+    for text in texts + texts:
+        assert_scores_match(scorer, [text])
+        assert sum(map(len, scorer._pieces)) <= PIECE_MEMO_MAX
+    assert sum(map(len, scorer._pieces)) == PIECE_MEMO_MAX  # it filled up
+
+
 def test_text_scorer_rejects_an_empty_dictionary():
     with pytest.raises(ValueError, match="empty"):
         TextScorer(SentimentDictionary({}), NOT_SHIFTERS)
+
+
+@pytest.mark.parametrize("boost", [4.5, -4.5, 1e200, 1e308, float("inf"),
+                                   float("nan")])
+def test_boost_outside_the_valence_range_rejected(boost):
+    with pytest.raises(ValueError, match="boost for 'significantly'"):
+        ShifterTable({"significantly": boost}, frozenset(), -0.5)
+
+
+def test_boost_at_the_valence_bounds_accepted():
+    shifters = ShifterTable({"very": 4.0, "barely": -4.0}, frozenset(), -0.5)
+    assert shifters.intensifiers == {"very": 4.0, "barely": -4.0}
