@@ -18,10 +18,19 @@ from .lexicon import packaged, read_tsv
 COMPANY_TOKEN = "company_random"
 
 _SENTENCE_RE = re.compile(r"[.!?;]+(?=\s|$)")
-_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z_'’\-]*|\S")
+_WORD = r"[A-Za-z_][A-Za-z_'’\-]*"
+_TOKEN_RE = re.compile(_WORD + r"|\S")
+# the raw tokens that can yield a word, in order: a token of the \S
+# alternative is one character that is not a letter or underscore, which
+# normalizes away and is no abbreviation
+_WORD_RE = re.compile(_WORD)
 _LETTERS_RE = re.compile(r"[^a-z_]")
 
 VOWELS = set("aeiou")
+# the most entries a scoring memo (here, and in scoring.TextScorer) holds
+# before it is emptied, so memos do not grow with the distinct numbers,
+# tickers or URLs of a large corpus
+MEMO_MAX = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -57,9 +66,9 @@ class LemmaRules:
             self.known.setdefault(pos, set()).add(word)
         for lemma, pos in exceptions.values():
             self.known.setdefault(pos, set()).add(lemma)
-        # per-instance memos for preprocess and TextScorer: raw token ->
-        # _normalize(token), and (word, prefer_noun) -> the Token of
-        # analyze()
+        # per-instance memos for preprocess and TextScorer, each emptied
+        # when it reaches MEMO_MAX entries: raw token -> _normalize(token),
+        # and (word, prefer_noun) -> the Token of analyze()
         self._normalized: dict[str, str | None] = {}
         self._tokens: dict[tuple[str, bool], Token] = {}
 
@@ -138,6 +147,8 @@ class LemmaRules:
         try:
             return self._normalized[token]
         except KeyError:
+            if len(self._normalized) >= MEMO_MAX:
+                self._normalized.clear()
             word = self._normalized[token] = _normalize(token)
             return word
 
@@ -147,6 +158,8 @@ class LemmaRules:
         try:
             return self._tokens[key]
         except KeyError:
+            if len(self._tokens) >= MEMO_MAX:
+                self._tokens.clear()
             lemma, pos = self.analyze(word, prefer_noun)
             tok = self._tokens[key] = Token(word, lemma, pos)
             return tok

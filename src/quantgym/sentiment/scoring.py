@@ -6,7 +6,9 @@ from dataclasses import dataclass
 
 from .lexicon import SentimentDictionary, ShifterTable
 from .preprocess import (
-    _TOKEN_RE,
+    _SENTENCE_RE,
+    _WORD_RE,
+    MEMO_MAX,
     Document,
     Token,
     default_abbreviations,
@@ -17,10 +19,9 @@ from .preprocess import (
 COMPOUND_ALPHA = 15.0
 POSITIVE_THRESHOLD = 0.05
 NEGATIVE_THRESHOLD = -0.05
-# the most (piece, after-verb) entries one TextScorer keeps; a piece past
-# it is scored without being stored, so the memo does not grow with the
-# distinct numbers, tickers or URLs of a large corpus
-PIECE_MEMO_MAX = 1 << 14
+# the pieces a TextScorer memo may store before it has served any; past
+# them it stores one per piece it serves from a line with no miss
+LEARN_MIN = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -44,8 +45,8 @@ def normalize_compound(total: float, alpha: float = COMPOUND_ALPHA) -> float:
 
 # a word's row: (valence or None, intensifier boost or None, negator?, verb?)
 Row = tuple[float | None, float | None, bool, bool]
-# a whitespace-free piece's rows, the after-verb flag after it, and
-# whether it ends a sentence
+# a whitespace-free piece's (or raw token's) rows, the after-verb flag
+# after it, and whether it ends a sentence
 Piece = tuple[tuple[Row, ...], bool, bool]
 
 
@@ -122,12 +123,20 @@ class TextScorer:
     in its sentence is a verb, maps through a memo to its rows for
     ``_sentence_raw``, the flag after it, and whether it ends a sentence
     (only a run of terminators at its end can; its terminators tokenize
-    to punctuation, which yields no words). A memo miss is tokenized as
-    ``preprocess`` does it: a raw token maps through a second memo to
-    its normalized words (abbreviations expanded), and a (word, after a
-    verb) key through a third to its row. The piece and row memos are two
-    dicts each, indexed by the flag, so no key is built per piece. The
-    default lemma rules and abbreviations apply, and no company names.
+    to punctuation, which yields no words). Raw tokens share the memo, a
+    token being the one piece it tokenizes to; only a new one is
+    normalized (its abbreviation expanded) and lemmatized.
+
+    A piece the memo lacks is stored from the entries of its raw tokens
+    while the memo has credit: it starts with ``LEARN_MIN`` and earns one
+    per piece of a line served whole from the memo. Without credit, the
+    rest of the line is tokenized per sentence as ``preprocess`` does it,
+    and no piece is stored, so text whose pieces never repeat costs what
+    per-sentence tokenizing costs. Both skip the one-character tokens,
+    which yield no word. The memo is two dicts indexed by the flag, so no
+    key is built per piece; a dict that reaches ``MEMO_MAX`` entries is
+    emptied. The default lemma rules and abbreviations apply, and no
+    company names.
     """
 
     def __init__(self, dictionary: SentimentDictionary,
@@ -137,22 +146,30 @@ class TextScorer:
         self.dictionary, self.shifters = dictionary, shifters
         self.rules = default_rules()
         self.abbreviations = default_abbreviations()
-        # piece -> Piece, for a piece after a non-verb and after a verb;
-        # at most PIECE_MEMO_MAX entries in all
-        self._pieces: tuple[dict[str, Piece], dict[str, Piece]] = ({}, {})
-        self._words: dict[str, tuple[str, ...]] = {}
-        # word -> row, for a word after a non-verb and after a verb
-        self._rows: tuple[dict[str, Row], dict[str, Row]] = ({}, {})
+        # piece or raw token -> Piece, after a non-verb and after a verb
+        self._memo: tuple[dict[str, Piece], dict[str, Piece]] = ({}, {})
+        self._credit = LEARN_MIN
 
     def score(self, text: str) -> SentimentScore:
-        pieces_memo, shifters = self._pieces, self.shifters
-        per_sentence = []
+        memo, shifters = self._memo, self.shifters
+        pieces = text.split()
+        credit = self._credit
+        per_sentence: list[float] = []
         rows: list[Row] = []
         after_verb = False
-        for piece in text.split():
-            entry = pieces_memo[after_verb].get(piece)
+        rest = iter(pieces)
+        for piece in rest:
+            entry = memo[after_verb].get(piece)
             if entry is None:
-                entry = self._piece(piece, after_verb)
+                if credit <= 0:
+                    self._credit = 0
+                    # from this piece on, the text tokenizes and splits
+                    # into sentences as its pieces joined by spaces do
+                    return self._score_sentences(" ".join((piece, *rest)),
+                                                 per_sentence, rows,
+                                                 after_verb)
+                entry = self._learn(piece, after_verb)
+                credit -= 1
             piece_rows, after_verb, ends = entry
             rows += piece_rows
             if ends:
@@ -162,28 +179,58 @@ class TextScorer:
                 after_verb = False
         if rows:
             per_sentence.append(_sentence_raw(rows, shifters))
+        if credit == self._credit:  # served whole from the memo
+            credit += len(pieces)
+        self._credit = credit
         return _score(tuple(per_sentence), COMPOUND_ALPHA)
 
-    def _piece(self, piece: str, after_verb: bool) -> Piece:
-        """The memo entry of a piece, stored while the memo has room."""
-        words_memo, rows_memo, rules = self._words, self._rows, self.rules
-        rows = []
+    def _score_sentences(self, text: str, per_sentence: list[float],
+                         rows: list[Row], after_verb: bool) -> SentimentScore:
+        """Finish ``score`` tokenizing each sentence of the rest of the
+        text whole; its first sentence continues ``rows``."""
+        memo, shifters = self._memo, self.shifters
+        for chunk in _SENTENCE_RE.split(text):
+            for token in _WORD_RE.findall(chunk):
+                entry = memo[after_verb].get(token)
+                if entry is None:
+                    entry = self._token(token, after_verb)
+                rows += entry[0]
+                after_verb = entry[1]
+            if rows:
+                per_sentence.append(_sentence_raw(rows, shifters))
+                rows = []
+            after_verb = False
+        return _score(tuple(per_sentence), COMPOUND_ALPHA)
+
+    def _learn(self, piece: str, after_verb: bool) -> Piece:
+        """Store the Piece of a piece from those of its raw tokens."""
+        memo = self._memo
+        rows: list[Row] = []
         flag = after_verb
-        for token in _TOKEN_RE.findall(piece):
-            words = words_memo.get(token)
-            if words is None:
-                words = words_memo[token] = token_words(
-                    token, self.abbreviations, rules.normalize)
-            for word in words:
-                row = rows_memo[flag].get(word)
-                if row is None:
-                    row = rows_memo[flag][word] = token_row(
-                        rules.token(word, flag), self.dictionary,
-                        self.shifters)
-                rows.append(row)
-                flag = row[3]
-        entry = (tuple(rows), flag, piece[-1] in ".!?;")
-        pieces_memo = self._pieces
-        if len(pieces_memo[0]) + len(pieces_memo[1]) < PIECE_MEMO_MAX:
-            pieces_memo[after_verb][piece] = entry
+        for token in _WORD_RE.findall(piece):
+            entry = memo[flag].get(token)
+            if entry is None:
+                entry = self._token(token, flag)
+            rows += entry[0]
+            flag = entry[1]
+        return self._store(after_verb, piece, rows, flag)
+
+    def _token(self, token: str, after_verb: bool) -> Piece:
+        """Store the Piece of a raw token: the rows of its words."""
+        rules = self.rules
+        rows: list[Row] = []
+        flag = after_verb
+        for word in token_words(token, self.abbreviations, rules.normalize):
+            row = token_row(rules.token(word, flag), self.dictionary,
+                            self.shifters)
+            rows.append(row)
+            flag = row[3]
+        return self._store(after_verb, token, rows, flag)
+
+    def _store(self, after_verb: bool, key: str, rows: list[Row],
+               flag: bool) -> Piece:
+        table = self._memo[after_verb]
+        if len(table) >= MEMO_MAX:
+            table.clear()
+        entry = table[key] = (tuple(rows), flag, key[-1] in ".!?;")
         return entry

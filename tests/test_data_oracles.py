@@ -989,13 +989,16 @@ def test_text_scorer_keys_rows_on_the_word_before(monkeypatch):
             zip(rng.integers(len(words), size=n),
                 rng.integers(len(separators), size=n))))
     shifters = scoring_shifters()
-    scorer = TextScorer(SCORING_DICTIONARY, shifters)
-    for text in texts + texts:  # memo misses, then hits
-        want = score_document(preprocess(text, rules=rules),
-                              SCORING_DICTIONARY, shifters)
-        got = scorer.score(text)
-        assert_bitwise_equal(got.compound, want.compound)
-        assert got.per_sentence == want.per_sentence
+    # with little credit to learn pieces, lines go per sentence from a miss
+    for learn_min in (0, 2, scoring.LEARN_MIN):
+        monkeypatch.setattr(scoring, "LEARN_MIN", learn_min)
+        scorer = TextScorer(SCORING_DICTIONARY, shifters)
+        for text in texts + texts:  # memo misses, then hits
+            want = score_document(preprocess(text, rules=rules),
+                                  SCORING_DICTIONARY, shifters)
+            got = scorer.score(text)
+            assert_bitwise_equal(got.compound, want.compound)
+            assert got.per_sentence == want.per_sentence
 
 
 @pytest.mark.parametrize("words,expected", [

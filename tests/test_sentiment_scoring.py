@@ -1,5 +1,6 @@
 """Document scoring: hand-evaluated compounds and shifter mechanics."""
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,8 +17,9 @@ from quantgym.sentiment import (
     normalize_compound,
     score_document,
 )
+from quantgym.sentiment import scoring
 from quantgym.sentiment.preprocess import default_abbreviations, default_rules
-from quantgym.sentiment.scoring import PIECE_MEMO_MAX
+from quantgym.sentiment.scoring import LEARN_MIN, MEMO_MAX
 
 
 def compound_of(total, alpha=15.0):
@@ -196,18 +198,24 @@ def headline_texts(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(headline_texts(), min_size=1, max_size=4))
-@example(["Shares did not rise and profits never fell"])  # negator, then verb
-@example(["Extremely weak sales fell and profits rise"])  # boost, clause cut
-@example(["Stock hits ATH after the CEO's EPS beat YoY"])  # multi-word expansion
-@example([""])
-@example(["\n. ! ;"])
-@example(["U.S. shares rise", "Shares rise U.S.", "a.b;;x;y fell .!?"])
-def test_text_scorer_matches_score_document(texts):
+@given(st.lists(headline_texts(), min_size=1, max_size=4),
+       st.sampled_from((0, 1, 3, LEARN_MIN)))
+@example(["Shares did not rise and profits never fell"], LEARN_MIN)
+@example(["Extremely weak sales fell and profits rise"], 0)  # clause cut
+@example(["Stock hits ATH after the CEO's EPS beat YoY"], 1)  # expansions
+@example([""], 0)
+@example(["\n. ! ;"], 0)
+@example(["U.S. shares rise", "Shares rise U.S.", "a.b;;x;y fell .!?"], 0)
+@example(["Shares rise. Profits fell; loss", "Shares rise. Profits fell."], 1)
+def test_text_scorer_matches_score_document(texts, learn_min):
     # one scorer for every text, so entries one text memoizes serve the
-    # next; the texts twice, through memo misses and then hits
+    # next; the texts twice, through memo misses and then hits. Little
+    # credit sends a line to the per-sentence path at a miss, from any
+    # piece on, after pieces served from the memo or learned
     dictionary, shifters = mini_financial_dictionary(), default_shifters()
-    assert_scores_match(TextScorer(dictionary, shifters), texts * 2)
+    with mock.patch.object(scoring, "LEARN_MIN", learn_min):
+        scorer = TextScorer(dictionary, shifters)
+    assert_scores_match(scorer, texts * 2)
 
 
 def assert_scores_match(scorer, texts):
@@ -220,18 +228,48 @@ def assert_scores_match(scorer, texts):
         assert got.per_sentence == want.per_sentence
 
 
-def test_text_scorer_memo_stays_bounded():
-    # more distinct pieces than the memo keeps, among ones that score
-    dictionary, shifters = mini_financial_dictionary(), default_shifters()
-    scorer = TextScorer(dictionary, shifters)
-    numbers = [f"{n}%" for n in range(PIECE_MEMO_MAX + 1000)]
-    texts = [" ".join(n if k % 50 else f"Profits rise {n}; never fell"
-                      for k, n in enumerate(numbers)),
+def test_text_scorer_learns_pieces_only_on_credit(monkeypatch):
+    monkeypatch.setattr(scoring, "LEARN_MIN", 0)
+    scorer = TextScorer(mini_financial_dictionary(), default_shifters())
+
+    def memoized():
+        return set(scorer._memo[0]) | set(scorer._memo[1])
+
+    # no credit: the line is tokenized per sentence; its one-token
+    # pieces are memoized as raw tokens, its others not at all
+    assert_scores_match(scorer, ["Profits rise x1 rise."])
+    assert {"Profits", "rise", "x"} <= memoized()
+    assert not {"x1", "rise.", "1", "."} & memoized()
+    # a line served whole earns one piece per piece: here "rise." but
+    # not "x1" after it, from which the line is tokenized per sentence
+    assert_scores_match(scorer, ["Profits", "rise. x1 Profits"])
+    assert "rise." in memoized() and "x1" not in memoized()
+
+
+@pytest.mark.parametrize("learn_min", [0, 4 * MEMO_MAX])
+def test_scoring_memos_stay_bounded(monkeypatch, learn_min):
+    # more distinct raw tokens and pieces than a memo keeps, among ones
+    # that score; with and without credit to learn every piece
+    monkeypatch.setattr(scoring, "LEARN_MIN", learn_min)
+    rules = default_rules()
+    scorer = TextScorer(mini_financial_dictionary(), default_shifters())
+    memos = (*scorer._memo, rules._normalized, rules._tokens)
+
+    def word(n):  # a distinct lower-case word per n
+        letters = "zq"
+        while n:
+            n, k = divmod(n, 26)
+            letters += chr(ord("a") + k)
+        return letters
+
+    n_words = MEMO_MAX + 1000
+    texts = [" ".join(f"{word(n)} {n}%" if n % 50 else
+                      f"Profits rise {word(n)}; never fell"
+                      for n in range(n_words)),
              "Shares did not rise 99999999% and 88888888 fell."]
     for text in texts + texts:
         assert_scores_match(scorer, [text])
-        assert sum(map(len, scorer._pieces)) <= PIECE_MEMO_MAX
-    assert sum(map(len, scorer._pieces)) == PIECE_MEMO_MAX  # it filled up
+        assert all(0 < len(memo) <= MEMO_MAX for memo in memos)
 
 
 def test_text_scorer_rejects_an_empty_dictionary():
