@@ -1,4 +1,4 @@
-"""Policies: trainable agents, classical baselines, and ensemble selection."""
+"""Policies: trainable agents and classical baselines."""
 
 from .a2c import Adam, a2c_loss_and_grad, train_a2c, train_a2c_all
 from .baselines import (
@@ -11,7 +11,6 @@ from .baselines import (
     baseline_zero,
 )
 from .cem import cem_optimize, train_cem, train_cem_all
-from .ensemble import EnsembleReport, ensemble_select
 from .mean_variance import (
     estimate_moments,
     mean_variance_weights,
@@ -21,7 +20,6 @@ from .policy import GaussianPolicy, Policy, TrainConfig, load_policy, save_polic
 
 __all__ = [
     "Adam",
-    "EnsembleReport",
     "EqualWeightPolicy",
     "GaussianPolicy",
     "PassivePolicy",
@@ -34,7 +32,6 @@ __all__ = [
     "baseline_passive",
     "baseline_zero",
     "cem_optimize",
-    "ensemble_select",
     "estimate_moments",
     "load_policy",
     "mean_variance_weights",

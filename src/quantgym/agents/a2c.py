@@ -1,12 +1,10 @@
 """Synchronous advantage actor-critic trained with numpy backprop.
 
-``train_a2c`` trains one policy on any reset/step environment.
 ``train_a2c_all`` trains many (env, config) jobs as lockstep populations
 over an ``EnvPopulation``: one env step per rollout step for all rows,
 whatever their network shapes, and one stacked forward, loss and Adam
-step per shape. Every job's policy equals ``train_a2c`` on its own env
-and config, bit for bit. The two share everything but the rollout loop:
-the ``_Learners`` rows sample, update and check for divergence.
+step per shape. The ``_Learners`` rows sample, update and check for
+divergence. ``train_a2c`` is its case of one job.
 """
 from __future__ import annotations
 
@@ -173,7 +171,7 @@ class _Shape:
 class _Learners:
     """P A2C learners that share every TrainConfig field but the seed,
     the learning rate and ``hidden``. Row p holds the policy, Adam state
-    and sampling stream ``train_a2c`` keeps for configs[p]. Each run of
+    and sampling stream of configs[p]. Each run of
     rows with one ``hidden`` is a ``_Shape`` whose network math runs
     stacked; the action noise, the finiteness check and the rollout
     buffers cover every row at once."""
@@ -195,15 +193,6 @@ class _Learners:
         self.rngs = [np.random.default_rng(c.seed) for c in configs]
         self.obs_scale = np.ones((len(configs), obs_dim))
         self.failed: list[TrainingError | None] = [None] * len(configs)
-
-    # a population of one shape reads as that shape's block
-    template = property(lambda self: self._only_shape().template)
-    params = property(lambda self: self._only_shape().params)
-    fields = property(lambda self: self._only_shape().fields)
-
-    def _only_shape(self) -> _Shape:
-        (shape,) = self.shapes
-        return shape
 
     def begin_rollout(self) -> None:
         """Clear the rollout buffers and draw each row's action noise,
@@ -315,47 +304,18 @@ class _Learners:
         return out
 
 
-def train_a2c(env, config: TrainConfig) -> GaussianPolicy:
-    """Train a Gaussian policy on a reset/step environment.
-
-    Rolls out `rollout_steps` transitions (auto-resetting at episode
-    ends), bootstraps n-step returns from the value head, normalizes
-    advantages per rollout, and applies Adam with gradient-norm
-    clipping. Fully reproducible from (seed, config, data). A non-finite
-    action, loss or gradient raises TrainingError naming the step.
-    """
-    with np.errstate(all="ignore"):
-        rows = _Learners(env.observation_dim, env.action_dim, [config])
-        obs = env.reset().observation()
-        # freeze a per-dimension observation scale from the first state
-        rows.obs_scale = np.maximum(1.0, np.abs(obs))[None]
-        steps_done = 0
-        while steps_done < config.steps:
-            rows.begin_rollout()
-            for i in range(config.rollout_steps):
-                steps_done += 1
-                actions, values = rows.sample(obs[None], i, steps_done)
-                if rows.failed[0] is not None:
-                    raise rows.failed[0]
-                transition = env.step(actions[0])
-                rows.record(i, obs, actions, transition.reward, values,
-                            transition.done)
-                state = env.reset() if transition.done \
-                    else transition.next_state
-                obs = state.observation()
-            rows.update(obs[None], steps_done)
-            if rows.failed[0] is not None:
-                raise rows.failed[0]
-        return rows.outcomes()[0]
-
-
 def _train_lockstep(envs, configs) -> list[GaussianPolicy | TrainingError]:
-    """``train_a2c`` on each (envs[p], configs[p]), all rows in lockstep.
+    """A2C on each (envs[p], configs[p]), all rows in lockstep.
 
-    The configs agree in every field but the seed, the learning rate and
-    ``hidden``, and the envs form one ``EnvPopulation``, stepped once per
-    rollout step for every row whatever its network shape. A row that
-    diverges fails alone; the others carry on unchanged.
+    Each row rolls out `rollout_steps` transitions on its env (restarting
+    it at episode ends), bootstraps n-step returns from the value head,
+    normalizes advantages per rollout, and applies Adam with
+    gradient-norm clipping; its observation scale is frozen from its
+    first state. The configs agree in every field but the seed, the
+    learning rate and ``hidden``, and the envs form one ``EnvPopulation``,
+    stepped once per rollout step for every row whatever its network
+    shape. A row whose action, loss or gradient turns non-finite fails
+    with a TrainingError naming the step; the others carry on unchanged.
     """
     population = EnvPopulation(envs)
     env = population.env
@@ -384,10 +344,11 @@ def train_a2c_all(jobs: Sequence[tuple]) -> list[GaussianPolicy | TrainingError]
     rate and ``hidden`` train in lockstep populations of at most
     ``LOCKSTEP_ROWS`` rows, so their envs must form an
     ``EnvPopulation``; the rows of each ``hidden`` value run their
-    network math as one stacked block. Each outcome equals ``train_a2c``
-    on that job alone, bit for bit.
+    network math as one stacked block. Each outcome is that of the job
+    trained alone, bit for bit, and is reproducible from (seed, config,
+    data).
     """
-    groups: dict[TrainConfig, list[int]] = {}
+    groups: dict[tuple, list[int]] = {}
     outcomes: list = [None] * len(jobs)
     for k, (env, config) in enumerate(jobs):
         try:  # a job whose network cannot be built fails alone
@@ -396,7 +357,9 @@ def train_a2c_all(jobs: Sequence[tuple]) -> list[GaussianPolicy | TrainingError]
         except TrainingError as exc:
             outcomes[k] = exc
             continue
-        key = dataclasses.replace(config, seed=0, learning_rate=0.0, hidden=0)
+        key = tuple(getattr(config, f.name)
+                    for f in dataclasses.fields(config)
+                    if f.name not in ("seed", "learning_rate", "hidden"))
         groups.setdefault(key, []).append(k)
     for members in groups.values():
         # rows of one shape side by side: one block per shape and chunk
@@ -407,3 +370,13 @@ def train_a2c_all(jobs: Sequence[tuple]) -> list[GaussianPolicy | TrainingError]
             for k, outcome in zip(rows, fitted):
                 outcomes[k] = outcome
     return outcomes
+
+
+def train_a2c(env, config: TrainConfig) -> GaussianPolicy:
+    """Train a Gaussian policy on a market environment: ``train_a2c_all``
+    on one job. A non-finite action, loss or gradient raises
+    TrainingError naming the step."""
+    outcome = train_a2c_all([(env, config)])[0]
+    if isinstance(outcome, TrainingError):
+        raise outcome
+    return outcome

@@ -50,6 +50,7 @@ class _Search:
         self.std_floor = std_floor
         self.population = population
         self.n_elite = max(1, int(round(population * elite_frac)))
+        # read by cem_optimize, for the benchmark's agents.cem.generation hook
         self.history: list[float] = []
 
     def ask(self, out: np.ndarray) -> None:
@@ -73,6 +74,7 @@ class _Search:
         self.history.append(float(scores[elite_idx[0]]))
 
 
+# kept for the benchmark's agents.cem.generation hook; no trainer calls it
 def cem_optimize(objective, dim: int, iterations: int, population: int,
                  elite_frac: float, seed: int = 0,
                  init_mean: np.ndarray | None = None,

@@ -30,6 +30,9 @@ class TrainConfig:
             raise TrainingError("gamma must lie in (0, 1]")
         if self.steps < 1 or self.rollout_steps < 1:
             raise TrainingError("steps and rollout_steps must be positive")
+        if not self.learning_rate > 0.0:
+            raise TrainingError(f"learning_rate must be positive, got "
+                                f"{self.learning_rate!r}")
 
 
 class Policy:
@@ -45,10 +48,6 @@ class Policy:
 
     def act(self, observation: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    @property
-    def parameters(self) -> np.ndarray:
-        return np.zeros(0)
 
     def metadata(self) -> dict:
         return {"name": self.name, "hyperparameters": self.hyperparameters}
@@ -126,10 +125,6 @@ class GaussianPolicy(Policy):
         self.bv = float(fields["bv"])
 
     @property
-    def parameters(self) -> np.ndarray:
-        return self.get_flat()
-
-    @property
     def n_parameters(self) -> int:
         return self.get_flat().size
 
@@ -141,9 +136,6 @@ class GaussianPolicy(Policy):
         mean = h @ self.W2.T + self.b2
         value = h @ self.wv + self.bv
         return mean, value, h
-
-    def std(self) -> np.ndarray:
-        return np.exp(self.log_std)
 
     def act(self, observation: np.ndarray) -> np.ndarray:
         mean, _, _ = self.forward(observation)
@@ -170,12 +162,6 @@ class GaussianPolicy(Policy):
         mean = h @ p["W2"].transpose(0, 2, 1) + p["b2"][:, None, :]
         value = (h @ p["wv"][:, :, None])[:, :, 0] + p["bv"][:, None]
         return mean, value, h
-
-    def sample(self, observation: np.ndarray, rng: np.random.Generator):
-        mean, value, _ = self.forward(observation)
-        noise = rng.standard_normal(self.action_dim)
-        action = mean[0] + self.std() * noise
-        return action, float(value[0])
 
     def metadata(self) -> dict:
         meta = super().metadata()

@@ -246,6 +246,8 @@ def make_agent_factory(config: RunConfig):
 
     def factory(env, hyper, seed):
         kind = hyper.get("type", default_kind)
+        # one job of the kind's TRAINERS entry; the benchmark's
+        # agents.train hook wraps cli.train_a2c and cli.train_cem
         if kind == "a2c":
             return train_a2c(env, train_config_from(config, hyper, seed))
         if kind == "cem":

@@ -5,14 +5,14 @@ over a half-open step range [start, end); an episode is done when the
 cursor reaches end-1 (no next bar to settle against). Instances are
 single-owner state machines over shared immutable market data, so many
 can run concurrently; ``batch_step`` steps a list of them and
-auto-resets finished ones. ``population_returns`` runs one episode on
-the step range of each of P environments in lockstep, one (P, n) step
-per time step (``episode_returns`` is its case of one environment), and
-``EnvPopulation`` steps P auto-resetting episodes the same way.
+auto-resets finished ones. Each env writes its rule once, as a (P, n)
+``_population_step``: ``step`` is its case of one row,
+``population_returns`` runs one episode on the step range of each of P
+environments in lockstep, and ``EnvPopulation`` steps P auto-resetting
+episodes the same way.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -21,8 +21,10 @@ import numpy as np
 
 from .errors import EnvError
 from .features import FeatureMatrix, TurbulenceSeries
-from .kernels import execute_trades_kernel, execute_trades_population
-from .market_data import BarTable, format_timestamp
+from .kernels import _added_in_order, execute_trades_population
+# the benchmark's kernels.execute_trades hook looks this name up here
+from .kernels import execute_trades_kernel  # noqa: F401
+from .market_data import BarTable
 
 
 @dataclass(frozen=True)
@@ -48,6 +50,9 @@ class EnvConfig:
             raise EnvError(f"unknown risk_indicator {self.risk_indicator!r}")
         if not 0.0 <= self.turnover_cost_rate <= 0.1:
             raise EnvError("turnover_cost_rate must lie in [0, 0.1]")
+        if not self.reward_scale > 0.0:
+            raise EnvError(f"reward_scale must be positive, got "
+                           f"{self.reward_scale!r}")
 
 
 @dataclass(frozen=True)
@@ -192,22 +197,6 @@ class _BaseEnv:
             raise EnvError("non-finite action")
         return action
 
-    def episode_returns(self, act, population: int) -> np.ndarray:
-        """Summed rewards of `population` lockstep episodes from ``reset()``.
-
-        ``act`` maps a (P, observation_dim) batch of observations to (P, n)
-        actions; entry p equals the reward sum of a ``reset()``/``step``
-        loop driven by row p of ``act``, bit for bit. A non-finite action
-        raises EnvError at its step.
-        """
-        def checked(obs):
-            actions = np.asarray(act(obs), dtype=float)
-            if not np.isfinite(actions).all():
-                raise EnvError("non-finite action")
-            return actions
-
-        return population_returns([self] * population, checked)[0]
-
     def _reset_rows(self, population: int):
         """Cash (or value) and holdings (or weights) of ``reset()``, per row."""
         first = self.reset().observation()
@@ -260,43 +249,42 @@ class TradingEnv(_BaseEnv):
     def step(self, action) -> Transition:
         action = self._check_steppable(action)
         state: TradingState = self._state
-        cfg = self.config
-        t = state.t
-        triggered = bool(self._risk_triggered(t))
-        if triggered:
-            deltas = -state.holdings.copy()
-        else:
-            clipped = np.clip(action, -1.0, 1.0)
-            deltas = np.rint(clipped * cfg.h_max)
-        new_h, new_b, executed, cost = execute_trades_kernel(
-            np.ascontiguousarray(state.prices), state.holdings.astype(float),
-            float(state.balance), np.ascontiguousarray(deltas, dtype=float),
-            cfg.cost_rate, cfg.allow_short, cfg.allow_margin)
-        t2 = t + 1
-        next_state = TradingState(t2, self.table.calendar[t2], float(new_b),
-                                  new_h, self.table.close[t2].astype(float),
+        t, t2 = state.t, state.t + 1
+        balance, holdings, reward, executed, triggered = \
+            self._population_step(t, np.array([state.balance]),
+                                  state.holdings[None], action[None])
+        executed = executed[0]
+        # the fill kernel's fee total: sells, then buys, in ticker order
+        fees = self.config.cost_rate * (np.abs(executed) * state.prices)
+        cost = _added_in_order(np.concatenate((fees[executed < 0.0],
+                                               fees[executed > 0.0])))
+        next_state = TradingState(t2, self.table.calendar[t2],
+                                  float(balance[0]), holdings[0],
+                                  self.table.close[t2].astype(float),
                                   self.features.values[t2].copy())
-        reward = (next_state.value - state.value) * cfg.reward_scale
         self._state = next_state
-        return Transition(state, executed, reward, next_state,
+        return Transition(state, executed, float(reward[0]), next_state,
                           t2 >= self.end - 1,
-                          {"cost": float(cost), "risk_triggered": triggered})
+                          {"cost": cost, "risk_triggered": bool(triggered)})
 
     def _population_step(self, t, balance, holdings, actions):
-        """``step`` for P rows at step t, an int or a (P,) vector."""
+        """One step of P rows at step t, an int or a (P,) vector: the new
+        (P,) balances, (P, n) holdings and (P,) rewards, then the
+        executed share deltas and the risk flag (per row, or one for
+        every row when t is an int)."""
         cfg = self.config
         deltas = np.rint(np.clip(actions, -1.0, 1.0) * cfg.h_max)
         triggered = self._risk_triggered(t)
         if triggered.any():
             deltas = np.where(triggered[..., None], -holdings, deltas)
         prices = self.table.close[t]
-        new_h, new_b, _ = execute_trades_population(
+        new_h, new_b, executed = execute_trades_population(
             prices, holdings, balance, deltas, cfg.cost_rate,
             cfg.allow_short, cfg.allow_margin)
         prices_next = self.table.close[t + 1]
         reward = ((_row_dots(new_h, prices_next) + new_b)
                   - (_row_dots(holdings, prices) + balance)) * cfg.reward_scale
-        return new_b, new_h, reward
+        return new_b, new_h, reward, executed, triggered
 
 
 class PortfolioEnv(_BaseEnv):
@@ -341,30 +329,25 @@ class PortfolioEnv(_BaseEnv):
     def step(self, action) -> Transition:
         action = self._check_steppable(action)
         state: PortfolioState = self._state
-        cfg = self.config
-        t = state.t
-        triggered = bool(self._risk_triggered(t))
-        if triggered:
-            weights = np.full(self.n, 1.0 / self.n)
-        else:
-            weights = softmax(action)
-        turnover = 0.5 * np.abs(weights - state.weights).sum()
-        fee = state.value * cfg.turnover_cost_rate * turnover
-        t2 = t + 1
-        prices_next = self.table.close[t2].astype(float)
-        growth = float(weights @ (prices_next / state.prices))
-        new_value = state.value * growth - fee
-        next_state = PortfolioState(t2, self.table.calendar[t2], new_value,
-                                    prices_next, self.features.values[t2].copy(),
-                                    weights)
-        reward = (new_value - state.value) * cfg.reward_scale
+        t, t2 = state.t, state.t + 1
+        value, weights, reward, _, triggered, fee = self._population_step(
+            t, np.array([state.value]), state.weights[None], action[None])
+        next_state = PortfolioState(t2, self.table.calendar[t2],
+                                    float(value[0]),
+                                    self.table.close[t2].astype(float),
+                                    self.features.values[t2].copy(),
+                                    weights[0])
         self._state = next_state
-        return Transition(state, weights, reward, next_state,
+        return Transition(state, weights[0], float(reward[0]), next_state,
                           t2 >= self.end - 1,
-                          {"cost": float(fee), "risk_triggered": triggered})
+                          {"cost": float(fee[0]),
+                           "risk_triggered": bool(triggered)})
 
     def _population_step(self, t, value, weights, actions):
-        """``step`` for P rows at step t, an int or a (P,) vector."""
+        """One step of P rows at step t, an int or a (P,) vector: the new
+        (P,) values, (P, n) weights and (P,) rewards, then the applied
+        weights (the new weights), the risk flag (per row, or one for
+        every row when t is an int) and the (P,) turnover fees."""
         cfg = self.config
         new_w = softmax(actions)
         triggered = self._risk_triggered(t)
@@ -374,7 +357,7 @@ class PortfolioEnv(_BaseEnv):
         fee = value * cfg.turnover_cost_rate * turnover
         new_value = value * _row_dots(new_w, self._price_ratios[t]) - fee
         reward = (new_value - value) * cfg.reward_scale
-        return new_value, new_w, reward
+        return new_value, new_w, reward, new_w, triggered, fee
 
 
 def _shared_env(envs: Sequence[_BaseEnv]) -> _BaseEnv:
@@ -426,7 +409,7 @@ def population_returns(envs: Sequence[_BaseEnv], act):
             live &= ok
             actions = np.where(ok[:, None], actions, 0.0)
         new_cash, new_held, reward = env._population_step(t, cash, held,
-                                                          actions)
+                                                          actions)[:3]
         if live.all():
             cash, held = new_cash, new_held
             total += reward
@@ -469,7 +452,7 @@ class EnvPopulation:
         the rows that are done. Rows never mix, so a non-finite action
         spoils only its own row."""
         self.cash, self.held, reward = self.env._population_step(
-            self.t, self.cash, self.held, actions)
+            self.t, self.cash, self.held, actions)[:3]
         self.t = self.t + 1
         done = self.t >= self.ends - 1
         if done.any():
@@ -498,29 +481,3 @@ def batch_step(envs: Sequence[_BaseEnv], actions) -> list[Transition]:
             transition.info["auto_reset"] = True
         transitions.append(transition)
     return transitions
-
-
-def write_episode_trace(transitions: Sequence[Transition], path: str,
-                        tickers: Sequence[str]) -> None:
-    """CSV export: t, timestamp, per-ticker action and holdings, accounting."""
-    n = len(tickers)
-    header = (["t", "timestamp"]
-              + [f"action_{tk}" for tk in tickers]
-              + [f"holdings_{tk}" for tk in tickers]
-              + ["balance", "value", "reward", "cost", "risk_triggered"])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for tr in transitions:
-            ns = tr.next_state
-            if isinstance(ns, TradingState):
-                held, balance = ns.holdings, ns.balance
-            else:
-                held, balance = ns.weights, 0.0
-            writer.writerow(
-                [tr.state.t, format_timestamp(tr.state.timestamp)]
-                + [repr(float(a)) for a in np.asarray(tr.action_applied)]
-                + [repr(float(h)) for h in held]
-                + [repr(float(balance)), repr(float(ns.value)),
-                   repr(float(tr.reward)), repr(float(tr.info.get("cost", 0.0))),
-                   str(bool(tr.info.get("risk_triggered", False)))])

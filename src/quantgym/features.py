@@ -187,20 +187,6 @@ def compute_indicator(table: BarTable, spec: IndicatorSpec) -> np.ndarray:
     raise FeatureError(f"unknown indicator kind {spec.kind!r}")
 
 
-def macd_signal(table: BarTable, spec: IndicatorSpec) -> np.ndarray:
-    """Signal line (EMA of the MACD line); NaN-prefixed like the line.
-
-    The table is dense, so every ticker's line starts at the same row.
-    """
-    if spec.kind != "MACD":
-        raise FeatureError("signal line only applies to MACD")
-    line = compute_indicator(table, spec)
-    start = max(spec.params[:2]) - 1
-    out = np.full_like(line, np.nan)
-    out[start:] = kernels.ema_kernel(line[start:], spec.params[2])
-    return out
-
-
 def compute_feature_matrix(table: BarTable, specs: list[IndicatorSpec],
                            extra_columns: dict[str, np.ndarray] | None = None,
                            ) -> FeatureMatrix:

@@ -165,22 +165,6 @@ class BarTable:
         )
 
 
-def tables_equal(a: BarTable, b: BarTable, check_synthetic: bool = True) -> bool:
-    if a.frequency != b.frequency or a.tickers != b.tickers:
-        return False
-    if a.n_steps != b.n_steps or not np.array_equal(a.calendar, b.calendar):
-        return False
-    if not np.array_equal(a.present, b.present):
-        return False
-    if check_synthetic and not np.array_equal(a.synthetic, b.synthetic):
-        return False
-    m = a.present
-    for name in ("open", "high", "low", "close", "volume"):
-        if not np.array_equal(getattr(a, name)[m], getattr(b, name)[m]):
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class CleaningPolicy:
     """How to densify a sparse panel.

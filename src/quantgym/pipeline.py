@@ -403,6 +403,7 @@ def _child_seed(seed: int, window: Window, slot: int) -> int:
         entropy=(seed, window.index, slot)).generate_state(1)[0])
 
 
+# the benchmark's traced ops wrap the factory without its fit_all
 def _fit_each(agent_factory: Callable, jobs) -> list:
     """Fit (env, hyper, seed) jobs one by one: a policy or the error each
     job raised, so the caller can replay them in its own order."""

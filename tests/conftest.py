@@ -4,8 +4,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from quantgym.envs import EnvConfig, PortfolioEnv, TradingEnv
+from quantgym.envs import (
+    EnvConfig,
+    PortfolioEnv,
+    PortfolioState,
+    TradingEnv,
+    TradingState,
+    Transition,
+    softmax,
+)
 from quantgym.features import FeatureMatrix, IndicatorSpec, compute_feature_matrix
+from quantgym.kernels import execute_trades_kernel
 from quantgym.market_data import BarTable
 
 START = np.datetime64("2022-01-03T00:00:00", "s")
@@ -58,6 +67,60 @@ def make_portfolio_env(table: BarTable, config: EnvConfig | None = None,
     config = config or EnvConfig(initial_capital=10_000.0)
     return PortfolioEnv(config, table, simple_features(table, feature_period),
                         **kwargs)
+
+
+def reference_step(env, action) -> Transition:
+    """``env.step`` written per ticker for one account: the scalar rule of
+    each env kind, with ``execute_trades_kernel`` filling the trades. It
+    is the oracle of ``step`` and of the lockstep population steps."""
+    action = env._check_steppable(action)
+    state = env.state
+    cfg = env.config
+    t, t2 = state.t, state.t + 1
+    triggered = bool(env._risk_triggered(t))
+    prices_next = env.table.close[t2].astype(float)
+    features_next = env.features.values[t2].copy()
+    if isinstance(env, TradingEnv):
+        if triggered:
+            deltas = -state.holdings.copy()
+        else:
+            deltas = np.rint(np.clip(action, -1.0, 1.0) * cfg.h_max)
+        new_h, new_b, applied, cost = execute_trades_kernel(
+            np.ascontiguousarray(state.prices), state.holdings.astype(float),
+            float(state.balance), np.ascontiguousarray(deltas, dtype=float),
+            cfg.cost_rate, cfg.allow_short, cfg.allow_margin)
+        next_state = TradingState(t2, env.table.calendar[t2], float(new_b),
+                                  new_h, prices_next, features_next)
+    else:
+        applied = np.full(env.n, 1.0 / env.n) if triggered else softmax(action)
+        turnover = 0.5 * np.abs(applied - state.weights).sum()
+        cost = state.value * cfg.turnover_cost_rate * turnover
+        growth = float(applied @ (prices_next / state.prices))
+        next_state = PortfolioState(t2, env.table.calendar[t2],
+                                    state.value * growth - cost, prices_next,
+                                    features_next, applied)
+    reward = (next_state.value - state.value) * cfg.reward_scale
+    env._state = next_state
+    return Transition(state, applied, reward, next_state, t2 >= env.end - 1,
+                      {"cost": float(cost), "risk_triggered": triggered})
+
+
+def tables_equal(a: BarTable, b: BarTable, check_synthetic: bool = True) -> bool:
+    """Same frequency, tickers, calendar and present cells (and synthetic
+    cells when asked), and equal bars wherever a cell is present."""
+    if a.frequency != b.frequency or a.tickers != b.tickers:
+        return False
+    if a.n_steps != b.n_steps or not np.array_equal(a.calendar, b.calendar):
+        return False
+    if not np.array_equal(a.present, b.present):
+        return False
+    if check_synthetic and not np.array_equal(a.synthetic, b.synthetic):
+        return False
+    m = a.present
+    for name in ("open", "high", "low", "close", "volume"):
+        if not np.array_equal(getattr(a, name)[m], getattr(b, name)[m]):
+            return False
+    return True
 
 
 def assert_bitwise_equal(actual, expected) -> None:

@@ -1,5 +1,6 @@
-"""Agents: gradient correctness, training oracles, baselines, ensemble."""
+"""Agents: gradient correctness, training oracles, baselines, selection."""
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from quantgym.agents import (
     baseline_equal,
     baseline_passive,
     cem_optimize,
-    ensemble_select,
     load_policy,
     save_policy,
     train_a2c,
@@ -23,9 +23,15 @@ from quantgym.agents import (
     train_cem_all,
 )
 from quantgym.agents import a2c, cem
-from quantgym.envs import EnvConfig, EnvPopulation, PortfolioEnv, TradingEnv
+from quantgym.envs import (
+    EnvConfig,
+    EnvPopulation,
+    PortfolioEnv,
+    TradingEnv,
+    _BaseEnv,
+)
 from quantgym.errors import TrainingError
-from quantgym.pipeline import backtest
+from quantgym.pipeline import backtest, score_key
 
 from conftest import (
     assert_bitwise_equal,
@@ -33,6 +39,7 @@ from conftest import (
     make_portfolio_env,
     make_trading_env,
     random_walk_table,
+    reference_step,
     simple_features,
 )
 
@@ -111,6 +118,38 @@ class ConstRewardEnv:
 
 # --- A2C --------------------------------------------------------------------
 
+def train_a2c_oracle(env, config):
+    """A2C on one reset/step environment, one transition at a time: the
+    oracle of the lockstep trainer. A quantgym env steps through
+    ``reference_step``. The first non-finite action, loss or gradient
+    raises its TrainingError."""
+    step = (functools.partial(reference_step, env)
+            if isinstance(env, _BaseEnv) else env.step)
+    with np.errstate(all="ignore"):
+        rows = a2c._Learners(env.observation_dim, env.action_dim, [config])
+        obs = env.reset().observation()
+        # the observation scale is frozen from the first state
+        rows.obs_scale = np.maximum(1.0, np.abs(obs))[None]
+        steps_done = 0
+        while steps_done < config.steps:
+            rows.begin_rollout()
+            for i in range(config.rollout_steps):
+                steps_done += 1
+                actions, values = rows.sample(obs[None], i, steps_done)
+                if rows.failed[0] is not None:
+                    raise rows.failed[0]
+                transition = step(actions[0])
+                rows.record(i, obs, actions, transition.reward, values,
+                            transition.done)
+                state = env.reset() if transition.done \
+                    else transition.next_state
+                obs = state.observation()
+            rows.update(obs[None], steps_done)
+            if rows.failed[0] is not None:
+                raise rows.failed[0]
+        return rows.outcomes()[0]
+
+
 class TestA2CGradient:
     def numeric_gradient(self, policy, args, eps=1e-6):
         flat = policy.get_flat()
@@ -155,7 +194,7 @@ class TestA2CTraining:
         for seed in range(20):
             config = TrainConfig(steps=600, learning_rate=0.02,
                                  rollout_steps=16, hidden=8, seed=seed)
-            policy = train_a2c(BanditEnv(), config)
+            policy = train_a2c_oracle(BanditEnv(), config)
             wins += float(policy.act(np.array([1.0]))[0]) > 0
         assert wins >= 19  # probability >= 0.95 over 20 seeds
 
@@ -164,7 +203,7 @@ class TestA2CTraining:
         config = TrainConfig(steps=6000, learning_rate=0.03, gamma=1.0,
                              rollout_steps=20, hidden=16, entropy_coef=0.0,
                              seed=0)
-        policy = train_a2c(env, config)
+        policy = train_a2c_oracle(env, config)
         start = np.zeros(6)
         start[0] = 1.0
         _, value, _ = policy.forward(start)
@@ -172,8 +211,8 @@ class TestA2CTraining:
 
     def test_same_seed_bit_identical(self):
         config = TrainConfig(steps=300, seed=11, hidden=8)
-        p1 = train_a2c(BanditEnv(), config)
-        p2 = train_a2c(BanditEnv(), config)
+        p1 = train_a2c_oracle(BanditEnv(), config)
+        p2 = train_a2c_oracle(BanditEnv(), config)
         np.testing.assert_array_equal(p1.get_flat(), p2.get_flat())
 
     def test_trains_on_market_env(self):
@@ -197,7 +236,8 @@ class TestA2CTraining:
 
 
 class TestA2CLockstep:
-    """``train_a2c_all`` against ``train_a2c`` on each job alone."""
+    """``train_a2c_all`` against the one-transition-at-a-time oracle on
+    each job alone."""
 
     def jobs(self, env_cls, short=False):
         table = random_walk_table(40, 3, seed=2)
@@ -231,7 +271,7 @@ class TestA2CLockstep:
             False, False, True, False, False, False, True]
         for outcome, (env, config) in zip(outcomes, jobs):
             try:
-                expected = train_a2c(env, config)
+                expected = train_a2c_oracle(env, config)
             except TrainingError as exc:
                 assert str(outcome) == str(exc)
                 continue
@@ -285,15 +325,16 @@ class TestA2CLockstep:
         failure = outcomes[-1]
         assert isinstance(failure, TrainingError)
         with pytest.raises(TrainingError) as alone:
-            train_a2c(*jobs[-1])
+            train_a2c_oracle(*jobs[-1])
         assert str(alone.value) == str(failure)
         step = int(str(failure).split("at step ")[1].split()[0].rstrip(";"))
         assert step < jobs[0][1].steps
         for outcome, (env, config) in zip(outcomes[:-1], jobs):
             assert_bitwise_equal(outcome.get_flat(),
-                                 train_a2c(env, config).get_flat())
+                                 train_a2c_oracle(env, config).get_flat())
             # the row went on training after the other shape failed
-            stopped = train_a2c(env, dataclasses.replace(config, steps=step))
+            stopped = train_a2c_oracle(
+                env, dataclasses.replace(config, steps=step))
             assert not (outcome.get_flat() == stopped.get_flat()).all()
 
     def test_cap_splits_mixed_shape_chunks_unchanged(self, monkeypatch):
@@ -324,10 +365,11 @@ class TestA2CLockstep:
         outcomes = train_a2c_all(jobs)
         assert isinstance(outcomes[0], TrainingError)
         assert str(outcomes[0]).startswith("policy sizes must be positive")
-        with pytest.raises(TrainingError) as alone:
-            train_a2c(*jobs[0])
-        assert str(alone.value) == str(outcomes[0])
-        expected = train_a2c(*jobs[1])
+        for train_alone in (train_a2c, train_a2c_oracle):
+            with pytest.raises(TrainingError) as alone:
+                train_alone(*jobs[0])
+            assert str(alone.value) == str(outcomes[0])
+        expected = train_a2c_oracle(*jobs[1])
         assert_bitwise_equal(outcomes[1].get_flat(), expected.get_flat())
         assert_bitwise_equal(outcomes[1].obs_scale, expected.obs_scale)
 
@@ -397,7 +439,8 @@ class TestA2CInPlace:
                                learning_rate=lr)
                    for s, lr in ((1, 0.01), (2, 0.05))]
         rows = a2c._Learners(3, 2, configs)
-        params = rows.params
+        (shape,) = rows.shapes
+        params = shape.params
         for update in range(3):
             rows.begin_rollout()
             for i in range(4):
@@ -406,10 +449,10 @@ class TestA2CInPlace:
                 rows.record(i, obs, actions, rng.normal(0.0, 1.0, 2), values,
                             np.zeros(2, dtype=bool))
             rows.update(rng.normal(0.0, 1.0, (2, 3)), 4 * update + 4)
-        assert rows.params is params
-        assert not (params == rows.template.get_flat()).all()
-        split = rows.template._unflatten(params)
-        for name, view in rows.fields.items():
+        assert shape.params is params
+        assert not (params == shape.template.get_flat()).all()
+        split = shape.template._unflatten(params)
+        for name, view in shape.fields.items():
             assert np.shares_memory(view, params), name
             assert_bitwise_equal(view, split[name])
         outcomes = rows.outcomes()
@@ -771,39 +814,38 @@ class TestEqualWeight:
 
 
 class TestEnsemble:
+    """Per-window candidate selection as ``run_rolling`` makes it: the
+    first candidate with the largest ``score_key`` of its backtest."""
+
+    @staticmethod
+    def select(candidates, env):
+        keys = [score_key(backtest(policy, env)) for policy in candidates]
+        return max(range(len(keys)), key=keys.__getitem__), keys
+
     def test_argmax_by_sharpe(self):
         table = random_walk_table(30, 2, seed=10, drift=0.002)
         env = make_trading_env(table)
         candidates = [ZeroPolicy(2),
                       PassivePolicy(2, env.config.h_max, env.config.cost_rate)]
-        chosen, report = ensemble_select(candidates, env, window_id=3)
-        assert report.window_id == 3
-        assert chosen is candidates[report.chosen_index]
+        chosen, keys = self.select(candidates, env)
         # zero policy has undefined Sharpe; passive (drifting up) defined
-        assert report.sharpes[0] is None
-        assert report.chosen_index == 1
-
-    def test_single_candidate(self):
-        env = make_trading_env(random_walk_table(20, 2, seed=11))
-        policy = ZeroPolicy(2)
-        chosen, report = ensemble_select([policy], env)
-        assert chosen is policy
-        assert report.chosen_index == 0
+        assert keys[0][0] == 0 and keys[1][0] == 1
+        assert chosen == 1
 
     def test_tie_breaks_to_lowest_index(self):
         table = random_walk_table(25, 2, seed=12, drift=0.001)
         env = make_trading_env(table)
         a = PassivePolicy(2, env.config.h_max, env.config.cost_rate)
         b = PassivePolicy(2, env.config.h_max, env.config.cost_rate)
-        _, report = ensemble_select([a, b], env)
-        assert report.sharpes[0] == report.sharpes[1]
-        assert report.chosen_index == 0
+        chosen, keys = self.select([a, b], env)
+        assert keys[0] == keys[1]
+        assert chosen == 0
 
     def test_all_flat_falls_back_to_cumulative_return(self):
         env = make_trading_env(random_walk_table(20, 2, seed=13))
-        _, report = ensemble_select([ZeroPolicy(2), ZeroPolicy(2)], env)
-        assert report.used_fallback
-        assert report.chosen_index == 0
+        chosen, keys = self.select([ZeroPolicy(2), ZeroPolicy(2)], env)
+        assert keys == [(0, 0.0), (0, 0.0)]
+        assert chosen == 0
 
     def test_scale_invariance_of_choice(self):
         table = random_walk_table(30, 2, seed=14)
@@ -814,14 +856,9 @@ class TestEnsemble:
         def candidates(h_max):
             return [PassivePolicy(2, h_max, 0.0),
                     EqualWeightPolicy(2, "trading", 3, h_max)]
-        _, small = ensemble_select(candidates(100), env_small)
-        _, big = ensemble_select(candidates(500), env_big)
-        assert small.chosen_index == big.chosen_index
-
-    def test_empty_candidates_rejected(self):
-        env = make_trading_env(random_walk_table(15, 2))
-        with pytest.raises(ValueError, match="at least one candidate"):
-            ensemble_select([], env)
+        small, _ = self.select(candidates(100), env_small)
+        big, _ = self.select(candidates(500), env_big)
+        assert small == big
 
 
 def test_policy_save_load_round_trip(tmp_path):

@@ -499,6 +499,27 @@ class TestExitCodes:
             "runtime error: every window was skipped (window 0: iterations "
             "must be at least 1)"]
 
+    # a learning rate <= 0 never learns or ascends the loss; a reward
+    # scale <= 0 zeroes or flips every trainer's objective
+    REFUSED = [(command, key, value)
+               for command in (["train"], ["trade-sim", "--set",
+                                           "pipeline.n_trade=2"])
+               for key in ("agent.learning_rate", "env.reward_scale")
+               for value in ("0", "-1")]
+
+    @pytest.mark.parametrize("command,key,value", REFUSED)
+    def test_non_positive_rate_or_scale_exit_4(self, tmp_path, capsys,
+                                               command, key, value):
+        code = run(command, tmp_path, ["--set", f"{key}={value}"])
+        err = capsys.readouterr().err
+        assert code == 4, err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("runtime error: ")
+        assert f"{key.split('.')[1]} must be positive" in err
+        written = {name for _, _, names in os.walk(tmp_path)
+                   for name in names}
+        assert not written & {"policy.json", "metrics.json"}, written
+
     @pytest.mark.parametrize("args,message", [
         (["trade-sim", "--set", "agent.type=cem", "--set",
           "agent.population=1", "--set", "pipeline.n_trade=2"],

@@ -1,6 +1,8 @@
 """Environment mechanics: accounting, constraints, risk control, batching."""
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from quantgym.envs import (
     EnvConfig,
@@ -10,7 +12,6 @@ from quantgym.envs import (
     batch_step,
     population_returns,
     softmax,
-    write_episode_trace,
 )
 from quantgym.errors import EnvError
 
@@ -20,6 +21,7 @@ from conftest import (
     make_portfolio_env,
     make_trading_env,
     random_walk_table,
+    reference_step,
     simple_features,
 )
 
@@ -416,7 +418,8 @@ class TestBatchStep:
 
 
 class TestEpisodeReturns:
-    """Lockstep population episodes against one reset/step loop per row."""
+    """Lockstep population episodes against one reference step loop per
+    row."""
 
     P = 5
 
@@ -441,7 +444,7 @@ class TestEpisodeReturns:
         fired = False
         while not env.done:
             seen.append(obs)
-            transition = env.step(self.act_row(p, obs))
+            transition = reference_step(env, self.act_row(p, obs))
             total += transition.reward
             fired |= transition.info["risk_triggered"]
             obs = transition.next_state.observation()
@@ -459,7 +462,8 @@ class TestEpisodeReturns:
             batches.append(obs.copy())
             return np.array([self.act_row(p, o) for p, o in enumerate(obs)])
 
-        returns = env.episode_returns(act, self.P)
+        returns, finite = population_returns([env] * self.P, act)
+        assert finite.all()
         assert len(batches) == env.end - 1 - env.start
         for p in range(self.P):
             seen = []
@@ -489,7 +493,7 @@ class TestEpisodeReturns:
         # row 4 keeps the rewards of its three steps before t=6
         total, obs = 0.0, envs[4].reset().observation()
         for _ in range(3):
-            transition = envs[4].step(self.act_row(4, obs))
+            transition = reference_step(envs[4], self.act_row(4, obs))
             total += transition.reward
             obs = transition.next_state.observation()
         assert_bitwise_equal(returns[4], total)
@@ -506,18 +510,27 @@ class TestEpisodeReturns:
                 actions[2, 1] = np.nan
             return actions
 
-        with pytest.raises(EnvError, match="non-finite"):
-            env.episode_returns(act, self.P)
-        assert len(calls) == 4
+        returns, finite = population_returns([env] * self.P, act)
+        assert len(calls) == env.end - 1 - env.start
+        assert finite.tolist() == [True, True, False, True, True]
+        # the rejected row keeps the rewards of its three steps before it
+        for p, steps in ((0, len(calls)), (2, 3)):
+            env.reset()
+            total = 0.0
+            for _ in range(steps):
+                total += reference_step(env, np.zeros(3)).reward
+            assert_bitwise_equal(returns[p], total)
 
     def test_action_shape_checked(self):
         env = self.make_env(PortfolioEnv)
         with pytest.raises(EnvError, match="shape"):
-            env.episode_returns(lambda obs: np.zeros((self.P, 2)), self.P)
+            population_returns([env] * self.P,
+                               lambda obs: np.zeros((self.P, 2)))
 
 
 class TestEnvPopulation:
-    """Auto-resetting lockstep rows against one reset/step loop per env."""
+    """Auto-resetting lockstep rows against one reference step loop per
+    env."""
 
     def make_envs(self, env_cls, allow_short=False, allow_margin=False):
         table = random_walk_table(24, 3, seed=12)
@@ -551,7 +564,7 @@ class TestEnvPopulation:
         for p, env in enumerate(envs):
             obs = env.reset().observation()
             for k in range(steps):
-                transition = env.step(act(p, obs))
+                transition = reference_step(env, act(p, obs))
                 assert_bitwise_equal(seen[k][0][p], obs)
                 assert_bitwise_equal(seen[k][1][p], transition.reward)
                 assert seen[k][2][p] == transition.done
@@ -575,16 +588,62 @@ class TestEnvPopulation:
             EnvPopulation([envs[1], envs[4]])
 
 
-def test_episode_trace_export(tmp_path, rng):
-    table = random_walk_table(10, 2, seed=5)
-    env = make_trading_env(table)
-    env.reset()
-    transitions = []
-    while not env.done:
-        transitions.append(env.step(rng.uniform(-1, 1, 2)))
-    path = tmp_path / "trace.csv"
-    write_episode_trace(transitions, str(path), table.tickers)
-    lines = path.read_text().splitlines()
-    assert lines[0] == ("t,timestamp,action_T0,action_T1,holdings_T0,"
-                        "holdings_T1,balance,value,reward,cost,risk_triggered")
-    assert len(lines) == 1 + len(transitions)
+H_MAX = 8  # a power of two, so (k + 0.5) / H_MAX is an exact rounding tie
+
+
+@st.composite
+def step_cases(draw):
+    """An env of either kind with drawn settings, and its actions: reals
+    beyond +-1, rounding ties, and capital small enough to clip buys."""
+    n = draw(st.integers(1, 4))
+    T = draw(st.integers(4, 9))
+    table = random_walk_table(T, n, seed=draw(st.integers(0, 50)), vol=0.05)
+    risk = np.array(draw(st.lists(st.sampled_from([0.0, 1e9, np.nan]),
+                                  min_size=T, max_size=T)))
+    config = EnvConfig(
+        initial_capital=draw(st.sampled_from([37.5, 400.0, 1e5])),
+        cost_rate=draw(st.sampled_from([0.0, 0.0023, 0.1])),
+        h_max=H_MAX,
+        allow_short=draw(st.booleans()), allow_margin=draw(st.booleans()),
+        risk_indicator=draw(st.sampled_from(["none", "turbulence"])),
+        reward_scale=draw(st.sampled_from([1.0, 0.01])),
+        turnover_cost_rate=draw(st.sampled_from([0.0, 0.0037, 0.1])))
+    env_cls = draw(st.sampled_from([TradingEnv, PortfolioEnv]))
+    action = st.one_of(
+        st.floats(-3.0, 3.0),
+        st.integers(-12, 11).map(lambda k: (k + 0.5) / H_MAX))
+    actions = draw(st.lists(st.lists(action, min_size=n, max_size=n),
+                            min_size=T - 2, max_size=T - 2))
+    return env_cls(config, table, simple_features(table), risk_series=risk), \
+        np.array(actions)
+
+
+class TestStepOracle:
+    """``step``, the one-row population step, against the reference step."""
+
+    @staticmethod
+    def step_bytes(transition):
+        ns = transition.next_state
+        return ([ns.t, ns.timestamp], ns.observation().tobytes(),
+                np.float64(transition.reward).tobytes(),
+                np.asarray(transition.action_applied, float).tobytes(),
+                np.float64(transition.info["cost"]).tobytes(),
+                transition.info["risk_triggered"], transition.done)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=step_cases())
+    def test_step_equals_reference_bitwise(self, case):
+        env, actions = case
+        twin = type(env)(env.config, env.table, env.features,
+                         risk_series=env.risk_series)
+        env.reset()
+        twin.reset()
+        for action in actions:
+            got = env.step(action)
+            want = reference_step(twin, action)
+            assert type(got.reward) is float
+            assert type(got.info["cost"]) is float
+            assert type(got.info["risk_triggered"]) is bool
+            assert self.step_bytes(got) == self.step_bytes(want)
+        assert env.done

@@ -14,12 +14,11 @@ from quantgym.market_data import (
     ingest_dir,
     merge,
     split,
-    tables_equal,
     to_datetime64,
     write_csv,
 )
 
-from conftest import make_table
+from conftest import make_table, tables_equal
 
 HEADER = "timestamp,ticker,open,high,low,close,volume\n"
 

@@ -10,10 +10,15 @@ from quantgym.market_data import (
     clean,
     merge,
     split,
-    tables_equal,
 )
 
-from conftest import make_calendar, make_table, random_walk_table, simple_features
+from conftest import (
+    make_calendar,
+    make_table,
+    random_walk_table,
+    simple_features,
+    tables_equal,
+)
 
 
 def sparse_table(seed, T=12, n=3, density=0.75):

@@ -1,41 +1,17 @@
-"""Coverage for secondary surfaces: loaders, exports, helper accessors."""
+"""Coverage for secondary surfaces: loaders, parsers, helper accessors."""
 import numpy as np
 import pytest
 
 from quantgym.agents import WeightRebalancePolicy
 from quantgym.cli import parse_indicators, split_risk_ticker
-from quantgym.envs import EnvConfig, PortfolioEnv, write_episode_trace
+from quantgym.envs import EnvConfig
 from quantgym.errors import DataError, FeatureError
-from quantgym.features import (
-    EventSeries,
-    IndicatorSpec,
-    compute_indicator,
-    load_events_csv,
-    macd_signal,
-)
+from quantgym.features import EventSeries, load_events_csv
 from quantgym.market_data import BarTable
 from quantgym.pipeline import backtest, metrics
 from quantgym.sentiment import ShifterTable, default_shifters
 
 from conftest import make_table, random_walk_table, simple_features
-from test_indicators import oracle_ema
-
-
-class TestMacdSignal:
-    def test_signal_is_ema_of_line(self):
-        table = random_walk_table(90, 1, seed=3)
-        spec = IndicatorSpec("MACD")
-        line = compute_indicator(table, spec)[:, 0]
-        signal = macd_signal(table, spec)[:, 0]
-        defined = np.isfinite(line)
-        expected = oracle_ema(line[defined], 9)
-        np.testing.assert_allclose(signal[defined], expected, rtol=1e-9,
-                                   atol=1e-12, equal_nan=True)
-
-    def test_rejects_non_macd(self):
-        table = random_walk_table(40, 1)
-        with pytest.raises(FeatureError, match="only applies to MACD"):
-            macd_signal(table, IndicatorSpec("RSI"))
 
 
 class TestEventsLoader:
@@ -139,24 +115,6 @@ def test_default_shifters_well_formed():
     assert "not" in shifters.negators
     assert shifters.intensifiers["significantly"] == 0.293
     assert -1.0 < shifters.negation_factor < 0.0
-
-
-def test_portfolio_episode_trace(tmp_path, rng):
-    table = random_walk_table(12, 2, seed=6)
-    env = PortfolioEnv(EnvConfig(initial_capital=1000.0), table,
-                       simple_features(table))
-    env.reset()
-    transitions = []
-    while not env.done:
-        transitions.append(env.step(rng.normal(0, 1, 2)))
-    path = tmp_path / "trace.csv"
-    write_episode_trace(transitions, str(path), table.tickers)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 1 + len(transitions)
-    # holdings columns carry the weights for the portfolio env
-    first = lines[1].split(",")
-    w0, w1 = float(first[4]), float(first[5])
-    assert w0 + w1 == pytest.approx(1.0, abs=1e-9)
 
 
 def test_weight_rebalance_policy_tracks_targets():
