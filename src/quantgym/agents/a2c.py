@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..envs import EnvPopulation, _row_dots
+from ..envs import EnvPopulation, _row_dots, population_key
 from ..errors import TrainingError
 from .policy import GaussianPolicy, TrainConfig, check_policy_sizes
 
@@ -340,11 +340,10 @@ def _train_lockstep(envs, configs) -> list[GaussianPolicy | TrainingError]:
 def train_a2c_all(jobs: Sequence[tuple]) -> list[GaussianPolicy | TrainingError]:
     """Train (env, TrainConfig) jobs: one policy or TrainingError per job.
 
-    Jobs whose configs agree in every field but the seed, the learning
-    rate and ``hidden`` train in lockstep populations of at most
-    ``LOCKSTEP_ROWS`` rows, so their envs must form an
-    ``EnvPopulation``; the rows of each ``hidden`` value run their
-    network math as one stacked block. Each outcome is that of the job
+    Jobs whose envs have one ``population_key`` and whose configs agree
+    in every field but the seed, the learning rate and ``hidden`` train
+    in lockstep populations of at most ``LOCKSTEP_ROWS`` rows; the rows
+    of each ``hidden`` value run their network math as one stacked block. Each outcome is that of the job
     trained alone, bit for bit, and is reproducible from (seed, config,
     data).
     """
@@ -357,9 +356,9 @@ def train_a2c_all(jobs: Sequence[tuple]) -> list[GaussianPolicy | TrainingError]
         except TrainingError as exc:
             outcomes[k] = exc
             continue
-        key = tuple(getattr(config, f.name)
-                    for f in dataclasses.fields(config)
-                    if f.name not in ("seed", "learning_rate", "hidden"))
+        key = (population_key(env),) + tuple(
+            getattr(config, f.name) for f in dataclasses.fields(config)
+            if f.name not in ("seed", "learning_rate", "hidden"))
         groups.setdefault(key, []).append(k)
     for members in groups.values():
         # rows of one shape side by side: one block per shape and chunk

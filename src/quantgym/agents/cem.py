@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..envs import population_returns
+from ..envs import population_key, population_returns
 from ..errors import TrainingError
 from .policy import GaussianPolicy, TrainConfig
 
@@ -150,17 +150,16 @@ def _train_chunk(jobs) -> list[GaussianPolicy | TrainingError]:
 def train_cem_all(jobs: Sequence[tuple]) -> list[GaussianPolicy | TrainingError]:
     """Fit (env, TrainConfig) jobs: one policy or TrainingError per job.
 
-    Jobs whose envs share class and market data (as ``EnvPopulation``
-    requires) and whose configs share ``hidden``, ``population``,
-    ``iterations`` and ``elite_frac`` run their generations in lockstep,
-    in chunks of whole jobs of at most ``CEM_LOCKSTEP_ROWS`` rows. Each
-    outcome equals ``train_cem`` on that job alone, bit for bit.
+    Jobs whose envs have one ``population_key`` and whose configs share
+    ``hidden``, ``population``, ``iterations`` and ``elite_frac`` run
+    their generations in lockstep, in chunks of whole jobs of at most
+    ``CEM_LOCKSTEP_ROWS`` rows. Each outcome equals ``train_cem`` on that
+    job alone, bit for bit.
     """
     groups: dict[tuple, list[int]] = {}
     for k, (env, c) in enumerate(jobs):
-        key = (type(env), id(env.table), id(env.features),
-               id(env.risk_series), env.config, c.hidden, c.population,
-               c.iterations, c.elite_frac)
+        key = (population_key(env), c.hidden, c.population, c.iterations,
+               c.elite_frac)
         groups.setdefault(key, []).append(k)
     outcomes: list = [None] * len(jobs)
     with np.errstate(all="ignore"):

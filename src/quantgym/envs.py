@@ -6,10 +6,10 @@ cursor reaches end-1 (no next bar to settle against). Instances are
 single-owner state machines over shared immutable market data, so many
 can run concurrently; ``batch_step`` steps a list of them and
 auto-resets finished ones. Each env writes its rule once, as a (P, n)
-``_population_step``: ``step`` is its case of one row,
-``population_returns`` runs one episode on the step range of each of P
-environments in lockstep, and ``EnvPopulation`` steps P auto-resetting
-episodes the same way.
+``_population_step``: ``step`` is its case of one row, and
+``EnvPopulation`` is the one lockstep driver, stepping P auto-resetting
+episodes of envs with equal ``population_key``. ``population_returns``
+sums one episode per row of an ``EnvPopulation``.
 """
 from __future__ import annotations
 
@@ -197,11 +197,16 @@ class _BaseEnv:
             raise EnvError("non-finite action")
         return action
 
-    def _reset_rows(self, population: int):
-        """Cash (or value) and holdings (or weights) of ``reset()``, per row."""
-        first = self.reset().observation()
-        return (np.full(population, first[0]),
-                np.tile(first[-self.n:], (population, 1)))
+    def _reset_step(self, start: int | None) -> int:
+        """The step ``reset(start)`` starts at: start, else the first of
+        the step range."""
+        t = self.start if start is None else int(start)
+        if t < self.features.warmup:
+            raise EnvError(f"start {t} is before feature warmup "
+                           f"{self.features.warmup}")
+        if not self.start <= t < self.end:
+            raise EnvError(f"start {t} outside [{self.start}, {self.end})")
+        return t
 
     def _observations(self, t, cash, held) -> np.ndarray:
         """``state.observation()`` of P rows at step t, an int or a (P,)
@@ -227,12 +232,7 @@ class TradingEnv(_BaseEnv):
 
     def reset(self, start: int | None = None, balance: float | None = None,
               holdings: np.ndarray | None = None) -> TradingState:
-        t = self.start if start is None else int(start)
-        if t < self.features.warmup:
-            raise EnvError(f"start {t} is before feature warmup "
-                           f"{self.features.warmup}")
-        if not self.start <= t < self.end:
-            raise EnvError(f"start {t} outside [{self.start}, {self.end})")
+        t = self._reset_step(start)
         balance = self.config.initial_capital if balance is None else float(balance)
         if holdings is None:
             holdings = np.zeros(self.n)
@@ -297,12 +297,7 @@ class PortfolioEnv(_BaseEnv):
 
     def reset(self, start: int | None = None, value: float | None = None,
               weights: np.ndarray | None = None) -> PortfolioState:
-        t = self.start if start is None else int(start)
-        if t < self.features.warmup:
-            raise EnvError(f"start {t} is before feature warmup "
-                           f"{self.features.warmup}")
-        if not self.start <= t < self.end:
-            raise EnvError(f"start {t} outside [{self.start}, {self.end})")
+        t = self._reset_step(start)
         value = self.config.initial_capital if value is None else float(value)
         if weights is None:
             weights = np.full(self.n, 1.0 / self.n)
@@ -360,64 +355,11 @@ class PortfolioEnv(_BaseEnv):
         return new_value, new_w, reward, new_w, triggered, fee
 
 
-def _shared_env(envs: Sequence[_BaseEnv]) -> _BaseEnv:
-    """envs[0], once every env shares its class, table, feature matrix,
-    risk series and config, so P rows can step as one population."""
-    env = envs[0]
-    for other in envs:
-        if (type(other) is not type(env) or other.table is not env.table
-                or other.features is not env.features
-                or other.risk_series is not env.risk_series
-                or other.config != env.config):
-            raise EnvError("population envs must share one class, table, "
-                           "feature matrix, risk series and config")
-    return env
-
-
-def population_returns(envs: Sequence[_BaseEnv], act):
-    """Summed rewards of one episode per row, row p on the step range of
-    ``envs[p]`` from its ``reset()``, all rows advanced by one (P, n) step.
-
-    ``act`` maps the (P, observation_dim) observations to (P, n) actions.
-    Row p's sum equals a ``reset()``/``step`` loop on envs[p] driven by
-    row p of ``act``, bit for bit. A row whose episode has ended, or whose
-    action was not finite, keeps its state and adds nothing from then on.
-    Returns the (P,) sums and a (P,) mask of the rows whose actions all
-    stayed finite. The envs must share their data as in ``EnvPopulation``.
-    """
-    env = _shared_env(envs)
-    P, n = len(envs), env.n
-    starts = np.array([e.start for e in envs])
-    last = np.array([e.end for e in envs]) - 2  # each row's last step
-    cash, held = env._reset_rows(P)
-    total = np.zeros(P)
-    finite = np.ones(P, dtype=bool)
-    for k in range(int((last - starts).max()) + 1):
-        t = starts + k
-        live = finite & (t <= last)
-        if not live.all():
-            # an ended row reads a valid step; its result is dropped
-            t = np.minimum(t, np.maximum(last, 0))
-        actions = np.asarray(act(env._observations(t, cash, held)),
-                             dtype=float)
-        if actions.shape != (P, n):
-            raise EnvError(f"actions have shape {actions.shape}, "
-                           f"expected {(P, n)}")
-        if not np.isfinite(actions).all():
-            ok = np.isfinite(actions).all(axis=1)
-            finite &= ok | ~live
-            live &= ok
-            actions = np.where(ok[:, None], actions, 0.0)
-        new_cash, new_held, reward = env._population_step(t, cash, held,
-                                                          actions)[:3]
-        if live.all():
-            cash, held = new_cash, new_held
-            total += reward
-        else:
-            cash = np.where(live, new_cash, cash)
-            held = np.where(live[:, None], new_held, held)
-            np.add(total, reward, out=total, where=live)
-    return total, finite
+def population_key(env: _BaseEnv) -> tuple:
+    """What envs must share to step as one population: class, table,
+    feature matrix and risk series (the objects themselves) and config."""
+    return (type(env), id(env.table), id(env.features), id(env.risk_series),
+            env.config)
 
 
 class EnvPopulation:
@@ -427,20 +369,26 @@ class EnvPopulation:
     A row whose episode ends restarts from its env's ``reset()``, as a
     reset/step loop that resets on ``done`` does; row p's observations
     and rewards equal that loop on ``envs[p]``, bit for bit. The envs
-    must be of one class and share one table, feature matrix, risk
-    series and config, as the envs of ``RollingData.make_env`` do.
+    must have one ``population_key``, as the envs of
+    ``RollingData.make_env`` do, and each range must hold a step.
     """
 
     def __init__(self, envs: Sequence[_BaseEnv]):
-        env = _shared_env(envs)
+        env = envs[0]
+        key = population_key(env)
         for other in envs:
+            if population_key(other) != key:
+                raise EnvError("population envs must share one class, table, "
+                               "feature matrix, risk series and config")
             if other.end - other.start < 2:
                 raise EnvError(f"step range [{other.start}, {other.end}) "
                                f"has no step")
         self.env = env
         self.starts = np.array([e.start for e in envs])
         self.ends = np.array([e.end for e in envs])
-        self._cash0, self._held0 = env._reset_rows(len(envs))
+        first = env.reset().observation()
+        self._cash0 = np.full(len(envs), first[0])
+        self._held0 = np.tile(first[-env.n:], (len(envs), 1))
         self.t = self.starts.copy()
         self.cash, self.held = self._cash0.copy(), self._held0.copy()
 
@@ -460,6 +408,42 @@ class EnvPopulation:
             self.cash[done] = self._cash0[done]
             self.held[done] = self._held0[done]
         return reward, done
+
+
+def population_returns(envs: Sequence[_BaseEnv], act):
+    """Summed rewards of one episode per row of ``EnvPopulation(envs)``:
+    row p on the step range of ``envs[p]`` from its ``reset()``, which
+    must hold at least one step.
+
+    ``act`` maps the (P, observation_dim) observations to (P, n) actions.
+    Row p's sum equals a ``reset()``/``step`` loop on envs[p] driven by
+    row p of ``act``, bit for bit. A row adds nothing once its episode
+    has ended or once its action was not finite; non-finite actions are
+    zeroed before the step. Returns the (P,) sums and a (P,) mask of the
+    rows whose actions all stayed finite while their episode ran.
+    """
+    population = EnvPopulation(envs)
+    P, n = len(envs), population.env.n
+    lengths = population.ends - population.starts - 1  # steps per episode
+    total = np.zeros(P)
+    finite = np.ones(P, dtype=bool)
+    for k in range(int(lengths.max())):
+        live = finite & (k < lengths)
+        actions = np.asarray(act(population.observations()), dtype=float)
+        if actions.shape != (P, n):
+            raise EnvError(f"actions have shape {actions.shape}, "
+                           f"expected {(P, n)}")
+        if not np.isfinite(actions).all():
+            ok = np.isfinite(actions).all(axis=1)
+            finite &= ok | ~live
+            live &= ok
+            actions = np.where(ok[:, None], actions, 0.0)
+        reward = population.step(actions)[0]
+        if live.all():
+            total += reward
+        else:
+            np.add(total, reward, out=total, where=live)
+    return total, finite
 
 
 def batch_step(envs: Sequence[_BaseEnv], actions) -> list[Transition]:

@@ -375,11 +375,21 @@ def _extract_carry(env):
     return (state.value, state.weights.copy())
 
 
-def _hold_action(env):
-    if isinstance(env, TradingEnv):
-        return np.zeros(env.n)
-    w = env.state.weights
-    return np.log(np.maximum(w, 1e-12))
+class _Hold:
+    """The policy of a skipped window: keep the carried position. It
+    trades no share; on the portfolio env its logits are the log of the
+    held weights, the last n observation entries."""
+
+    def __init__(self, env):
+        self.n, self.portfolio = env.n, isinstance(env, PortfolioEnv)
+
+    def begin_episode(self) -> None:
+        pass
+
+    def act(self, observation: np.ndarray) -> np.ndarray:
+        if self.portfolio:
+            return np.log(np.maximum(observation[-self.n:], 1e-12))
+        return np.zeros(self.n)
 
 
 def score_key(result: BacktestResult) -> tuple:
@@ -432,14 +442,15 @@ def run_rolling(data: RollingData, plan: WindowPlan,
     Training never sees the carried capital, so the run goes in phases:
     fit every (window, grid point) candidate, score them on their test
     segments and select one per window, fit every selected retrain, then
-    trade the days in order. A factory with a ``fit_all(jobs)``
-    attribute fits a list of (env, hyper, seed) jobs at once, returning
-    one policy or one raised error per job; otherwise jobs are fitted
-    one by one. Either way each window replays its jobs in the order
-    above: the first TrainingError skips the window with a flat
-    position and is reported. Capital (balance and holdings, or value
-    and weights) carries across trade days. Returns the trade log and
-    the concatenated-day backtest result (window reports attached to
+    trade the days in order, each day one ``backtest`` episode that
+    starts from the capital (balance and holdings, or value and weights)
+    the day before left. A factory with a ``fit_all(jobs)`` attribute
+    fits a list of (env, hyper, seed) jobs at once, returning one policy
+    or one raised error per job; otherwise jobs are fitted one by one.
+    Either way each window replays its jobs in the order above: the
+    first TrainingError skips the window, which then holds its position
+    for the day, and is reported. Returns the trade log and the
+    concatenated-day backtest result (window reports attached to
     ``result.trade_log`` rows via window ids and to the result as
     ``result.window_reports``).
     """
@@ -516,30 +527,12 @@ def run_rolling(data: RollingData, plan: WindowPlan,
 
         trade_lo = day_start(window.trade_day)
         settle = day_start(window.trade_day + 1)
-        end = min(max(settle + 1, trade_lo + 1), T)
-        env = data.make_env(trade_lo, end)
-        state = env.reset(**_carry_kwargs(env, carry))
-        if not values:
-            values.append(state.value)
-            stamps.append(state.timestamp)
-        if policy is not None:
-            policy.begin_episode()
-            _policy_env_compatible(policy, env)
-        while not env.done:
-            obs = env.state.observation()
-            action = (_hold_action(env) if policy is None
-                      else np.asarray(policy.act(obs), dtype=float))
-            pre_value = env.state.value
-            pre_stamp = env.state.timestamp
-            transition = env.step(action)
-            log.append(TradeRow(
-                timestamp=pre_stamp, window_id=window.index, action=action,
-                executed=np.asarray(transition.action_applied, dtype=float),
-                cost=float(transition.info.get("cost", 0.0)), value=pre_value,
-                risk_triggered=bool(transition.info.get("risk_triggered",
-                                                        False))))
-            values.append(transition.next_state.value)
-            stamps.append(transition.next_state.timestamp)
+        env = data.make_env(trade_lo, min(max(settle + 1, trade_lo + 1), T))
+        day = backtest(_Hold(env) if policy is None else policy, env,
+                       _carry_kwargs(env, carry), window.index, trade_log=log)
+        first = 1 if values else 0  # a later day starts where one ended
+        values.extend(day.values[first:])
+        stamps.extend(day.timestamps[first:])
         carry = _extract_carry(env)
 
     values_arr = np.asarray(values)

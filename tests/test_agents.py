@@ -279,6 +279,16 @@ class TestA2CLockstep:
             assert_bitwise_equal(outcome.obs_scale, expected.obs_scale)
             assert outcome.metadata() == expected.metadata()
 
+    def test_jobs_on_different_tables_train_apart(self):
+        # equal configs, different market data: not one population
+        config = TrainConfig(steps=40, rollout_steps=10, hidden=4, seed=5)
+        jobs = [(make_trading_env(random_walk_table(30, 3, seed=s)), config)
+                for s in (3, 4)]
+        for outcome, job in zip(train_a2c_all(jobs), jobs):
+            alone = train_a2c(*job)
+            assert_bitwise_equal(outcome.get_flat(), alone.get_flat())
+            assert_bitwise_equal(outcome.obs_scale, alone.obs_scale)
+
     def test_row_does_not_depend_on_its_group(self, monkeypatch):
         jobs = self.jobs(PortfolioEnv)
         grouped = train_a2c_all(jobs)

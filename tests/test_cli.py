@@ -472,6 +472,21 @@ class TestExitCodes:
         assert code == 4
         assert run(["train"], tmp_path, ["--set", "agent.hidden=0"]) == 4
 
+    @pytest.mark.parametrize("env_kind", ["trading", "portfolio"])
+    @pytest.mark.parametrize("kind", ["a2c", "cem"])
+    def test_train_on_a_range_with_no_step_exits_4(self, tmp_path, capsys,
+                                                   kind, env_kind):
+        # one train day and no test day span one bar: nothing to learn from
+        code = run(["train"], tmp_path,
+                   ["--set", f"agent.type={kind}", "--set",
+                    f"env.kind={env_kind}", "--set", "pipeline.n_train=1",
+                    "--set", "pipeline.n_test=0"])
+        err = capsys.readouterr().err
+        assert code == 4, err
+        assert re.fullmatch(r"runtime error: step range \[\d+, \d+\) has no "
+                            r"step\n", err), err
+        assert not (tmp_path / "train" / "policy.json").exists()
+
     def test_rolling_run_with_every_window_skipped_exits_4(self, tmp_path,
                                                            capsys):
         # trade-sim absorbs the same failure per window; a run in which

@@ -5,10 +5,15 @@ import numpy as np
 import pytest
 
 from quantgym import cli
-from quantgym.agents import ZeroPolicy, baseline_passive, cem
+from quantgym.agents import (
+    WeightRebalancePolicy,
+    ZeroPolicy,
+    baseline_passive,
+    cem,
+)
 from quantgym.cli import build_rolling_data, main, make_agent_factory
 from quantgym.config import load_config
-from quantgym.envs import EnvConfig, TradingEnv
+from quantgym.envs import EnvConfig, TradingEnv, softmax
 from quantgym.errors import DataError, TrainingError
 from quantgym.pipeline import (
     RollingData,
@@ -22,10 +27,12 @@ from quantgym.pipeline import (
 )
 
 from conftest import (
+    assert_bitwise_equal,
     make_calendar,
     make_table,
     make_trading_env,
     random_walk_table,
+    reference_step,
     simple_features,
 )
 
@@ -285,6 +292,43 @@ class TestRunRolling:
         # the skipped window still logs its day with a hold action
         skipped_rows = [r for r in log if r.window_id == skipped[0].window_id]
         assert all((row.executed == 0).all() for row in skipped_rows)
+
+    def test_skipped_portfolio_window_holds_its_weights(self):
+        table = random_walk_table(40, 3, seed=13)
+        config = EnvConfig(initial_capital=50_000.0, turnover_cost_rate=0.002)
+        data = RollingData(table, simple_features(table), config, "portfolio")
+        plan = self.plan_for(data, 5, 2, 5)
+        tilt = WeightRebalancePolicy(np.array([0.6, 0.3, 0.1]))
+        calls = []
+
+        def flaky(env, hyper, seed):
+            calls.append(seed)
+            if len(calls) in (2, 4):  # fail the retrains of windows 1 and 3
+                raise TrainingError("synthetic failure")
+            return tilt
+
+        log, result = run_rolling(data, plan, flaky)
+        assert [r.skipped for r in result.window_reports] == [
+            False, True, False, True, False]
+        assert len(log) == result.values.size - 1 == plan.n_trade
+        assert_bitwise_equal(result.values[0], config.initial_capital)
+        # replay each day on the scalar step from the carried position; a
+        # skipped day's logits are the log of the weights it holds
+        value, weights = config.initial_capital, None
+        for i, row in enumerate(log):
+            t = int(np.searchsorted(table.calendar, row.timestamp))
+            env = data.make_env(t, t + 2)
+            held = env.reset(value=value, weights=weights).weights
+            if row.window_id in (1, 3):
+                logits = np.log(np.maximum(held, 1e-12))
+                assert_bitwise_equal(row.action, logits)
+                assert_bitwise_equal(row.executed, softmax(logits))
+            transition = reference_step(env, row.action)
+            assert_bitwise_equal(row.executed, transition.action_applied)
+            assert_bitwise_equal(row.value, value)
+            value = transition.next_state.value
+            weights = transition.next_state.weights
+            assert_bitwise_equal(result.values[i + 1], value)
 
     def test_failed_candidate_skips_window_with_scores_so_far(self):
         data = self.data(seed=12)
