@@ -49,9 +49,6 @@ class Policy:
     def act(self, observation: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def metadata(self) -> dict:
-        return {"name": self.name, "hyperparameters": self.hyperparameters}
-
 
 def check_policy_sizes(obs_dim: int, action_dim: int, hidden: int) -> None:
     """TrainingError unless a ``GaussianPolicy`` of these sizes can be built."""
@@ -162,11 +159,6 @@ class GaussianPolicy(Policy):
         mean = h @ p["W2"].transpose(0, 2, 1) + p["b2"][:, None, :]
         value = (h @ p["wv"][:, :, None])[:, :, 0] + p["bv"][:, None]
         return mean, value, h
-
-    def metadata(self) -> dict:
-        meta = super().metadata()
-        meta["obs_scale"] = self.obs_scale.tolist()
-        return meta
 
 
 POLICY_FORMAT = 1

@@ -223,13 +223,3 @@ def load_config(path: str | None = None,
         sections["run"]["output_dir"] = env_out
     return RunConfig(sections)
 
-
-def schema_text() -> str:
-    """Human-readable schema: every key with type and default."""
-    out = io.StringIO()
-    for section, keys in SCHEMA.items():
-        out.write(f"[{section}]\n")
-        for key, (kind, default) in keys.items():
-            out.write(f"{key} = {default!r}  # {kind}\n")
-        out.write("\n")
-    return out.getvalue()

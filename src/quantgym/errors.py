@@ -44,14 +44,6 @@ class IngestError(DataError):
         self.line_no = line_no
 
 
-class MergeConflictError(DataError):
-    """Same (ticker, timestamp) key with differing values."""
-
-
-class SplitError(DataError):
-    """Split specification produced an empty or invalid segment."""
-
-
 class FeatureError(DataError):
     """Feature computation failed (unknown indicator, bad window, ...)."""
 

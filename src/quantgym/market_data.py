@@ -1,4 +1,4 @@
-"""OHLCV panel ingest, validation, cleaning, merging, and range splitting.
+"""OHLCV panel ingest, validation and cleaning.
 
 A BarTable is an immutable (T timestamps x n tickers) grid of bars at a
 declared frequency. Raw ingested tables may be sparse (``present`` mask);
@@ -19,8 +19,7 @@ from math import inf, isfinite
 
 import numpy as np
 
-from .errors import DataError, IngestError, MergeConflictError, SplitError, \
-    reading
+from .errors import DataError, IngestError, reading
 
 logger = logging.getLogger(__name__)
 
@@ -149,21 +148,6 @@ class BarTable:
         except ValueError:
             raise DataError(f"unknown ticker {ticker!r}") from None
 
-    def slice_steps(self, start: int, stop: int) -> "BarTable":
-        """Sub-table over calendar rows [start, stop)."""
-        return BarTable(
-            frequency=self.frequency,
-            tickers=self.tickers,
-            calendar=self.calendar[start:stop].copy(),
-            open=self.open[start:stop].copy(),
-            high=self.high[start:stop].copy(),
-            low=self.low[start:stop].copy(),
-            close=self.close[start:stop].copy(),
-            volume=self.volume[start:stop].copy(),
-            present=self.present[start:stop].copy(),
-            synthetic=self.synthetic[start:stop].copy(),
-        )
-
 
 @dataclass(frozen=True)
 class CleaningPolicy:
@@ -188,27 +172,6 @@ class CleaningPolicy:
             raise DataError(f"unknown fill_rule {self.fill_rule!r}")
         if not 0.0 <= self.min_coverage <= 1.0:
             raise DataError("min_coverage must be within [0, 1]")
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    """Three ordered, disjoint half-open [start, end) timestamp ranges."""
-
-    train_range: tuple
-    test_range: tuple
-    trade_range: tuple
-
-    def normalized(self) -> list[tuple[np.datetime64, np.datetime64]]:
-        ranges = []
-        for raw in (self.train_range, self.test_range, self.trade_range):
-            start, end = to_datetime64(raw[0]), to_datetime64(raw[1])
-            if not start < end:
-                raise SplitError(f"empty or inverted range [{start}, {end})")
-            ranges.append((start, end))
-        for (_, prev_end), (next_start, _) in zip(ranges, ranges[1:]):
-            if next_start < prev_end:
-                raise SplitError("ranges must be disjoint and ordered train < test < trade")
-        return ranges
 
 
 def _codes(values: list) -> tuple[list, np.ndarray]:
@@ -247,12 +210,6 @@ def _key_columns(keys, bars):
     return (*_codes([tk for tk, _ in keys]),
             np.fromiter((ts for _, ts in keys), np.int64, len(keys)),
             np.asarray(bars, dtype=float).reshape(-1, 5).T)
-
-
-def _build_table(frequency: str, keys, bars) -> BarTable:
-    """keys: distinct (ticker, epoch seconds) cells; bars: their
-    (o, h, l, c, v) in key order, as rows or flat."""
-    return _table(frequency, *_key_columns(keys, bars))
 
 
 def _bars_ok(o, h, l, c, v):
@@ -505,56 +462,3 @@ def clean(table: BarTable, policy: CleaningPolicy) -> BarTable:
                       meta={"dropped_tickers": tuple(sorted(dropped)),
                             "filled_cells": filled})
     return result
-
-
-def merge(tables: list[BarTable]) -> BarTable:
-    """Union panels keyed by (ticker, timestamp); differing duplicates fail."""
-    if not tables:
-        raise DataError("merge() needs at least one table")
-    freq = tables[0].frequency
-    for t in tables[1:]:
-        if t.frequency != freq:
-            raise DataError(
-                f"frequency mismatch: {t.frequency!r} vs {freq!r}")
-    rows: dict = {}
-    synth_keys = set()
-    for table in tables:
-        epochs = table.calendar.astype(np.int64).tolist()
-        for j, ticker in enumerate(table.tickers):
-            for i in range(table.n_steps):
-                if not table.present[i, j]:
-                    continue
-                key = (ticker, epochs[i])
-                values = (table.open[i, j], table.high[i, j], table.low[i, j],
-                          table.close[i, j], table.volume[i, j])
-                if key in rows:
-                    if rows[key] != values:
-                        raise MergeConflictError(
-                            f"conflicting cell for ({ticker}, "
-                            f"{format_timestamp(key[1])})")
-                    continue
-                rows[key] = values
-                if table.synthetic[i, j]:
-                    synth_keys.add(key)
-    merged = _build_table(freq, rows, list(rows.values()))
-    if synth_keys:
-        synth = np.array(merged.synthetic, copy=True)
-        for ticker, ts in synth_keys:
-            i = int(np.searchsorted(merged.calendar, np.datetime64(ts, "s")))
-            synth[i, merged.tickers.index(ticker)] = True
-        merged = BarTable(merged.frequency, merged.tickers, merged.calendar,
-                          merged.open, merged.high, merged.low, merged.close,
-                          merged.volume, merged.present, synth)
-    return merged
-
-
-def split(table: BarTable, spec: SplitSpec) -> tuple[BarTable, BarTable, BarTable]:
-    """Cut the table into train/test/trade sub-tables along the calendar."""
-    parts = []
-    for name, (start, end) in zip(("train", "test", "trade"), spec.normalized()):
-        mask = (table.calendar >= start) & (table.calendar < end)
-        if not mask.any():
-            raise SplitError(f"{name} range [{start}, {end}) selects no timestamps")
-        idx = np.flatnonzero(mask)
-        parts.append(table.slice_steps(int(idx[0]), int(idx[-1]) + 1))
-    return parts[0], parts[1], parts[2]

@@ -49,8 +49,10 @@ def _distinct(values) -> np.ndarray:
 @dataclass(frozen=True)
 class Metrics:
     cumulative_return: float
-    annualized_return: float
-    annualized_volatility: float | None  # across yearly returns; needs >= 2 years
+    annualized_return: float | None  # None when it overflows a float
+    # across yearly returns; needs >= 2 years, None when a yearly return
+    # overflows
+    annualized_volatility: float | None
     step_volatility_annualized: float  # std of per-step returns, annualized
     sharpe: float | None  # per-step, population std; None when flat
     sharpe_annualized: float | None
@@ -108,7 +110,11 @@ def metrics(values, risk_free: float = 0.0, trading_days: int | None = None,
         raise DataError("trading_days must be >= 1")
 
     cumulative = float(values[-1] / values[0] - 1.0)
-    annualized = float((1.0 + cumulative) ** (annualization_basis / t) - 1.0)
+    try:
+        annualized = float((1.0 + cumulative) ** (annualization_basis / t)
+                           - 1.0)
+    except OverflowError:  # a large gain over a short span
+        annualized = None
 
     step_returns = values[1:] / values[:-1] - 1.0
     std = float(step_returns.std())  # population
@@ -136,10 +142,13 @@ def metrics(values, risk_free: float = 0.0, trading_days: int | None = None,
                 seg = values[lo:idx[-1] + 1]
                 seg_days = len(_distinct(stamps[idx].astype("datetime64[D]")))
                 growth = seg[-1] / seg[0]
-                yearly.append(growth ** (annualization_basis / max(seg_days, 1))
-                              - 1.0)
+                with np.errstate(over="ignore"):  # inf is refused below
+                    yearly.append(
+                        growth ** (annualization_basis / max(seg_days, 1))
+                        - 1.0)
             yearly = np.asarray(yearly)
-            annual_vol = float(yearly.std(ddof=1))
+            if np.isfinite(yearly).all():
+                annual_vol = float(yearly.std(ddof=1))
 
     return Metrics(cumulative, annualized, annual_vol, step_vol_ann,
                    sharpe, sharpe_ann, max_drawdown(values))

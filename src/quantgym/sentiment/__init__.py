@@ -22,7 +22,7 @@ from .lexicon import (
     mini_general_dictionary,
     packaged,
 )
-from .preprocess import COMPANY_TOKEN, Document, LemmaRules, Token, preprocess
+from .preprocess import Document, LemmaRules, Token, preprocess
 from .scoring import (
     COMPOUND_ALPHA,
     SentimentScore,
@@ -33,7 +33,6 @@ from .scoring import (
 )
 
 __all__ = [
-    "COMPANY_TOKEN",
     "COMPOUND_ALPHA",
     "Candidate",
     "Document",

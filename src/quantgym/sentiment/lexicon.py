@@ -115,14 +115,6 @@ class ShifterTable:
         object.__setattr__(self, "intensifiers", {
             k.lower(): float(v) for k, v in self.intensifiers.items()})
 
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"negation_factor\t{self.negation_factor!r}\t\n")
-            for lemma in sorted(self.negators):
-                fh.write(f"negator\t{lemma}\t\n")
-            for lemma in sorted(self.intensifiers):
-                fh.write(f"intensifier\t{lemma}\t{self.intensifiers[lemma]!r}\n")
-
     @classmethod
     def load(cls, path) -> "ShifterTable":
         """TSV rows intensifier<TAB>lemma<TAB>boost, negator<TAB>lemma and

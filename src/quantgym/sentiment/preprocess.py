@@ -1,11 +1,10 @@
 """Text preprocessing: tokenize, fix abbreviations, normalize, lemmatize.
 
 The stages run in a fixed order: sentence/word tokenization, abbreviation
-restoration, lower-casing with punctuation and number removal, company
-name neutralization, then POS-guided lemmatization. POS tagging and
-lemmatization are table-driven from a shipped rule file (a small lexicon,
-an irregular-form exception list, and ordered suffix rules); there is no
-external NLP runtime.
+restoration, lower-casing with punctuation and number removal, then
+POS-guided lemmatization. POS tagging and lemmatization are table-driven
+from a shipped rule file (a small lexicon, an irregular-form exception
+list, and ordered suffix rules); there is no external NLP runtime.
 """
 from __future__ import annotations
 
@@ -14,8 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .lexicon import packaged, read_tsv
-
-COMPANY_TOKEN = "company_random"
 
 _SENTENCE_RE = re.compile(r"[.!?;]+(?=\s|$)")
 _WORD = r"[A-Za-z_][A-Za-z_'’\-]*"
@@ -101,8 +98,6 @@ class LemmaRules:
 
     def analyze(self, word: str, prefer_noun: bool = False) -> tuple[str, str]:
         """Return (lemma, pos) for one normalized token."""
-        if word == COMPANY_TOKEN:
-            return word, "NOUN"
         if word in self.exceptions:
             return self.exceptions[word]
         if word in self.lexicon:
@@ -198,46 +193,17 @@ def token_words(token: str, abbreviations: dict[str, str],
     return (word,) if word else ()
 
 
-def _replace_companies(tokens: list[str], names: list[list[str]]) -> list[str]:
-    if not names:
-        return tokens
-    out: list[str] = []
-    i = 0
-    while i < len(tokens):
-        matched = 0
-        for name in names:
-            k = len(name)
-            if k and tokens[i:i + k] == name and k > matched:
-                matched = k
-        if matched:
-            out.append(COMPANY_TOKEN)
-            i += matched
-        else:
-            out.append(tokens[i])
-            i += 1
-    return out
-
-
 def preprocess(text: str,
                abbreviations: dict[str, str] | None = None,
-               company_names: list[str] | None = None,
                rules: LemmaRules | None = None) -> Document:
-    """Run the five preprocessing stages over raw text.
+    """Run the four preprocessing stages over raw text.
 
-    Company names (single- or multi-word, case-insensitive) collapse to
-    the neutral ``company_random`` token so sentiment-bearing names do
-    not leak into scoring. Degenerate input yields an empty document.
+    Degenerate input yields an empty document.
     """
     rules = rules or default_rules()
     abbreviations = default_abbreviations() if abbreviations is None else {
         k.lower(): v for k, v in abbreviations.items()}
     normalize = rules.normalize
-    name_tokens: list[list[str]] = []
-    for name in company_names or []:
-        toks = [t for t in map(normalize, _TOKEN_RE.findall(name)) if t]
-        if toks:
-            name_tokens.append(toks)
-    name_tokens.sort(key=len, reverse=True)
 
     sentences: list[tuple[Token, ...]] = []
     for chunk in _SENTENCE_RE.split(text):
@@ -247,7 +213,6 @@ def preprocess(text: str,
         normalized: list[str] = []
         for tok in raw_tokens:
             normalized.extend(token_words(tok, abbreviations, normalize))
-        normalized = _replace_companies(normalized, name_tokens)
         toks: list[Token] = []
         prev_pos = ""
         for word in normalized:

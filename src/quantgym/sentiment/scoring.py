@@ -135,8 +135,7 @@ class TextScorer:
     per-sentence tokenizing costs. Both skip the one-character tokens,
     which yield no word. The memo is two dicts indexed by the flag, so no
     key is built per piece; a dict that reaches ``MEMO_MAX`` entries is
-    emptied. The default lemma rules and abbreviations apply, and no
-    company names.
+    emptied. The default lemma rules and abbreviations apply.
     """
 
     def __init__(self, dictionary: SentimentDictionary,

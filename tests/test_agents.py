@@ -277,7 +277,8 @@ class TestA2CLockstep:
                 continue
             assert_bitwise_equal(outcome.get_flat(), expected.get_flat())
             assert_bitwise_equal(outcome.obs_scale, expected.obs_scale)
-            assert outcome.metadata() == expected.metadata()
+            assert ((outcome.name, outcome.hyperparameters)
+                    == (expected.name, expected.hyperparameters))
 
     def test_jobs_on_different_tables_train_apart(self):
         # equal configs, different market data: not one population
@@ -634,7 +635,8 @@ class TestCEMLockstep:
             expected = _train_cem_per_member(env, config)
             assert_bitwise_equal(outcome.get_flat(), expected.get_flat())
             assert_bitwise_equal(outcome.obs_scale, expected.obs_scale)
-            assert outcome.metadata() == expected.metadata()
+            assert ((outcome.name, outcome.hyperparameters)
+                    == (expected.name, expected.hyperparameters))
 
     def test_job_does_not_depend_on_its_group(self, monkeypatch):
         jobs = self.jobs(PortfolioEnv)
@@ -705,7 +707,8 @@ class TestCEMLockstep:
             expected = train_cem(env, config)
             assert_bitwise_equal(outcome.get_flat(), expected.get_flat())
             assert_bitwise_equal(outcome.obs_scale, expected.obs_scale)
-            assert outcome.metadata() == expected.metadata()
+            assert ((outcome.name, outcome.hyperparameters)
+                    == (expected.name, expected.hyperparameters))
             oracle = _train_cem_per_member(env, config)
             assert_bitwise_equal(outcome.get_flat(), oracle.get_flat())
 

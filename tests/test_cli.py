@@ -566,6 +566,29 @@ class TestExitCodes:
         assert proc.returncode == 0
         assert proc.stderr == ""
 
+    def test_overflowing_annualized_return_is_null(self, tmp_path):
+        # SYN0's last bar x20, traded as a one-day portfolio: the gain
+        # annualizes past the largest float
+        shipped = os.path.join(os.path.dirname(quantgym.__file__), "data",
+                               "synthetic_market.csv")
+        with open(shipped, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        last = max(i for i, line in enumerate(lines)
+                   if line.split(",")[1] == "SYN0")
+        ts, tk, *bar = lines[last].split(",")
+        lines[last] = ",".join([ts, tk] + [repr(float(x) * 20) for x in
+                                           bar[:4]] + bar[4:])
+        jump = tmp_path / "jump.csv"
+        jump.write_text("\n".join(lines) + "\n")
+        proc = run_fresh(["trade-sim", "--set", f"data.source={jump}",
+                          "--set", "agent.type=equal", "--set",
+                          "env.kind=portfolio", "--set", "pipeline.n_train=86",
+                          "--set", "pipeline.n_trade=1"], tmp_path / "out")
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        result = read_json(tmp_path / "out" / "trade-sim" / "metrics.json")
+        assert result["annualized_return"] is None
+
     # key -> (command that reads it, a good row, a bad row)
     RESOURCES = {
         "financial": ("build-dict", "gain\t1.0", "slump\tbig"),

@@ -1,7 +1,7 @@
 """Config parsing, schema validation, overrides, and grid expansion."""
 import pytest
 
-from quantgym.config import default_config, load_config, schema_text
+from quantgym.config import default_config, load_config
 from quantgym.errors import ConfigError
 
 
@@ -100,13 +100,6 @@ def test_grid_unknown_field_rejected():
     config = load_config(None, ["agent.grid=warp=1,2"])
     with pytest.raises(ConfigError, match="unknown agent key"):
         config.hyper_grid()
-
-
-def test_schema_text_covers_all_sections():
-    text = schema_text()
-    for section in ("data", "features", "env", "agent", "pipeline",
-                    "sentiment", "run"):
-        assert f"[{section}]" in text
 
 
 def test_canonical_serialization_sorted():

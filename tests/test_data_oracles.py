@@ -31,13 +31,13 @@ from quantgym.market_data import (
     BarTable,
     CleaningPolicy,
     _bar_problem,
-    _build_table,
     _ingest_rows,
+    _key_columns,
+    _table,
     clean,
     format_timestamp,
     ingest_csv,
     ingest_dir,
-    merge,
     parse_epoch,
 )
 from quantgym.sentiment.preprocess import (
@@ -47,7 +47,6 @@ from quantgym.sentiment.preprocess import (
     LemmaRules,
     Token,
     _normalize,
-    _replace_companies,
     default_abbreviations,
     default_rules,
     preprocess,
@@ -203,15 +202,9 @@ def align_events_oracle(table, events):
     return out
 
 
-def preprocess_oracle(text, rules, company_names=()):
+def preprocess_oracle(text, rules):
     """preprocess() calling uncached _normalize and analyze per token."""
     abbreviations = default_abbreviations()
-    name_tokens = []
-    for name in company_names:
-        toks = [t for t in (_normalize(x) for x in _TOKEN_RE.findall(name)) if t]
-        if toks:
-            name_tokens.append(toks)
-    name_tokens.sort(key=len, reverse=True)
     sentences = []
     for chunk in _SENTENCE_RE.split(text):
         raw_tokens = _TOKEN_RE.findall(chunk)
@@ -226,7 +219,6 @@ def preprocess_oracle(text, rules, company_names=()):
                     w for w in map(_normalize, expansion.split()) if w)
             elif word:
                 normalized.append(word)
-        normalized = _replace_companies(normalized, name_tokens)
         toks = []
         prev_pos = ""
         for word in normalized:
@@ -370,14 +362,16 @@ def with_empty_ticker(table, nan_close_at=None, name="ZZZ"):
 
 
 def build(rows):
-    return _build_table("1day", rows, [x for bar in rows.values() for x in bar])
+    return _table("1day", *_key_columns(
+        rows, [x for bar in rows.values() for x in bar]))
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_build_table_matches_cell_loop(seed):
     rows = sparse_rows(seed)
-    assert_tables_bitwise(_build_table("1day", rows, list(rows.values())),
-                          build_table_oracle("1day", as_datetime_keys(rows)))
+    got = _table("1day", *_key_columns(rows, list(rows.values())))
+    assert_tables_bitwise(got, build_table_oracle("1day",
+                                                  as_datetime_keys(rows)))
 
 
 def strict(ingest, path):
@@ -420,7 +414,8 @@ def test_ingest_matches_cell_loop(seed, tmp_path):
 
 
 def test_build_table_of_nothing_is_empty():
-    assert_tables_bitwise(_build_table("1h", {}, []), build_table_oracle("1h", {}))
+    assert_tables_bitwise(_table("1h", *_key_columns({}, [])),
+                          build_table_oracle("1h", {}))
 
 
 # ---------------------------------------------------------------------------
@@ -707,17 +702,6 @@ def test_clean_leading_gap_and_empty_ticker_cases_are_exercised():
         clean(with_empty_ticker(with_empty_ticker(table, name="YYY")), union)
 
 
-def test_merge_of_overlapping_slices_restores_cleaned_table():
-    table = clean(build(sparse_rows(3)),
-                  CleaningPolicy(calendar_rule="union"))
-    half = table.n_steps // 2
-    merged = merge([table.slice_steps(half, table.n_steps),
-                    table.slice_steps(0, half + 3)])
-    for name in GRIDS + ("present", "synthetic"):
-        assert_bitwise_equal(getattr(merged, name), getattr(table, name))
-    assert merged.synthetic.any()
-
-
 # ---------------------------------------------------------------------------
 # event alignment
 
@@ -906,7 +890,6 @@ def random_text(rng, words):
 def test_preprocess_matches_uncached_loop(seed):
     rng = np.random.default_rng(seed)
     words = known_words() + random_words(seed)
-    names = ["Acme Corp", "Globex"]
     fresh = fresh_rules()
     oracle_rules = default_rules()
     for _ in range(150):
@@ -914,8 +897,8 @@ def test_preprocess_matches_uncached_loop(seed):
         if rng.random() < 0.2:
             text += " Acme Corp said."
         for rules in (fresh, default_rules()):
-            got = preprocess(text, company_names=names, rules=rules)
-            assert got == preprocess_oracle(text, oracle_rules, names), text
+            got = preprocess(text, rules=rules)
+            assert got == preprocess_oracle(text, oracle_rules), text
 
 
 # ---------------------------------------------------------------------------

@@ -4,16 +4,13 @@ import threading
 import numpy as np
 import pytest
 
-from quantgym.errors import DataError, IngestError, MergeConflictError, SplitError
+from quantgym.errors import DataError, IngestError
 from quantgym.market_data import (
     BarTable,
     CleaningPolicy,
-    SplitSpec,
     clean,
     ingest_csv,
     ingest_dir,
-    merge,
-    split,
     to_datetime64,
     write_csv,
 )
@@ -280,74 +277,6 @@ class TestClean:
         table = make_table(np.array([[100.0]]))
         with pytest.raises(DataError, match="two timestamps"):
             clean(table, CleaningPolicy())
-
-
-class TestMerge:
-    def test_disjoint_tickers(self):
-        a = make_table(np.full((3, 1), 10.0), tickers=("A",))
-        b = make_table(np.full((3, 1), 20.0), tickers=("B",))
-        merged = merge([a, b])
-        assert merged.tickers == ("A", "B")
-        assert merged.n_steps == 3
-
-    def test_same_ticker_disjoint_ranges(self):
-        a = make_table(np.full((2, 1), 10.0), tickers=("A",))
-        b = make_table(np.full((2, 1), 11.0), tickers=("A",),
-                       start=np.datetime64("2022-02-01T00:00:00", "s"))
-        merged = merge([a, b])
-        assert merged.n_steps == 4
-        assert merged.dense
-
-    def test_conflicting_cell_is_error(self):
-        a = make_table(np.full((2, 1), 10.0), tickers=("A",))
-        b = make_table(np.full((2, 1), 10.5), tickers=("A",))
-        with pytest.raises(MergeConflictError, match=r"\(A, 2022-01-03"):
-            merge([a, b])
-
-    def test_identical_duplicate_cells_are_fine(self):
-        a = make_table(np.full((2, 1), 10.0), tickers=("A",))
-        merged = merge([a, a])
-        assert tables_equal(merged, a)
-
-    def test_frequency_mismatch(self):
-        a = make_table(np.full((2, 1), 10.0), frequency="1day")
-        b = make_table(np.full((2, 1), 10.0), frequency="1min")
-        with pytest.raises(DataError, match="frequency mismatch"):
-            merge([a, b])
-
-
-class TestSplit:
-    def ten_day_table(self):
-        return make_table(np.arange(100.0, 110.0)[:, None])
-
-    def spec(self, a, b, c, d):
-        ts = lambda i: np.datetime64("2022-01-03T00:00:00", "s") + i * np.timedelta64(86400, "s")
-        return SplitSpec((ts(a), ts(b)), (ts(b), ts(c)), (ts(c), ts(d)))
-
-    def test_segment_lengths(self):
-        train, test, trade = split(self.ten_day_table(), self.spec(0, 5, 7, 8))
-        assert (train.n_steps, test.n_steps, trade.n_steps) == (5, 2, 1)
-
-    def test_partition_preserves_order(self):
-        table = self.ten_day_table()
-        train, test, trade = split(table, self.spec(0, 5, 7, 10))
-        joined = np.concatenate([train.calendar, test.calendar, trade.calendar])
-        assert np.array_equal(joined, table.calendar)
-
-    def test_out_of_calendar_trade_range(self):
-        with pytest.raises(SplitError, match="trade range"):
-            split(self.ten_day_table(), self.spec(0, 5, 10, 12))
-
-    def test_empty_test_segment(self):
-        with pytest.raises(SplitError):
-            split(self.ten_day_table(), self.spec(0, 5, 5, 10))
-
-    def test_overlapping_ranges_rejected(self):
-        with pytest.raises(SplitError, match="disjoint"):
-            SplitSpec(("2022-01-03T00:00:00+00:00", "2022-01-08T00:00:00+00:00"),
-                      ("2022-01-07T00:00:00+00:00", "2022-01-09T00:00:00+00:00"),
-                      ("2022-01-09T00:00:00+00:00", "2022-01-10T00:00:00+00:00"),
-                      ).normalized()
 
 
 class TestBarTable:

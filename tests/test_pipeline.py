@@ -131,6 +131,21 @@ class TestMetrics:
         with pytest.raises(DataError, match="positive"):
             metrics([100.0, -5.0, 100.0])
 
+    def test_overflowing_annualized_return_is_none(self):
+        m = metrics([1.0, 1e200])
+        assert m.annualized_return is None
+        assert m.cumulative_return == 1e200 - 1.0
+
+    def test_overflowing_yearly_return_gives_no_annual_volatility(self):
+        # two days in each of two years: the first year's growth of 1e10
+        # annualizes to 1e1825, which overflows; no RuntimeWarning escapes
+        stamps = np.array(["2021-12-30", "2021-12-31", "2022-01-01",
+                           "2022-01-02"], dtype="datetime64[s]")
+        m = metrics([1.0, 1e10, 1e10, 1e10], timestamps=stamps,
+                    trading_days=365)
+        assert m.annualized_volatility is None
+        assert m.annualized_return == pytest.approx(1e10 - 1.0)
+
     def test_basis_252_supported(self):
         m = metrics([100.0, 110.0], trading_days=252,
                     annualization_basis=252)

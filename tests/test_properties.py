@@ -6,10 +6,7 @@ from quantgym.envs import EnvConfig, PortfolioEnv, TradingEnv
 from quantgym.market_data import (
     BarTable,
     CleaningPolicy,
-    SplitSpec,
     clean,
-    merge,
-    split,
 )
 
 from conftest import (
@@ -52,35 +49,6 @@ def test_clean_idempotent_on_random_sparse_tables(seed, rule):
     assert once.dense
     assert (once.low <= np.minimum(once.open, once.close)).all()
     assert (once.high >= np.maximum(once.open, once.close)).all()
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_split_partitions_selected_range(seed):
-    rng = np.random.default_rng(seed)
-    T = 20
-    table = random_walk_table(T, 2, seed=seed)
-    cuts = np.sort(rng.choice(np.arange(1, T), size=3, replace=False))
-    a, b, c = (int(x) for x in cuts)
-    cal = table.calendar
-
-    def ts(i):
-        return cal[i] if i < T else cal[-1] + np.timedelta64(86400, "s")
-
-    spec = SplitSpec((cal[0], ts(a)), (ts(a), ts(b)), (ts(b), ts(c)))
-    train, test, trade = split(table, spec)
-    joined = np.concatenate([train.calendar, test.calendar, trade.calendar])
-    np.testing.assert_array_equal(joined, cal[:c])
-    assert train.n_steps + test.n_steps + trade.n_steps == c
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_merge_of_disjoint_slices_restores_table(seed):
-    table = random_walk_table(14, 2, seed=seed)
-    cut = 7
-    first = table.slice_steps(0, cut)
-    second = table.slice_steps(cut, 14)
-    merged = merge([first, second])
-    assert tables_equal(merged, table)
 
 
 @pytest.mark.parametrize("allow_short", [False, True])

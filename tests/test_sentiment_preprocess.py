@@ -2,7 +2,7 @@
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quantgym.sentiment import COMPANY_TOKEN, LemmaRules, preprocess
+from quantgym.sentiment import LemmaRules, preprocess
 from quantgym.sentiment.preprocess import default_rules
 
 
@@ -18,16 +18,6 @@ def test_empty_text_gives_empty_document():
     doc = preprocess("")
     assert doc.sentences == ()
     assert sum(len(s) for s in doc.sentences) == 0
-
-
-def test_company_name_neutralized():
-    doc = preprocess("BestBuy beats estimates", company_names=["BestBuy"])
-    assert lemmas(doc) == [COMPANY_TOKEN, "beat", "estimate"]
-
-
-def test_multiword_company_name():
-    doc = preprocess("Best Buy shares rise", company_names=["Best Buy"])
-    assert lemmas(doc) == [COMPANY_TOKEN, "share", "rise"]
 
 
 def test_developed_lemmatized_as_verb():
@@ -84,9 +74,9 @@ def test_sentences_cover_tokens_without_overlap():
 def test_idempotent_on_own_output():
     text = ("BestBuy significantly beats estimates. "
             "Shares rose 12% after the developed products launched!")
-    doc = preprocess(text, company_names=["BestBuy"])
+    doc = preprocess(text)
     rejoined = ". ".join(" ".join(s) for s in lemma_sentences(doc))
-    again = preprocess(rejoined, company_names=["BestBuy"])
+    again = preprocess(rejoined)
     assert lemma_sentences(again) == lemma_sentences(doc)
 
 

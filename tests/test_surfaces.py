@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 
+import quantgym.agents
+import quantgym.sentiment
 from quantgym.agents import WeightRebalancePolicy
 from quantgym.cli import parse_indicators, split_risk_ticker
 from quantgym.envs import EnvConfig
@@ -12,6 +14,12 @@ from quantgym.pipeline import backtest, metrics
 from quantgym.sentiment import ShifterTable, default_shifters
 
 from conftest import make_table, random_walk_table, simple_features
+
+
+@pytest.mark.parametrize("package", [quantgym.agents, quantgym.sentiment])
+def test_package_exports_resolve(package):
+    assert [name for name in package.__all__
+            if not hasattr(package, name)] == []
 
 
 class TestEventsLoader:
@@ -94,17 +102,6 @@ class TestIndicatorSpecParsing:
             parse_indicators(" , ")
 
 
-def test_shifter_table_save_load(tmp_path):
-    table = ShifterTable({"very": 0.3, "barely": -0.2},
-                         frozenset({"not", "no"}), -0.4)
-    path = tmp_path / "shifters.tsv"
-    table.save(str(path))
-    again = ShifterTable.load(str(path))
-    assert again.intensifiers == table.intensifiers
-    assert again.negators == table.negators
-    assert again.negation_factor == table.negation_factor
-
-
 def test_shifter_factor_validated():
     with pytest.raises(ValueError, match="negation_factor"):
         ShifterTable({}, frozenset(), 0.5)
@@ -173,12 +170,6 @@ class TestBarTableValidation:
         with pytest.raises(DataError, match="unknown frequency"):
             BarTable("2week", ("A",), cal, ones, ones, ones, ones, ones,
                      ones.astype(bool), np.zeros((1, 1), bool))
-
-    def test_slice_steps(self):
-        table = random_walk_table(10, 2)
-        sub = table.slice_steps(2, 7)
-        assert sub.n_steps == 5
-        np.testing.assert_array_equal(sub.calendar, table.calendar[2:7])
 
 
 def test_backtest_zero_step_episode():
