@@ -55,7 +55,7 @@ from .market_data import (
     BarTable,
     CleaningPolicy,
     clean,
-    format_timestamp,
+    format_timestamps,
     ingest_csv,
     ingest_dir,
     write_csv,
@@ -358,8 +358,8 @@ def cmd_features(config: RunConfig) -> int:
         with open(os.path.join(outdir, "turbulence.csv"), "w",
                   encoding="utf-8") as fh:
             fh.write("timestamp,value\n")
-            for ts, v in zip(turb.calendar, turb.values):
-                fh.write(f"{format_timestamp(ts)},{float(v)!r}\n")
+            fh.writelines(f"{ts},{v!r}\n" for ts, v in zip(
+                format_timestamps(turb.calendar), turb.values.tolist()))
     write_manifest(outdir, "features", config, [_data_source(config)])
     print(f"features {features.feature_names} warmup={features.warmup} "
           f"-> {out_npz}")

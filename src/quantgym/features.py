@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import calendar as _calendar
 import logging
+import warnings
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from math import isfinite
@@ -16,8 +17,8 @@ import numpy as np
 
 from . import kernels
 from .errors import FeatureError, reading
-from .market_data import BarTable, format_timestamp, parse_timestamp, \
-    to_datetime64
+from .market_data import BarTable, _codes, _number, format_timestamp, \
+    parse_epoch
 
 logger = logging.getLogger(__name__)
 
@@ -94,56 +95,102 @@ class TurbulenceSeries:
     window: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EventSeries:
-    """Timestamped per-ticker scalar events (news sentiment, fundamentals)."""
+    """Timestamped per-ticker scalar events (news sentiment, fundamentals),
+    as columns: event i enters at times[i] for tickers[i] with values[i]."""
 
-    events: tuple  # of (enter_time datetime64[s], ticker, value)
+    times: np.ndarray  # (m,) datetime64[s]
+    tickers: np.ndarray  # (m,) str objects
+    values: np.ndarray  # (m,) float64
     kind: str  # "sentiment" | "fundamental"
 
     def __post_init__(self):
         if self.kind not in ("sentiment", "fundamental"):
             raise FeatureError(f"unknown event kind {self.kind!r}")
-        norm = tuple(
-            (to_datetime64(ts), str(tk), float(v)) for ts, tk, v in self.events)
-        object.__setattr__(self, "events", norm)
+        if not len(self.times) == len(self.tickers) == len(self.values):
+            raise FeatureError("event columns differ in length")
 
 
 EVENTS_HEADER = "enter_time,ticker,value"
 
 
 def load_events_csv(path: str, kind: str) -> EventSeries:
-    """Load an event file (header: enter_time,ticker,value)."""
-    rows = []
-    stamps: dict[str, np.datetime64] = {}  # each distinct text parsed once
+    """Load an event file (header: enter_time,ticker,value).
+
+    The rows after the header are read in one pass of numpy's C parser;
+    a file it refuses, and a pipe, are read by the row loop, which raises
+    the first bad row's error with its line.
+    """
     with reading(path) as fh:
         header = fh.readline().strip()
         if header != EVENTS_HEADER:
             raise FeatureError(
                 f"bad events header {header!r}, expected {EVENTS_HEADER}")
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise FeatureError(f"{path}:{line_no}: expected 3 fields")
-            try:
-                ts = stamps.get(parts[0])
-                if ts is None:
-                    ts = stamps[parts[0]] = parse_timestamp(parts[0])
-                value = float(parts[2])
-            except ValueError as exc:
-                raise FeatureError(f"{path}:{line_no}: {exc}") from None
-            if not isfinite(value):
-                raise FeatureError(
-                    f"{path}:{line_no}: non-finite event value {parts[2]!r}")
-            rows.append((ts, parts[1], value))
-    # the rows are normalized already: check the kind on an empty series,
-    # then hand it the rows as they are
-    series = EventSeries((), kind)
-    object.__setattr__(series, "events", tuple(rows))
-    return series
+        columns = None
+        if fh.seekable():  # a pipe is read once, by the row loop
+            columns = _read_event_columns(fh)
+            if columns is None:
+                fh.seek(0)
+                fh.readline()
+        if columns is None:
+            columns = _event_rows(fh, path)
+    return EventSeries(*columns, kind)
+
+
+def _read_event_columns(fh):
+    """(times, tickers, values) of the rows of ``fh`` after its header,
+    read in one pass of numpy's C parser and checked whole-array as
+    ``_event_rows`` checks each row; None when a row fails."""
+    try:
+        with warnings.catch_warnings():  # it warns on a header-only file
+            warnings.filterwarnings("ignore", "loadtxt: input contained no "
+                                    "data", UserWarning)
+            data = np.loadtxt(fh, delimiter=",", comments=None,
+                              quotechar=None, ndmin=1,
+                              dtype=[("enter_time", object),
+                                     ("ticker", object), ("value", float)])
+    except ValueError:  # a field count, a number or the text encoding
+        return None
+    texts, at = _codes(data["enter_time"].tolist())
+    try:  # each distinct text once
+        epochs = np.array([parse_epoch(t) for t in texts], np.int64)[at]
+    except ValueError:
+        return None
+    values = np.array(data["value"])
+    if not np.isfinite(values).all():
+        return None
+    return epochs.astype("datetime64[s]"), np.array(data["ticker"]), values
+
+
+def _event_rows(lines, path: str):
+    """(times, tickers, values) of the event ``lines`` after the header,
+    each row validated; the first bad row raises its FeatureError
+    (``path:line``). Each distinct timestamp text is parsed once."""
+    epochs, tickers, values = [], [], []
+    stamps: dict[str, int] = {}
+    for line_no, line in enumerate(lines, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise FeatureError(f"{path}:{line_no}: expected 3 fields")
+        try:
+            ts = stamps.get(parts[0])
+            if ts is None:
+                ts = stamps[parts[0]] = parse_epoch(parts[0])
+            value = _number(parts[2])
+        except ValueError as exc:
+            raise FeatureError(f"{path}:{line_no}: {exc}") from None
+        if not isfinite(value):
+            raise FeatureError(
+                f"{path}:{line_no}: non-finite event value {parts[2]!r}")
+        epochs.append(ts)
+        tickers.append(parts[1])
+        values.append(value)
+    return (np.array(epochs, np.int64).astype("datetime64[s]"),
+            np.array(tickers, dtype=object), np.array(values, dtype=float))
 
 
 def compute_indicator(table: BarTable, spec: IndicatorSpec) -> np.ndarray:
@@ -298,14 +345,13 @@ def align_events(table: BarTable, events: EventSeries) -> np.ndarray:
     T, n = table.n_steps, table.n_tickers
     out = np.zeros((T, n))
     index = {tk: j for j, tk in enumerate(table.tickers)}
-    evs = events.events
-    cols = np.array([index.get(tk, -1) for _, tk, _ in evs], dtype=np.intp)
-    skipped = {evs[k][1] for k in np.flatnonzero(cols < 0)}
+    names, codes = _codes(events.tickers.tolist())
+    column = np.array([index.get(tk, -1) for tk in names], dtype=np.intp)
+    skipped = [tk for tk, j in zip(names, column) if j < 0]
     if skipped:
         logger.warning("align_events(): skipped events for unknown tickers %s",
                        ", ".join(sorted(skipped)))
-    times = np.array([ts for ts, _, _ in evs], dtype="datetime64[s]")
-    vals = np.array([v for _, _, v in evs], dtype=float)
+    times, vals, cols = events.times, events.values, column[codes]
     # by ticker, then time, ties in input order: each ticker's events
     # become one time-sorted slice
     order = np.lexsort((times, cols))

@@ -2,9 +2,10 @@
 
 The indicator kernels take (T, n) grids, one column per ticker, and work
 on all columns at once: windowed ones add whole rows per window offset,
-recursive ones step through t on (n,) vectors. Every sum is added in the
-order of the plain per-element loop (window rows oldest first), so each
-column is bit-identical to that loop on the column alone. All take
+recursive ones step through t on (n,) vectors, or on (k, n) stacks of
+the k series that share one recursion. Every sum is added in the order
+of the plain per-element loop (window rows oldest first), so each column
+is bit-identical to that loop on the column alone. All take
 float64 arrays and return float64; undefined warmup prefixes are NaN.
 """
 from __future__ import annotations
@@ -88,9 +89,12 @@ def rsi_kernel(close, period):
     gain = np.where(diff > 0.0, diff, 0.0)
     loss = np.where(diff < 0.0, -diff, 0.0)
     first = diff[:period]
-    avg_gain = _wilder(gain, period)
-    # the seed counts every move that is not a gain as a loss (NaN too)
-    avg_loss = _wilder(loss, period, np.where(first > 0.0, 0.0, -first))
+    # one Wilder pass over gain and loss side by side; the loss seed
+    # counts every move that is not a gain as a loss (NaN too)
+    avg = _wilder(np.stack((gain, loss), axis=1), period,
+                  np.stack((gain[:period], np.where(first > 0.0, 0.0, -first)),
+                           axis=1))
+    avg_gain, avg_loss = avg[:, 0], avg[:, 1]
     with np.errstate(divide="ignore", invalid="ignore"):
         rsi = 100.0 - 100.0 / (1.0 + avg_gain / avg_loss)
     out[period:] = np.where(avg_loss == 0.0,
@@ -131,15 +135,14 @@ def adx_kernel(high, low, close, period):
     r3 = np.abs(low[1:] - close[:-1])
     r12 = np.where(r2 > r1, r2, r1)  # max(r1, r2, r3), NaN rules included
     tr = np.where(r3 > r12, r3, r12)
-    # Wilder sums for steps period .. T-1, row t - period
-    smoothed = []
-    for move in (tr, pdm, mdm):
-        s = np.empty((T - period,) + close.shape[1:])
-        s[0] = _window_sums(move[:period], period)[0]
-        for k in range(1, T - period):
-            s[k] = s[k - 1] - s[k - 1] / period + move[period + k - 1]
-        smoothed.append(s)
-    s_tr, s_pdm, s_mdm = smoothed
+    # Wilder sums for steps period .. T-1, row t - period, of the three
+    # moves side by side
+    moves = np.stack((tr, pdm, mdm), axis=1)
+    s = np.empty((T - period,) + moves.shape[1:])
+    s[0] = _window_sums(moves[:period], period)[0]
+    for k in range(1, T - period):
+        s[k] = s[k - 1] - s[k - 1] / period + moves[period + k - 1]
+    s_tr, s_pdm, s_mdm = s[:, 0], s[:, 1], s[:, 2]
     with np.errstate(divide="ignore", invalid="ignore"):
         pdi = 100.0 * s_pdm / s_tr
         mdi = 100.0 * s_mdm / s_tr
@@ -150,6 +153,10 @@ def adx_kernel(high, low, close, period):
     return out
 
 
+# the most steps whose (n, n) covariances turbulence_kernel holds at once
+TURBULENCE_CHUNK = 64
+
+
 def turbulence_kernel(returns, window, eps_scale, calibration):
     """Mahalanobis distance of each return row from its trailing window.
 
@@ -158,27 +165,34 @@ def turbulence_kernel(returns, window, eps_scale, calibration):
     ridge of eps_scale * trace/n before the solve. `calibration`
     rescales the raw quadratic form (pass 1.0 for the uncalibrated
     index).
+
+    Each step's window is centered and multiplied on its own; the ridge,
+    the ordered sums and the solves then run once per chunk of at most
+    ``TURBULENCE_CHUNK`` steps, bit for bit as step by step.
     """
     T, n = returns.shape
     out = np.full(T, np.nan)
     if T <= window + 1:
         return out
     sums = _window_sums(returns[:-1], window)  # row t - window: rows before t
-    diagonal = np.diag_indices(n)
-    for t in range(window + 1, T):
-        mu = sums[t - window] / window
-        centered = returns[t - window:t] - mu
-        cov = np.ascontiguousarray(centered.T) @ centered / (window - 1.0)
-        eps = eps_scale * _added_in_order(np.diagonal(cov)) / n
-        if eps <= 0.0:
-            eps = 1e-12
-        cov[diagonal] += eps
-        dev = returns[t] - mu
-        z = np.linalg.solve(cov, dev)
-        d = _added_in_order(dev * z)
-        if d < 0.0:  # roundoff dust near zero deviation
-            d = 0.0
-        out[t] = calibration * d
+    buffer = np.empty((min(TURBULENCE_CHUNK, T - window - 1), n, n))
+    for start in range(window + 1, T, TURBULENCE_CHUNK):
+        stop = min(start + TURBULENCE_CHUNK, T)
+        mu = sums[start - window:stop - window] / window
+        cov = buffer[:stop - start]
+        for k, t in enumerate(range(start, stop)):
+            centered = returns[t - window:t] - mu[k]
+            np.matmul(np.ascontiguousarray(centered.T), centered, out=cov[k])
+        cov /= window - 1.0
+        diagonal = cov.reshape(len(cov), n * n)[:, ::n + 1]
+        zero = np.zeros(len(cov))
+        eps = eps_scale * _sum_in_order(zero, diagonal) / n
+        diagonal += np.where(eps <= 0.0, 1e-12, eps)[:, None]
+        dev = returns[start:stop] - mu
+        z = np.linalg.solve(cov, dev[:, :, None])[:, :, 0]
+        d = _sum_in_order(zero, dev * z)
+        # d < 0 is roundoff dust near zero deviation
+        out[start:stop] = calibration * np.where(d < 0.0, 0.0, d)
     return out
 
 
@@ -252,7 +266,9 @@ def execute_trades_population(prices, holdings, balance, deltas,
         sell = np.fmin(sell, np.fmax(holdings, 0.0))
     sold = sell > 0.0
     proceeds = sell * prices
-    b = _sum_in_order(balance, sold, proceeds - cost_rate * proceeds)
+    # an unsold column adds -0.0, the exact identity
+    b = _sum_in_order(balance, np.where(sold, proceeds - cost_rate * proceeds,
+                                        -0.0))
     buy = np.fmax(deltas, 0.0)
     unit = prices * (1.0 + cost_rate)
     if not allow_margin and not unit.min() > 0.0:
@@ -276,12 +292,9 @@ def execute_trades_population(prices, holdings, balance, deltas,
     return new_h, b, executed
 
 
-def _sum_in_order(start, mask, terms):
-    """start plus each masked-in column of terms, added left to right.
-
-    Masked-out columns add -0.0, the exact identity, so each row's sum
-    is the scalar loop's ``if mask: total += term``.
-    """
-    columns = np.concatenate((start[:, None], np.where(mask, terms, -0.0)),
-                             axis=1)
+def _sum_in_order(start, terms):
+    """start plus each column of (k, m) terms, added left to right, so
+    row i is ``start[i] + terms[i, 0] + ...`` of the scalar loop (and, from
+    a start of 0.0, ``_added_in_order`` of the row)."""
+    columns = np.concatenate((start[:, None], terms), axis=1)
     return np.add.accumulate(columns, axis=1)[:, -1].copy()

@@ -123,7 +123,7 @@ def metrics(values, risk_free: float = 0.0, trading_days: int | None = None,
         steps_per_year = annualization_basis * (steps / t)
     step_vol_ann = std * math.sqrt(steps_per_year)
 
-    if std == 0.0:
+    if std <= 1e-12:  # flat: a spread of roundoff is no risk to price
         sharpe = sharpe_ann = None
     else:
         sharpe = (mean - risk_free) / std

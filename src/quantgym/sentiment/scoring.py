@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .lexicon import SentimentDictionary, ShifterTable
 from .preprocess import (
@@ -24,8 +24,7 @@ NEGATIVE_THRESHOLD = -0.05
 LEARN_MIN = 1 << 10
 
 
-@dataclass(frozen=True)
-class SentimentScore:
+class SentimentScore(NamedTuple):
     compound: float  # in [-1, 1]
     polarity: str  # negative | neutral | positive
     per_sentence: tuple[float, ...]  # raw sums before normalization

@@ -13,7 +13,9 @@ from quantgym.envs import (
     Transition,
     softmax,
 )
-from quantgym.features import FeatureMatrix, IndicatorSpec, compute_feature_matrix
+from quantgym.features import EventSeries, FeatureMatrix, IndicatorSpec, \
+    compute_feature_matrix
+from quantgym import kernels
 from quantgym.kernels import execute_trades_kernel
 from quantgym.market_data import BarTable
 
@@ -103,6 +105,90 @@ def reference_step(env, action) -> Transition:
     env._state = next_state
     return Transition(state, applied, reward, next_state, t2 >= env.end - 1,
                       {"cost": float(cost), "risk_triggered": triggered})
+
+
+def event_series(rows, kind: str) -> EventSeries:
+    """The EventSeries of (enter_time datetime64, ticker, value) rows."""
+    return EventSeries(
+        np.array([ts for ts, _, _ in rows], "datetime64[s]"),
+        np.array([str(tk) for _, tk, _ in rows], dtype=object),
+        np.array([float(v) for _, _, v in rows]), kind)
+
+
+def turbulence_oracle(returns, window, eps_scale, calibration):
+    """``kernels.turbulence_kernel`` one step at a time: a covariance, a
+    ridge and a solve per step. It is the oracle of the chunked kernel."""
+    T, n = returns.shape
+    out = np.full(T, np.nan)
+    if T <= window + 1:
+        return out
+    sums = kernels._window_sums(returns[:-1], window)
+    diagonal = np.diag_indices(n)
+    for t in range(window + 1, T):
+        mu = sums[t - window] / window
+        centered = returns[t - window:t] - mu
+        cov = np.ascontiguousarray(centered.T) @ centered / (window - 1.0)
+        eps = eps_scale * kernels._added_in_order(np.diagonal(cov)) / n
+        if eps <= 0.0:
+            eps = 1e-12
+        cov[diagonal] += eps
+        dev = returns[t] - mu
+        z = np.linalg.solve(cov, dev)
+        d = kernels._added_in_order(dev * z)
+        if d < 0.0:
+            d = 0.0
+        out[t] = calibration * d
+    return out
+
+
+def rsi_oracle(close, period):
+    """``kernels.rsi_kernel`` with one Wilder pass per series."""
+    out = np.full(close.shape, np.nan)
+    if len(close) < period + 1:
+        return out
+    diff = close[1:] - close[:-1]
+    gain = np.where(diff > 0.0, diff, 0.0)
+    loss = np.where(diff < 0.0, -diff, 0.0)
+    first = diff[:period]
+    avg_gain = kernels._wilder(gain, period)
+    avg_loss = kernels._wilder(loss, period,
+                               np.where(first > 0.0, 0.0, -first))
+    rsi = 100.0 - 100.0 / (1.0 + avg_gain / avg_loss)
+    out[period:] = np.where(avg_loss == 0.0,
+                            np.where(avg_gain == 0.0, 50.0, 100.0), rsi)
+    return out
+
+
+def adx_oracle(high, low, close, period):
+    """``kernels.adx_kernel`` with one smoothing loop per move series."""
+    T = len(close)
+    out = np.full(close.shape, np.nan)
+    if T < 2 * period:
+        return out
+    up = high[1:] - high[:-1]
+    dn = low[:-1] - low[1:]
+    pdm = np.where((up > dn) & (up > 0.0), up, 0.0)
+    mdm = np.where((dn > up) & (dn > 0.0), dn, 0.0)
+    r1 = high[1:] - low[1:]
+    r2 = np.abs(high[1:] - close[:-1])
+    r3 = np.abs(low[1:] - close[:-1])
+    r12 = np.where(r2 > r1, r2, r1)
+    tr = np.where(r3 > r12, r3, r12)
+    smoothed = []
+    for move in (tr, pdm, mdm):
+        s = np.empty((T - period,) + close.shape[1:])
+        s[0] = kernels._window_sums(move[:period], period)[0]
+        for k in range(1, T - period):
+            s[k] = s[k - 1] - s[k - 1] / period + move[period + k - 1]
+        smoothed.append(s)
+    s_tr, s_pdm, s_mdm = smoothed
+    pdi = 100.0 * s_pdm / s_tr
+    mdi = 100.0 * s_mdm / s_tr
+    denom = pdi + mdi
+    dx = np.where(denom == 0.0, 0.0, 100.0 * np.abs(pdi - mdi) / denom)
+    dx = np.where(s_tr == 0.0, 0.0, dx)
+    out[2 * period - 1:] = kernels._wilder(dx, period)
+    return out
 
 
 def tables_equal(a: BarTable, b: BarTable, check_synthetic: bool = True) -> bool:

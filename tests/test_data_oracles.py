@@ -9,7 +9,9 @@ random words and random token sequences.
 """
 import csv
 import itertools
+import os
 import string
+import threading
 import warnings
 from array import array
 from datetime import datetime, timedelta, timezone
@@ -18,12 +20,12 @@ from math import isfinite
 import numpy as np
 import pytest
 
-from quantgym import market_data
-from quantgym.errors import DataError, IngestError
+from quantgym import features, market_data
+from quantgym.errors import DataError, FeatureError, IngestError
 from quantgym.features import (
-    EventSeries,
     align_events,
     fundamental_effective_from,
+    load_events_csv,
 )
 from quantgym.market_data import (
     CSV_HEADER,
@@ -64,7 +66,7 @@ from quantgym.sentiment.scoring import (
     token_row,
 )
 
-from conftest import assert_bitwise_equal
+from conftest import assert_bitwise_equal, event_series
 
 GRIDS = ("open", "high", "low", "close", "volume")
 DAY = 86400
@@ -169,7 +171,8 @@ def align_events_oracle(table, events):
     out = np.zeros((T, n))
     index = {tk: j for j, tk in enumerate(table.tickers)}
     per_ticker = {j: [] for j in range(n)}
-    for ts, tk, value in sorted(events.events, key=lambda e: (e[0], e[1])):
+    rows = zip(events.times, events.tickers, events.values)
+    for ts, tk, value in sorted(rows, key=lambda e: (e[0], e[1])):
         j = index.get(tk)
         if j is not None:
             per_ticker[j].append((ts, value))
@@ -663,6 +666,117 @@ def test_header_only_files_read_without_a_warning(tmp_path):
     assert strict(ingest_dir, folder).tickers == ("BBB",)
 
 
+
+EVENT = "2022-01-03T00:00:00+00:00,AAA,0.5"
+# the lines after an events header -> "C" when numpy's C reader reads
+# them, "loop" when it refuses them and the row loop reads them, else the
+# row loop's error after "path:"
+EVENT_FILES = {
+    "plain": ([EVENT, "2022-01-04T00:00:00+00:00,BBB,-0.0"], "C"),
+    "header only": ([], "C"),
+    "empty lines": (["", EVENT, "", ""], "C"),
+    "crlf": ([EVENT + "\r", "2022-01-04T00:00:00+00:00,AAA,1\r"], "C"),
+    "repeated timestamps": ([EVENT, EVENT.replace("AAA", "BBB"), EVENT,
+                             "2022-01-03T05:00:00+05:00,AAA,1e-320"], "C"),
+    "padded value": ([EVENT.replace("0.5", " 0.5\t"),
+                      EVENT.replace("0.5", "\u00a0-1\u00a0")], "C"),
+    "padded ticker": ([EVENT.replace("AAA", " AAA ")], "C"),
+    "quoted ticker": ([EVENT.replace("AAA", '"AAA"')], "C"),
+    "empty ticker": ([EVENT.replace("AAA", "")], "C"),
+    "padded timestamp": ([" " + EVENT], "loop"),
+    "blank of spaces": ([EVENT, "   "], "loop"),
+    "blank of a tab": (["\t", EVENT], "loop"),
+    "quoted timestamp": (['"2022-01-03T00:00:00+00:00",AAA,0.5'],
+                         "2: unparsable timestamp "
+                         "'\"2022-01-03T00:00:00+00:00\"'"),
+    "quoted value": ([EVENT.replace("0.5", '"0.5"')],
+                     "2: could not convert string to float: '\"0.5\"'"),
+    "trailing comma": ([EVENT, EVENT + ","], "3: expected 3 fields"),
+    "nan": ([EVENT.replace("0.5", "nan")],
+            "2: non-finite event value 'nan'"),
+    "inf": ([EVENT, EVENT.replace("0.5", "-inf")],
+            "3: non-finite event value '-inf'"),
+    "digit grouping": ([EVENT.replace("0.5", "1_000")],
+                       "2: not a number: '1_000'"),
+    "arabic-indic digit": ([EVENT.replace("0.5", "\u0663")],
+                           "2: not a number: '\u0663'"),
+    "fullwidth digit": ([EVENT.replace("0.5", "\uff13")],
+                        "2: not a number: '\uff13'"),
+    "no offset": ([EVENT.replace("+00:00", "")], "2: timestamp "
+                  "'2022-01-03T00:00:00' has no UTC offset"),
+}
+
+
+def event_columns(series):
+    """The columns of an EventSeries, or of a (times, tickers, values)
+    triple, as bytes and lists to compare."""
+    times, tickers, values = (series if isinstance(series, tuple) else
+                              (series.times, series.tickers, series.values))
+    return (times.dtype, times.tobytes(), tickers.dtype, tickers.tolist(),
+            values.dtype, values.tobytes())
+
+
+def read_after_header(path, read):
+    with open(path, encoding="utf-8") as fh:
+        fh.readline()
+        return read(fh)
+
+
+def outcome_of(load, *args):
+    """``load(*args)`` with every warning raised, or its error text."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return load(*args)
+    except FeatureError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(EVENT_FILES))
+def test_event_spellings_read_as_the_row_loop_reads_them(name, tmp_path):
+    """A file numpy's C reader reads gives the row loop's columns; any
+    other file gives what the row loop gives, columns or its error."""
+    lines, expected = EVENT_FILES[name]
+    path = tmp_path / "events.csv"
+    path.write_text("\n".join([features.EVENTS_HEADER] + lines) + "\n",
+                    encoding="utf-8")
+    fast = read_after_header(path, features._read_event_columns)
+    loop = outcome_of(read_after_header, path,
+                      lambda fh: features._event_rows(fh, str(path)))
+    loaded = outcome_of(load_events_csv, str(path), "sentiment")
+    if isinstance(loop, str):
+        assert fast is None
+        assert loaded == loop == f"{path}:" + expected
+        return
+    assert (fast is not None) == (expected == "C")
+    if fast is not None:
+        assert event_columns(fast) == event_columns(loop)
+    assert event_columns(loaded) == event_columns(loop)
+
+
+def test_events_from_a_pipe_are_read_once_by_the_row_loop(tmp_path):
+    lines = [EVENT, "", "2022-01-03T05:00:00+05:00,BBB,-1"]
+    text = "\n".join([features.EVENTS_HEADER] + lines) + "\n"
+    plain = tmp_path / "events.csv"
+    plain.write_text(text, encoding="utf-8")
+    fifo = tmp_path / "events.fifo"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        piped = load_events_csv(str(fifo), "sentiment")
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert event_columns(piped) == \
+        event_columns(load_events_csv(str(plain), "sentiment"))
+    assert piped.tickers.tolist() == ["AAA", "BBB"]
+
 POLICIES = [CleaningPolicy(calendar_rule=cal, fill_rule=fill, min_coverage=cov)
             for cal in ("union", "intersection")
             for fill in ("fill", "drop-ticker")
@@ -746,7 +860,7 @@ def awkward_events(rng, table):
 def test_align_sentiment_matches_per_bar_masks(seed, frequency, step):
     rng = np.random.default_rng(seed)
     table = bar_table(frequency=frequency, step=step)
-    events = EventSeries(awkward_events(rng, table), "sentiment")
+    events = event_series(awkward_events(rng, table), "sentiment")
     assert_bitwise_equal(align_events(table, events),
                          align_events_oracle(table, events))
 
@@ -765,7 +879,7 @@ def test_align_fundamentals_matches_per_bar_lookup(seed):
     rng = np.random.default_rng(seed)
     table = bar_table(start=int(stamp("2022-09-15T00:00:00").astype(np.int64)))
     lag = np.timedelta64(62 * DAY, "s")  # events take effect on the calendar
-    events = EventSeries(tuple((ts - lag, tk, v) for ts, tk, v in
+    events = event_series(tuple((ts - lag, tk, v) for ts, tk, v in
                                awkward_events(rng, table)) + CLAMPED,
                          "fundamental")
     assert_bitwise_equal(align_events(table, events),
@@ -774,7 +888,7 @@ def test_align_fundamentals_matches_per_bar_lookup(seed):
 
 def test_fundamental_lag_can_reorder_events():
     table = bar_table(start=int(stamp("2022-09-15T00:00:00").astype(np.int64)))
-    col = align_events(table, EventSeries(CLAMPED, "fundamental"))[:, 0]
+    col = align_events(table, event_series(CLAMPED, "fundamental"))[:, 0]
     assert col[15] == 0.0  # September 30, 00:00: neither has taken effect
     assert col[16] == 1.0  # October 1: the earlier event took effect later
 
@@ -782,16 +896,16 @@ def test_fundamental_lag_can_reorder_events():
 def test_align_events_without_bars_or_events():
     table = bar_table()
     for kind in ("sentiment", "fundamental"):
-        assert_bitwise_equal(align_events(table, EventSeries((), kind)),
+        assert_bitwise_equal(align_events(table, event_series((), kind)),
                              np.zeros((table.n_steps, table.n_tickers)))
     empty = bar_table(T=0)
-    events = EventSeries(((np.datetime64(0, "s"), "AAA", 1.0),), "sentiment")
+    events = event_series(((np.datetime64(0, "s"), "AAA", 1.0),), "sentiment")
     assert align_events(empty, events).shape == (0, 3)
 
 
 def test_crowded_and_signed_zero_bins_are_exercised():
     table = bar_table()
-    events = EventSeries(awkward_events(np.random.default_rng(0), table),
+    events = event_series(awkward_events(np.random.default_rng(0), table),
                          "sentiment")
     col = align_events(table, events)
     assert np.isnan(col[13, 0])

@@ -11,7 +11,7 @@ from quantgym.features import (
     fundamental_effective_from,
 )
 
-from conftest import make_table
+from conftest import event_series, make_table
 
 
 def daily_table(n_steps, start="2022-07-01T00:00:00"):
@@ -27,7 +27,7 @@ def ts(text):
 class TestSentimentAlignment:
     def test_no_events_all_zero(self):
         table = daily_table(5)
-        col = align_events(table, EventSeries((), "sentiment"))
+        col = align_events(table, event_series((), "sentiment"))
         assert col.shape == (5, 1)
         assert (col == 0).all()
 
@@ -37,7 +37,7 @@ class TestSentimentAlignment:
         table = make_table(close, tickers=("AAPL",), frequency="5min",
                            start=ts("2022-07-01T10:00:00"),
                            )
-        events = EventSeries((
+        events = event_series((
             (ts("2022-07-01T10:02:00"), "AAPL", 0.4),
             (ts("2022-07-01T10:04:00"), "AAPL", 0.8),
         ), "sentiment")
@@ -48,7 +48,7 @@ class TestSentimentAlignment:
 
     def test_interval_is_half_open(self):
         table = daily_table(3)
-        events = EventSeries((
+        events = event_series((
             (table.calendar[1], "AAPL", 0.5),  # exactly at bar 1: in (t0, t1]
         ), "sentiment")
         col = align_events(table, events)
@@ -57,7 +57,7 @@ class TestSentimentAlignment:
 
     def test_first_bar_uses_one_frequency_lookback(self):
         table = daily_table(3)
-        events = EventSeries((
+        events = event_series((
             (table.calendar[0] - np.timedelta64(3600, "s"), "AAPL", 0.9),
         ), "sentiment")
         col = align_events(table, events)
@@ -65,7 +65,7 @@ class TestSentimentAlignment:
 
     def test_unknown_ticker_warns_and_skips(self, caplog):
         table = daily_table(3)
-        events = EventSeries(((table.calendar[1], "ZZZ", 1.0),), "sentiment")
+        events = event_series(((table.calendar[1], "ZZZ", 1.0),), "sentiment")
         with caplog.at_level(logging.WARNING):
             col = align_events(table, events)
         assert (col == 0).all()
@@ -86,7 +86,7 @@ class TestFundamentalAlignment:
     def test_first_effective_trade_step(self):
         # daily calendar spanning July 1 .. October 28
         table = daily_table(120, start="2022-07-01T00:00:00")
-        events = EventSeries(((ts("2022-06-30T00:00:00"), "AAPL", 2.5),),
+        events = event_series(((ts("2022-06-30T00:00:00"), "AAPL", 2.5),),
                              "fundamental")
         col = align_events(table, events)
         first = int(np.argmax(col[:, 0] != 0))
@@ -96,7 +96,7 @@ class TestFundamentalAlignment:
 
     def test_latest_effective_event_wins(self):
         table = daily_table(200, start="2022-07-01T00:00:00")
-        events = EventSeries((
+        events = event_series((
             (ts("2022-06-30T00:00:00"), "AAPL", 1.0),
             (ts("2022-09-30T00:00:00"), "AAPL", 2.0),
         ), "fundamental")
@@ -107,7 +107,7 @@ class TestFundamentalAlignment:
 
     def test_strictly_causal(self):
         table = daily_table(40, start="2022-07-01T00:00:00")
-        events = EventSeries(((ts("2022-07-15T00:00:00"), "AAPL", 9.9),),
+        events = event_series(((ts("2022-07-15T00:00:00"), "AAPL", 9.9),),
                              "fundamental")
         col = align_events(table, events)
         assert (col[:, 0] == 0).all()  # effective only from Sep 16
@@ -115,7 +115,7 @@ class TestFundamentalAlignment:
 
 def test_effective_date_past_year_9999_is_a_feature_error():
     table = daily_table(5)
-    events = EventSeries(((ts("9999-12-31T23:59:59"), "AAPL", 1.0),),
+    events = event_series(((ts("9999-12-31T23:59:59"), "AAPL", 1.0),),
                          "fundamental")
     with pytest.raises(FeatureError) as err:
         align_events(table, events)
@@ -125,4 +125,10 @@ def test_effective_date_past_year_9999_is_a_feature_error():
 
 def test_event_series_validates_kind():
     with pytest.raises(Exception, match="unknown event kind"):
-        EventSeries((), "news")
+        event_series((), "news")
+
+
+def test_event_series_columns_share_one_length():
+    with pytest.raises(FeatureError, match="event columns differ in length"):
+        EventSeries(np.array([0], "datetime64[s]"), np.array([], object),
+                    np.array([1.0]), "sentiment")

@@ -1,11 +1,15 @@
 """The fill kernel keeps its invariants; the population fill kernel
-agrees with the scalar one row by row."""
+agrees with the scalar one row by row; the chunked turbulence kernel and
+the stacked Wilder passes give the bits of their step-by-step oracles."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantgym import kernels
 
-from conftest import assert_bitwise_equal
+from conftest import adx_oracle, assert_bitwise_equal, rsi_oracle, \
+    turbulence_oracle
 
 
 def fee_total(executed, prices, cost_rate):
@@ -88,3 +92,49 @@ def test_execute_trades_population_takes_prices_per_row():
             assert_bitwise_equal(new_b[p], b)
             assert_bitwise_equal(executed[p], e)
             assert_bitwise_equal(fee_total(executed[p], prices[p], 0.001), c)
+
+
+@st.composite
+def close_grids(draw):
+    """(close, window): n from 1 to 30 tickers, T - window - 1 steps just
+    below, at or just above a multiple of the turbulence chunk, and maybe
+    a flat stretch and NaN closes."""
+    n = draw(st.integers(1, 30))
+    window = draw(st.integers(n + 2, n + 12))
+    chunk = kernels.TURBULENCE_CHUNK
+    steps = max(0, chunk * draw(st.integers(0, 2))
+                + draw(st.sampled_from((-1, 0, 1))))
+    T = window + 1 + steps
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    close = 50.0 * np.exp(np.cumsum(rng.normal(0.0, 0.01, (T, n)), axis=0))
+    if draw(st.booleans()):
+        start = int(rng.integers(T))
+        close[start:start + int(rng.integers(1, 3 * window))] = close[start]
+    for _ in range(draw(st.integers(0, 2))):
+        close[rng.integers(T), rng.integers(n)] = np.nan
+    return close, window
+
+
+def outcome(kernel, *args):
+    """The kernel's result bytes, or its error."""
+    try:
+        with np.errstate(all="ignore"):
+            return kernel(*args).tobytes()
+    except np.linalg.LinAlgError as exc:
+        return repr(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=close_grids(), period=st.integers(1, 20))
+def test_batched_kernels_equal_their_step_by_step_oracles(case, period):
+    close, window = case
+    returns = np.zeros_like(close)
+    with np.errstate(all="ignore"):
+        returns[1:] = close[1:] / close[:-1] - 1.0
+    assert outcome(kernels.turbulence_kernel, returns, window, 1e-8, 0.9) \
+        == outcome(turbulence_oracle, returns, window, 1e-8, 0.9)
+    high, low = close * 1.01, close * 0.99
+    assert outcome(kernels.rsi_kernel, close, period) == \
+        outcome(rsi_oracle, close, period)
+    assert outcome(kernels.adx_kernel, high, low, close, period) == \
+        outcome(adx_oracle, high, low, close, period)

@@ -9,9 +9,11 @@ from quantgym.market_data import (
     BarTable,
     CleaningPolicy,
     clean,
+    format_timestamp,
+    format_timestamps,
     ingest_csv,
     ingest_dir,
-    to_datetime64,
+    parse_epoch,
     write_csv,
 )
 
@@ -294,17 +296,13 @@ class TestBarTable:
             table.close[0, 0] = 1.0
 
 
-class TestToDatetime64:
-    def test_offset_text_out_of_range_in_utc_raises(self):
-        # one hour before year 1 in UTC: an error, not numpy's reading of
-        # the text with the offset dropped
-        with pytest.raises(ValueError, match="out of range in UTC"):
-            to_datetime64("0001-01-01T00:00:00+01:00")
-
-    def test_text_without_offset_falls_back_to_numpy(self):
-        assert to_datetime64("0001-01-01T00:00:00") == np.datetime64(
-            "0001-01-01T00:00:00", "s")
-        assert to_datetime64("2022-01-03") == np.datetime64(
-            "2022-01-03T00:00:00", "s")
-        assert to_datetime64("2022-01-03T05:00:00+02:00") == np.datetime64(
-            "2022-01-03T03:00:00", "s")
+def test_format_timestamps_equals_format_timestamp_at_the_year_edges():
+    """The one-call stamps of ``turbulence.csv`` are ``format_timestamp``'s
+    texts, also for years written with leading zeros and before 1970."""
+    texts = ["0001-01-01T00:00:00+00:00", "0999-12-31T23:59:59+00:00",
+             "1969-12-31T23:59:59+00:00", "1970-01-01T00:00:00+00:00",
+             "2022-03-04T05:06:07+00:00", "9999-12-31T23:59:59+00:00"]
+    stamps = np.array([parse_epoch(t) for t in texts]).astype("datetime64[s]")
+    assert format_timestamps(stamps) == [format_timestamp(ts) for ts in stamps]
+    assert format_timestamps(stamps) == texts
+    assert format_timestamps(stamps[:0]) == []

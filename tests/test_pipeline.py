@@ -76,6 +76,15 @@ class TestMetrics:
         assert m.sharpe_annualized is None
         assert m.max_drawdown == 0.0
 
+    def test_roundoff_spread_is_flat(self):
+        """Step returns of +-one ulp have a std near 2e-16, no risk: the
+        Sharpe ratio is undefined as for an exactly flat series."""
+        values = np.array([1e6, 1e6 * (1 + 2 ** -52)] * 2)
+        assert 0.0 < (values[1:] / values[:-1] - 1.0).std() <= 1e-12
+        m = metrics(values)
+        assert m.sharpe is None
+        assert m.sharpe_annualized is None
+
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_brute_force_oracle(self, seed):
         rng = np.random.default_rng(seed)

@@ -8,12 +8,13 @@ from quantgym.agents import WeightRebalancePolicy
 from quantgym.cli import parse_indicators, split_risk_ticker
 from quantgym.envs import EnvConfig
 from quantgym.errors import DataError, FeatureError
-from quantgym.features import EventSeries, load_events_csv
-from quantgym.market_data import BarTable
+from quantgym.features import load_events_csv
+from quantgym.market_data import BarTable, parse_epoch
 from quantgym.pipeline import backtest, metrics
 from quantgym.sentiment import ShifterTable, default_shifters
 
-from conftest import make_table, random_walk_table, simple_features
+from conftest import event_series, make_table, random_walk_table, \
+    simple_features
 
 
 @pytest.mark.parametrize("package", [quantgym.agents, quantgym.sentiment])
@@ -29,9 +30,9 @@ class TestEventsLoader:
                         "2022-01-05T00:00:00+00:00,AAPL,0.25\n"
                         "2022-01-06T12:30:00+00:00,MSFT,-0.5\n")
         events = load_events_csv(str(path), "sentiment")
-        assert len(events.events) == 2
-        assert events.events[0][1] == "AAPL"
-        assert events.events[1][2] == -0.5
+        assert len(events.times) == 2
+        assert events.tickers.tolist() == ["AAPL", "MSFT"]
+        assert events.values.tolist() == [0.25, -0.5]
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "events.csv"
@@ -45,25 +46,25 @@ class TestEventsLoader:
         with pytest.raises(FeatureError, match=":2:"):
             load_events_csv(str(path), "sentiment")
 
-    def test_rows_are_what_the_series_would_normalize(self, tmp_path):
-        """The loader's series skips the normalization of EventSeries, so
-        its rows must equal, in value and type, what that makes of them."""
+    def test_columns_read_each_instant_in_utc(self, tmp_path):
+        """The loader's columns equal, in value and type, the series built
+        from the same rows, each instant read in UTC."""
         rows = [("2022-01-05T12:00:00+02:00", "AAPL", "0.25"),
                 ("2022-01-05T12:00:00+02:00", "MSFT", "-0.0"),
                 ("2022-02-01T00:00:00-05:00", "AAPL", "3")]
         path = tmp_path / "events.csv"
         path.write_text("enter_time,ticker,value\n"
                         + "".join(",".join(row) + "\n" for row in rows))
+        built = event_series([(np.datetime64(parse_epoch(text), "s"), tk, v)
+                              for text, tk, v in rows], "sentiment")
         for kind in ("sentiment", "fundamental"):
             loaded = load_events_csv(str(path), kind)
-            built = EventSeries(tuple((text, tk, float(v))
-                                      for text, tk, v in rows), kind)
-            assert loaded == built
-            for got, want in zip(loaded.events, built.events):
-                assert list(map(type, got)) == list(map(type, want))
-                assert got[0].dtype == want[0].dtype
-                assert np.float64(got[2]).tobytes() == \
-                    np.float64(want[2]).tobytes()
+            assert loaded.kind == kind
+            for name in ("times", "tickers", "values"):
+                got, want = getattr(loaded, name), getattr(built, name)
+                assert got.dtype == want.dtype
+                assert got.tolist() == want.tolist()
+            assert loaded.values.tobytes() == built.values.tobytes()
 
     def test_unknown_kind_fails_as_the_series_does(self, tmp_path):
         path = tmp_path / "events.csv"
@@ -72,7 +73,7 @@ class TestEventsLoader:
         with pytest.raises(FeatureError) as loaded:
             load_events_csv(str(path), "news")
         with pytest.raises(FeatureError) as built:
-            EventSeries((), "news")
+            event_series((), "news")
         assert str(loaded.value) == str(built.value) == \
             "unknown event kind 'news'"
 
