@@ -35,20 +35,20 @@ LOCKSTEP_ROWS = 64
 
 
 def _stacked_loss_and_grad(policy: GaussianPolicy, params: np.ndarray,
-                           obs_scale: np.ndarray, obs: np.ndarray,
-                           actions: np.ndarray, returns: np.ndarray,
-                           advantages: np.ndarray, entropy_coef: float,
+                           x: np.ndarray, actions: np.ndarray,
+                           returns: np.ndarray, advantages: np.ndarray,
+                           entropy_coef: float,
                            vf_coef: float) -> tuple[np.ndarray, np.ndarray]:
     """``a2c_loss_and_grad`` of P parameter rows, each on its own batch.
 
-    params is (P, n_parameters), obs_scale (P, obs_dim), obs (P, B,
-    obs_dim), actions (P, B, action_dim), returns and advantages (P, B);
-    ``policy`` only supplies the shapes. Returns the (P,) losses and the
-    (P, n_parameters) gradients.
+    params is (P, n_parameters), x (P, B, obs_dim) the observations
+    divided by their rows' scales, actions (P, B, action_dim), returns
+    and advantages (P, B); ``policy`` only supplies the shapes. Returns
+    the (P,) losses and the (P, n_parameters) gradients.
     """
-    B = obs.shape[1]
+    B = x.shape[1]
     f = policy._unflatten(params)
-    mean, value, h = policy.forward_population(obs, f, obs_scale)
+    mean, value, h = policy.forward_scaled(x, f)
     log_std = f["log_std"]
     std = np.exp(log_std)[:, None, :]
 
@@ -75,13 +75,13 @@ def _stacked_loss_and_grad(policy: GaussianPolicy, params: np.ndarray,
     g["log_std"][...] = dlog_std
     dh = dmean @ f["W2"] + dvalue[:, :, None] * f["wv"][:, None, :]
     dz1 = dh * (1.0 - h * h)
-    g["W2"][...] = dmean.transpose(0, 2, 1) @ h
-    g["b2"][...] = dmean.sum(axis=1)
+    np.matmul(dmean.transpose(0, 2, 1), h, out=g["W2"])
+    dmean.sum(axis=1, out=g["b2"])
     g["wv"][...] = (h.transpose(0, 2, 1) @ dvalue[:, :, None])[:, :, 0]
-    g["bv"][...] = dvalue.sum(axis=1)
+    dvalue.sum(axis=1, out=g["bv"])
     del dh, dmean, h
-    g["W1"][...] = dz1.transpose(0, 2, 1) @ (obs / obs_scale[:, None, :])
-    g["b1"][...] = dz1.sum(axis=1)
+    np.matmul(dz1.transpose(0, 2, 1), x, out=g["W1"])
+    dz1.sum(axis=1, out=g["b1"])
     return loss, grad
 
 
@@ -97,8 +97,8 @@ def a2c_loss_and_grad(policy: GaussianPolicy, obs: np.ndarray,
     only). This is the P=1 case of the stacked loss the trainers run.
     """
     loss, grad = _stacked_loss_and_grad(
-        policy, policy.get_flat()[None], policy.obs_scale[None],
-        np.atleast_2d(np.asarray(obs, dtype=float))[None],
+        policy, policy.get_flat()[None],
+        (np.atleast_2d(np.asarray(obs, dtype=float)) / policy.obs_scale)[None],
         np.asarray(actions, dtype=float)[None],
         np.asarray(returns, dtype=float)[None],
         np.asarray(advantages, dtype=float)[None], entropy_coef, vf_coef)
@@ -215,9 +215,9 @@ class _Learners:
         observation, one stacked forward per shape."""
         P = len(self.configs)
         mean, value = np.empty((P, self.action_dim)), np.empty(P)
+        x = (obs / self.obs_scale)[:, None, :]
         for s in self.shapes:
-            m, v, _ = s.template.forward_population(
-                obs[s.rows, None, :], s.fields, self.obs_scale[s.rows])
+            m, v, _ = s.template.forward_scaled(x[s.rows], s.fields)
             mean[s.rows], value[s.rows] = m[:, 0, :], v[:, 0]
         return mean, value
 
@@ -276,8 +276,9 @@ class _Learners:
         for s in self.shapes:
             r = s.rows
             loss, grad = _stacked_loss_and_grad(
-                s.template, s.params, self.obs_scale[r], obs[r], actions[r],
-                returns[r], advantages[r], c.entropy_coef, c.vf_coef)
+                s.template, s.params, obs[r] / self.obs_scale[r, None, :],
+                actions[r], returns[r], advantages[r], c.entropy_coef,
+                c.vf_coef)
             for p in np.flatnonzero(~(np.isfinite(loss)
                                       & np.isfinite(grad).all(axis=1))):
                 self._fail(r.start + p,

@@ -154,7 +154,11 @@ class GaussianPolicy(Policy):
         p = params if isinstance(params, dict) else \
             self._unflatten(np.asarray(params, dtype=float))
         scale = self.obs_scale if obs_scale is None else obs_scale[:, None, :]
-        x = np.asarray(obs, dtype=float) / scale
+        return self.forward_scaled(np.asarray(obs, dtype=float) / scale, p)
+
+    def forward_scaled(self, x: np.ndarray, p: dict):
+        """``forward_population`` of observations already divided by
+        their scale, with params as its ``_unflatten`` split."""
         h = np.tanh(x @ p["W1"].transpose(0, 2, 1) + p["b1"][:, None, :])
         mean = h @ p["W2"].transpose(0, 2, 1) + p["b2"][:, None, :]
         value = (h @ p["wv"][:, :, None])[:, :, 0] + p["bv"][:, None]

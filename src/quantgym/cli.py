@@ -381,9 +381,9 @@ def cmd_sentiment_score(config: RunConfig) -> int:
     out_csv = os.path.join(outdir, "scores.csv")
     with open(out_csv, "w", encoding="utf-8") as dst:
         dst.write("line,compound,polarity\n")
-        for i, text in enumerate(lines, start=1):
-            score = scorer.score(text)
-            dst.write(f"{i},{score.compound!r},{score.polarity}\n")
+        dst.writelines(f"{i},{score.compound!r},{score.polarity}\n"
+                       for i, score in enumerate(map(scorer.score, lines),
+                                                 start=1))
     write_manifest(outdir, "sentiment score", config, [input_path])
     print(f"scores -> {out_csv}")
     return 0
@@ -613,9 +613,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _StderrHandler(logging.StreamHandler):
+    """A handler on ``sys.stderr`` as it is when a record is emitted, so
+    a stderr replaced after it was added (a test's capture) sees it."""
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.stream = sys.stderr
+        super().emit(record)
+
+
+def _log_to_stderr() -> None:
+    """Give the ``quantgym`` logger one warning handler on stderr per
+    process. Records still propagate to the root logger's handlers."""
+    package = logging.getLogger("quantgym")
+    if not any(isinstance(h, _StderrHandler) for h in package.handlers):
+        handler = _StderrHandler()
+        handler.setLevel(logging.WARNING)
+        handler.setFormatter(
+            logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+        package.addHandler(handler)
+
+
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=logging.WARNING,
-                        format="%(levelname)s %(name)s: %(message)s")
+    _log_to_stderr()
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config, args.overrides)

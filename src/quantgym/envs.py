@@ -101,7 +101,7 @@ class Transition:
 
 def softmax(x: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, so a (P, n) batch maps row by row."""
-    z = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    z = np.exp(x - x.max(axis=-1, keepdims=True))
     w = z / z.sum(axis=-1, keepdims=True)
     return w / w.sum(axis=-1, keepdims=True)
 

@@ -18,7 +18,7 @@ import numpy as np
 from . import kernels
 from .errors import FeatureError, reading
 from .market_data import BarTable, _codes, _number, format_timestamp, \
-    parse_epoch
+    parse_epoch, parse_epochs
 
 logger = logging.getLogger(__name__)
 
@@ -118,9 +118,10 @@ EVENTS_HEADER = "enter_time,ticker,value"
 def load_events_csv(path: str, kind: str) -> EventSeries:
     """Load an event file (header: enter_time,ticker,value).
 
-    The rows after the header are read in one pass of numpy's C parser;
-    a file it refuses, and a pipe, are read by the row loop, which raises
-    the first bad row's error with its line.
+    The rows after the header are read in one pass of numpy's C parser,
+    and their timestamps by ``parse_epochs``; a file either refuses, and
+    a pipe, are read by the row loop, which raises the first bad row's
+    error with its line.
     """
     with reading(path) as fh:
         header = fh.readline().strip()
@@ -152,9 +153,8 @@ def _read_event_columns(fh):
                                      ("ticker", object), ("value", float)])
     except ValueError:  # a field count, a number or the text encoding
         return None
-    texts, at = _codes(data["enter_time"].tolist())
-    try:  # each distinct text once
-        epochs = np.array([parse_epoch(t) for t in texts], np.int64)[at]
+    try:
+        epochs = parse_epochs(data["enter_time"].tolist())
     except ValueError:
         return None
     values = np.array(data["value"])
@@ -338,9 +338,12 @@ def align_events(table: BarTable, events: EventSeries) -> np.ndarray:
 
     Sentiment: the mean of event values entering during the previous one
     bar interval (t-1, t], zero when quiet; the first bar's interval is
-    (t0 - frequency, t0]. Fundamentals: the value of the latest event
-    whose lagged effective date has passed, zero before any. Events for
-    unknown tickers are skipped with a warning.
+    (t0 - frequency, t0]. The means are numpy's, bit for bit: every bin
+    of 1 to 7 events is summed at once, 0.0 plus its k-th values added
+    column by column, and divided by its count; a bin of 8 or more keeps
+    ``ndarray.mean``, which sums pairwise. Fundamentals: the value of
+    the latest event whose lagged effective date has passed, zero before
+    any. Events for unknown tickers are skipped with a warning.
     """
     T, n = table.n_steps, table.n_tickers
     out = np.zeros((T, n))
@@ -363,15 +366,26 @@ def align_events(table: BarTable, events: EventSeries) -> np.ndarray:
         # bar t's events are those in (edges[t], edges[t + 1]]
         edges = np.concatenate(
             (cal[:1] - np.timedelta64(table.freq_seconds, "s"), cal))
+        lo, count = np.empty((T, n), np.intp), np.empty((T, n), np.intp)
         for j in range(n):
             a, b = starts[j], starts[j + 1]
             bounds = a + np.searchsorted(times[a:b], edges, side="right")
-            lo, hi = bounds[:-1], bounds[1:]
-            # numpy's mean of one value x is x + 0.0 (so -0.0 becomes 0.0)
-            one = hi - lo == 1
-            out[one, j] = vals[lo[one]] + 0.0
-            for t in np.flatnonzero(hi - lo > 1).tolist():
-                out[t, j] = float(vals[lo[t]:hi[t]].mean())
+            lo[:, j], count[:, j] = bounds[:-1], np.diff(bounds)
+        # numpy's mean of fewer than 8 values is (0.0 + x0 + x1 + ...) / k,
+        # so every short bin's k-th value is added in one column; a longer
+        # bin sums pairwise in its own mean
+        short = (count > 0) & (count < 8)
+        first, k_short = lo[short], count[short]
+        total = np.zeros(len(first))
+        # a sum that overflows gives inf, which FeatureMatrix rejects by
+        # name, without a floating-point warning
+        with np.errstate(all="ignore"):
+            for k in range(int(k_short.max(initial=0))):
+                more = k_short > k
+                total[more] += vals[first[more] + k]
+            out[short] = total / k_short
+            for t, j in np.argwhere(count >= 8).tolist():
+                out[t, j] = vals[lo[t, j]:lo[t, j] + count[t, j]].mean()
     else:
         for j in range(n):
             a, b = starts[j], starts[j + 1]

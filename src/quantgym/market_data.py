@@ -51,6 +51,40 @@ def parse_epoch(text: str) -> int:
         raise ValueError(f"timestamp {text!r} is out of range in UTC") from None
 
 
+# the one spelling ``parse_epochs`` hands to numpy: "0" marks a digit
+_UTC_SHAPE = np.frombuffer(b"0000-00-00T00:00:00+00:00", np.uint8)
+_UTC_DIGITS = (_UTC_SHAPE == ord("0")) & (np.arange(25) < 19)
+
+
+def parse_epochs(texts: list[str]) -> np.ndarray:
+    """``parse_epoch`` of each text, as int64 epoch seconds.
+
+    A column whose every text is ``YYYY-MM-DDTHH:MM:SS+00:00`` in ASCII
+    digits with a year from 0001 is parsed in one numpy pass, which
+    refuses the dates and times ``fromisoformat`` refuses in that shape.
+    Any other column is parsed once per distinct text by ``parse_epoch``,
+    whose error it raises.
+    """
+    try:  # a text that is not ASCII raises UnicodeEncodeError
+        column = np.array(texts, dtype="S")
+    except ValueError:
+        column = None
+    if column is not None and column.dtype.itemsize == 25:
+        codes = column.view(np.uint8).reshape(-1, 25)
+        # numpy also reads the years 0000, " 999" and "+999", which
+        # fromisoformat refuses
+        if ((codes[:, ~_UTC_DIGITS] == _UTC_SHAPE[~_UTC_DIGITS]).all()
+                and (codes[:, _UTC_DIGITS] - ord("0") <= 9).all()
+                and (codes[:, :4] != ord("0")).any(axis=1).all()):
+            try:
+                return column.astype("S19").astype(
+                    "datetime64[s]").astype(np.int64)
+            except ValueError:  # say February 30, hour 24 or second 60
+                pass
+    distinct, at = _codes(texts)
+    return np.array([parse_epoch(t) for t in distinct], np.int64)[at]
+
+
 def format_timestamp(ts) -> str:
     """ISO-8601 UTC text of a datetime64 or of epoch seconds."""
     epoch = int(np.datetime64(ts, "s").astype(np.int64))
@@ -278,7 +312,7 @@ def _read_columns(fh, ticker: str | None):
     names, codes = _codes(data["ticker"].tolist() if ticker is None
                           else [ticker] * len(data))
     try:  # each distinct text once
-        epochs = np.array([parse_epoch(t) for t in texts], np.int64)[at]
+        epochs = parse_epochs(texts)[at]
     except ValueError:
         return None
     bars = np.array([data[k] for k in CSV_HEADER[2:]])

@@ -19,6 +19,8 @@ from math import isfinite
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quantgym import features, market_data
 from quantgym.errors import DataError, FeatureError, IngestError
@@ -59,12 +61,7 @@ from quantgym.sentiment.lexicon import (
     packaged,
 )
 from quantgym.sentiment import scoring
-from quantgym.sentiment.scoring import (
-    TextScorer,
-    _sentence_raw,
-    score_document,
-    token_row,
-)
+from quantgym.sentiment.scoring import TextScorer, score_document
 
 from conftest import assert_bitwise_equal, event_series
 
@@ -704,6 +701,29 @@ EVENT_FILES = {
                         "2: not a number: '\uff13'"),
     "no offset": ([EVENT.replace("+00:00", "")], "2: timestamp "
                   "'2022-01-03T00:00:00' has no UTC offset"),
+    # timestamp spellings: canonical UTC columns are parsed in one numpy
+    # pass, other columns one distinct text at a time
+    "year edges": (["0001-01-01T00:00:00+00:00,AAA,1",
+                    "9999-12-31T23:59:59+00:00,AAA,2"], "C"),
+    "leap days": (["2000-02-29T00:00:00+00:00,AAA,1",
+                   "2024-02-29T12:00:00+00:00,BBB,2"], "C"),
+    "other offsets": (["2022-01-03T00:00:00Z,AAA,1",
+                       "2022-01-03T00:00:00-00:00,AAA,2",
+                       "2022-01-03T05:30:00+05:30,BBB,3"], "C"),
+    "mixed spellings": ([EVENT, "2022-01-03t00:00:00+00:00,AAA,1",
+                         "2022-01-03 00:00:00.5+00:00,AAA,2"], "C"),
+    "year 0000": ([EVENT, "0000-01-01T00:00:00+00:00,AAA,1"],
+                  "3: unparsable timestamp '0000-01-01T00:00:00+00:00'"),
+    "hour 24": (["2022-01-03T24:00:00+00:00,AAA,1"],
+                "2: unparsable timestamp '2022-01-03T24:00:00+00:00'"),
+    "second 60": ([EVENT, "2022-01-03T23:59:60+00:00,AAA,1"],
+                  "3: unparsable timestamp '2022-01-03T23:59:60+00:00'"),
+    "february 29, 1900": (
+        ["1900-02-29T00:00:00+00:00,AAA,1"],
+        "2: unparsable timestamp '1900-02-29T00:00:00+00:00'"),
+    "fullwidth digit stamp": (
+        [EVENT, "2022-01-0\uff13T00:00:00+00:00,AAA,1"],
+        "3: unparsable timestamp '2022-01-0\uff13T00:00:00+00:00'"),
 }
 
 
@@ -752,6 +772,73 @@ def test_event_spellings_read_as_the_row_loop_reads_them(name, tmp_path):
     if fast is not None:
         assert event_columns(fast) == event_columns(loop)
     assert event_columns(loaded) == event_columns(loop)
+
+
+@st.composite
+def stamp_texts(draw):
+    """Canonical UTC stamps and near misses: years 0000, 0001 and 9999,
+    February 29 in 1900, 2000 and 2024, hour 24, second 60, other
+    offsets, fractional seconds, other separators, fullwidth digits."""
+    def either(valid, edges):
+        return draw(st.one_of(valid, st.sampled_from(edges)))
+
+    # numpy reads " 999", "+999" and "-999" as years too
+    year = draw(st.sampled_from(("0000", "0001", "0002", "0999", "1900",
+                                 "1969", "1970", "2000", "2023", "2024",
+                                 "9999", " 999", "+999", "-999")))
+    month = either(st.integers(1, 12), (0, 2, 13))
+    day = either(st.integers(1, 28), (0, 29, 30, 31, 32))
+    hour = either(st.integers(0, 23), (24,))
+    minute = either(st.integers(0, 59), (60,))
+    second = either(st.integers(0, 59), (60,))
+    sep = draw(st.sampled_from(("T", "T", "T", "t", " ")))
+    fraction = draw(st.sampled_from(("", "", "", ".5", ".000001")))
+    offset = draw(st.sampled_from(
+        ("+00:00",) * 5 + ("Z", "-00:00", "+05:30", "")))
+    text = (f"{year}-{month:02d}-{day:02d}{sep}"
+            f"{hour:02d}:{minute:02d}:{second:02d}{fraction}{offset}")
+    if draw(st.integers(0, 9)) == 0:  # one fullwidth digit
+        at = draw(st.sampled_from([k for k, c in enumerate(text)
+                                   if c.isdigit()]))
+        text = text[:at] + chr(ord(text[at]) + 0xFEE0) + text[at + 1:]
+    return text
+
+
+def epochs_or_error(parse, texts):
+    try:
+        return parse(texts)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(stamp_texts(), max_size=6))
+@example(["2024-02-29T23:59:59+00:00", "0001-01-01T00:00:00+00:00",
+          "9999-12-31T23:59:59+00:00"])
+@example(["2024-02-29T23:59:59+00:00", "0000-01-01T00:00:00+00:00"])
+@example(["2024-01-01T00:00:00+00:00", "2023-02-29T00:00:00+00:00"])
+@example(["2024-01-01T00:00:00+00:00", "2024-01-01T00:00:00Z"])
+@example(["2024-01-01T00:00:00+00:00", "+999-01-01T00:00:00+00:00"])
+@example(["2024-01-01T00:00:00+00:00\n2024-01-01T00:00:00+00:00"])
+@example(["2024-01-01T00:00:00+00:0\x00"])
+def test_parse_epochs_equals_parse_epoch_per_text(texts):
+    want = epochs_or_error(lambda ts: [parse_epoch(t) for t in ts], texts)
+    got = epochs_or_error(market_data.parse_epochs, texts)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got.dtype == np.int64 and got.tolist() == want
+
+
+def test_canonical_stamps_are_parsed_in_one_pass(monkeypatch):
+    def refused(text):
+        raise AssertionError(f"parse_epoch({text!r})")
+
+    monkeypatch.setattr(market_data, "parse_epoch", refused)
+    texts = ["0001-01-01T00:00:00+00:00", "2024-02-29T12:34:56+00:00",
+             "9999-12-31T23:59:59+00:00"]
+    assert market_data.parse_epochs(texts).tolist() == [
+        -62135596800, 1709210096, 253402300799]
 
 
 def test_events_from_a_pipe_are_read_once_by_the_row_loop(tmp_path):
@@ -863,6 +950,35 @@ def test_align_sentiment_matches_per_bar_masks(seed, frequency, step):
     events = event_series(awkward_events(rng, table), "sentiment")
     assert_bitwise_equal(align_events(table, events),
                          align_events_oracle(table, events))
+
+
+# values whose sums and means are awkward: signed zeros, infinities, a
+# NaN, sums that overflow, and sums that depend on their order
+AWKWARD_VALUES = (-0.0, 0.0, np.inf, -np.inf, np.nan, 1e308, -1e308,
+                  np.finfo(float).max, 1e16, -1e16, 1.0, 3.0, 0.1)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_bins_of_1_to_20_events_average_as_mean_does(seed):
+    # every bar of every ticker holds 1 to 20 events, so bins below 8
+    # (summed column by column) and from 8 up (``mean``) both occur
+    rng = np.random.default_rng(seed)
+    table = bar_table(T=81)
+    cal = table.calendar.astype(np.int64)
+    rows = []
+    for t in range(1, len(cal)):
+        for j, tk in enumerate(table.tickers):
+            for _ in range((t + 7 * j) % 20 + 1):
+                value = (AWKWARD_VALUES[rng.integers(len(AWKWARD_VALUES))]
+                         if rng.random() < 0.2 else
+                         rng.normal() * 10.0 ** rng.integers(-5, 20))
+                ts = int(cal[t - 1]) + int(rng.integers(1, DAY + 1))
+                rows.append((np.datetime64(ts, "s"), tk, value))
+    events = event_series([rows[k] for k in rng.permutation(len(rows))],
+                          "sentiment")
+    got = align_events(table, events)  # warns of no overflow
+    with np.errstate(all="ignore"):
+        assert_bitwise_equal(got, align_events_oracle(table, events))
 
 
 def stamp(text):
@@ -1046,9 +1162,12 @@ def sentence(*words):
 
 
 def assert_raw_matches_oracle(tokens, shifters):
-    got = _sentence_raw(
-        [token_row(tok, SCORING_DICTIONARY, shifters) for tok in tokens],
-        shifters)
+    """The raw sum of a one-sentence document; a sentence with no Token
+    adds no sum, and reads 0.0 here."""
+    per_sentence = score_document(Document("", (tokens,)), SCORING_DICTIONARY,
+                                  shifters).per_sentence
+    assert len(per_sentence) == (1 if tokens else 0)
+    got = per_sentence[0] if tokens else 0.0
     assert_bitwise_equal(
         got, sentence_raw_oracle(tokens, SCORING_DICTIONARY, shifters))
     return got

@@ -272,6 +272,40 @@ def test_scoring_memos_stay_bounded(monkeypatch, learn_min):
         assert all(0 < len(memo) <= MEMO_MAX for memo in memos)
 
 
+# credit runs out at each piece in turn, so the rest of the line carries
+# on a negation window or a clause's boosts from the pieces learned
+CREDIT_EDGE_TEXTS = ("Profits did not very strongly rise. Shares gain",
+                     "Sales never rise x1 and very gain; not x2 strong gain",
+                     "Extremely weak profits. Not x3 sharply fell")
+
+
+@pytest.mark.parametrize("learn_min", range(10))
+def test_credit_running_out_mid_clause_keeps_its_shifters(monkeypatch,
+                                                          learn_min):
+    monkeypatch.setattr(scoring, "LEARN_MIN", learn_min)
+    scorer = TextScorer(mini_financial_dictionary(), default_shifters())
+    assert_scores_match(scorer, CREDIT_EDGE_TEXTS)
+    assert scorer._credit == 0
+
+
+def test_memo_emptied_mid_line_and_mid_corpus(monkeypatch):
+    monkeypatch.setattr(scoring, "MEMO_MAX", 3)
+    scorer = TextScorer(mini_financial_dictionary(), default_shifters())
+    texts = [*CREDIT_EDGE_TEXTS, "Shares did not rise x4 and profits fell",
+             "Stock hits ATH after the CEO's EPS beat YoY"]
+    assert_scores_match(scorer, texts + texts)
+    assert all(len(table) <= 3 for table in scorer._memo)
+
+
+@pytest.mark.parametrize("text", ["", "12 3.5% $ -", ". ! ? ;", "...!!",
+                                  " ;; \t.\n", "1 . 2"])
+def test_lines_without_words_score_no_sentence(text):
+    scorer = TextScorer(mini_financial_dictionary(), default_shifters())
+    assert_scores_match(scorer, [text, text])
+    assert scorer.score(text).per_sentence == ()
+    assert repr(scorer.score(text).compound) == "0.0"
+
+
 def test_text_scorer_rejects_an_empty_dictionary():
     with pytest.raises(ValueError, match="empty"):
         TextScorer(SentimentDictionary({}), NOT_SHIFTERS)
