@@ -149,8 +149,8 @@ def build_features(config: RunConfig, table: BarTable) -> FeatureMatrix:
     events_file = config.get("data", "events_file")
     if events_file:
         kind = config.get("data", "events_kind")
-        events = load_events_csv(events_file, kind)
-        extra[kind] = align_events(table, events)
+        # the events are dropped once aligned, before the indicators run
+        extra[kind] = align_events(table, load_events_csv(events_file, kind))
     return compute_feature_matrix(table, specs, extra)
 
 
@@ -371,19 +371,19 @@ def cmd_sentiment_score(config: RunConfig) -> int:
     if not input_path:
         raise ConfigError("sentiment.input must point at a text file "
                           "(one document per line)")
+    # one document per line, scored as it is read; a line's newline is
+    # whitespace to the scorer, and a final one starts no document
     with reading(input_path) as src:
-        lines = src.read().split("\n")
-    if lines[-1] == "":
-        lines.pop()  # the newline that ends the last document
+        scorer = sn.TextScorer(_load_dictionary(config),
+                               _load_shifters(config))
+        rows = [f"{i},{score.compound!r},{score.polarity}\n"
+                for i, score in enumerate(map(scorer.score, src), start=1)]
     outdir = os.path.join(config.get("run", "output_dir"), "sentiment")
-    scorer = sn.TextScorer(_load_dictionary(config), _load_shifters(config))
     os.makedirs(outdir, exist_ok=True)
     out_csv = os.path.join(outdir, "scores.csv")
     with open(out_csv, "w", encoding="utf-8") as dst:
         dst.write("line,compound,polarity\n")
-        dst.writelines(f"{i},{score.compound!r},{score.polarity}\n"
-                       for i, score in enumerate(map(scorer.score, lines),
-                                                 start=1))
+        dst.writelines(rows)
     write_manifest(outdir, "sentiment score", config, [input_path])
     print(f"scores -> {out_csv}")
     return 0

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import calendar as _calendar
 import logging
-import warnings
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from math import isfinite
@@ -17,8 +16,8 @@ import numpy as np
 
 from . import kernels
 from .errors import FeatureError, reading
-from .market_data import BarTable, _codes, _number, format_timestamp, \
-    parse_epoch, parse_epochs
+from .market_data import BarTable, _codes, _number, _read_blocks, \
+    format_timestamp, parse_epoch, parse_epochs
 
 logger = logging.getLogger(__name__)
 
@@ -118,7 +117,7 @@ EVENTS_HEADER = "enter_time,ticker,value"
 def load_events_csv(path: str, kind: str) -> EventSeries:
     """Load an event file (header: enter_time,ticker,value).
 
-    The rows after the header are read in one pass of numpy's C parser,
+    The rows after the header are read in blocks by numpy's C parser,
     and their timestamps by ``parse_epochs``; a file either refuses, and
     a pipe, are read by the row loop, which raises the first bad row's
     error with its line.
@@ -141,26 +140,20 @@ def load_events_csv(path: str, kind: str) -> EventSeries:
 
 def _read_event_columns(fh):
     """(times, tickers, values) of the rows of ``fh`` after its header,
-    read in one pass of numpy's C parser and checked whole-array as
-    ``_event_rows`` checks each row; None when a row fails."""
-    try:
-        with warnings.catch_warnings():  # it warns on a header-only file
-            warnings.filterwarnings("ignore", "loadtxt: input contained no "
-                                    "data", UserWarning)
-            data = np.loadtxt(fh, delimiter=",", comments=None,
-                              quotechar=None, ndmin=1,
-                              dtype=[("enter_time", object),
-                                     ("ticker", object), ("value", float)])
-    except ValueError:  # a field count, a number or the text encoding
+    read by ``_read_blocks`` and checked whole-array as ``_event_rows``
+    checks each row; None when a row fails."""
+    columns = _read_blocks(fh, ("enter_time", "ticker"), ("value",), None)
+    if columns is None:
         return None
-    try:
-        epochs = parse_epochs(data["enter_time"].tolist())
+    ((texts, at), (names, codes)), (values,) = columns
+    try:  # each distinct text once
+        epochs = parse_epochs(texts)[at]
     except ValueError:
         return None
-    values = np.array(data["value"])
     if not np.isfinite(values).all():
         return None
-    return epochs.astype("datetime64[s]"), np.array(data["ticker"]), values
+    return (epochs.astype("datetime64[s]"),
+            np.array(names, dtype=object)[codes], values)
 
 
 def _event_rows(lines, path: str):
@@ -223,8 +216,9 @@ def compute_indicator(table: BarTable, spec: IndicatorSpec) -> np.ndarray:
         if spec.kind == "EMA":
             return kernels.ema_kernel(close, p[0])
         if spec.kind == "MACD":
-            return (kernels.ema_kernel(close, p[0])
-                    - kernels.ema_kernel(close, p[1]))
+            macd = kernels.ema_kernel(close, p[0])
+            macd -= kernels.ema_kernel(close, p[1])
+            return macd
         if spec.kind == "RSI":
             return kernels.rsi_kernel(close, p[0])
         if spec.kind == "CCI":
@@ -237,30 +231,30 @@ def compute_indicator(table: BarTable, spec: IndicatorSpec) -> np.ndarray:
 def compute_feature_matrix(table: BarTable, specs: list[IndicatorSpec],
                            extra_columns: dict[str, np.ndarray] | None = None,
                            ) -> FeatureMatrix:
-    """Stack indicator grids and pre-aligned extra columns into one tensor.
+    """Write indicator grids and pre-aligned extra columns into one tensor.
 
-    Extra columns must share the table calendar ((T, n) arrays); feature
-    order is declaration order: indicators first, then extras.
+    Extra columns must share the table calendar ((T, n) arrays), which is
+    checked before any indicator runs; feature order is declaration
+    order: indicators first, then extras.
     """
     extra_columns = extra_columns or {}
-    names: list[str] = []
-    layers: list[np.ndarray] = []
-    for spec in specs:
-        names.append(spec.name)
-        layers.append(compute_indicator(table, spec))
-    for name, col in extra_columns.items():
-        col = np.asarray(col, dtype=float)
-        if col.shape != (table.n_steps, table.n_tickers):
+    T, n = table.n_steps, table.n_tickers
+    columns = [np.asarray(col, dtype=float) for col in extra_columns.values()]
+    for name, col in zip(extra_columns, columns):
+        if col.shape != (T, n):
             raise FeatureError(
                 f"column {name!r} has shape {col.shape}, expected "
-                f"{(table.n_steps, table.n_tickers)} (calendar mismatch)")
-        names.append(name)
-        layers.append(col)
+                f"{(T, n)} (calendar mismatch)")
+    names = [spec.name for spec in specs] + list(extra_columns)
     if not names:
         raise FeatureError("need at least one feature")
+    values = np.empty((T, n, len(names)))
+    for i, spec in enumerate(specs):
+        values[:, :, i] = compute_indicator(table, spec)
+    for i, col in enumerate(columns, start=len(specs)):
+        values[:, :, i] = col
     if len(set(names)) != len(names):
         raise FeatureError(f"duplicate feature name in {names}")
-    values = np.stack(layers, axis=-1)
     finite = np.isfinite(values).all(axis=(1, 2))
     defined = np.flatnonzero(finite)
     if len(defined) == 0:
@@ -298,13 +292,12 @@ def turbulence(table: BarTable, window: int = 252,
         raise FeatureError(f"window must be >= n+2 = {n + 2}, got {window}")
     if not table.dense:
         raise FeatureError("turbulence needs a dense (cleaned) table")
-    T = table.n_steps
-    returns = np.zeros((T, n))
+    returns = np.zeros((table.n_steps, n))
     cal = turbulence_calibration(window, n) if calibrated else 1.0
     with np.errstate(all="ignore"):
-        returns[1:] = table.close[1:] / table.close[:-1] - 1.0
-        values = kernels.turbulence_kernel(
-            np.ascontiguousarray(returns), window, 1e-8, cal)
+        np.divide(table.close[1:], table.close[:-1], out=returns[1:])
+        returns[1:] -= 1.0
+        values = kernels.turbulence_kernel(returns, window, 1e-8, cal)
     return TurbulenceSeries(table.calendar, values, window)
 
 

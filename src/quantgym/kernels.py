@@ -55,7 +55,7 @@ def sma_kernel(x, period):
     """
     out = np.full(x.shape, np.nan)
     if period <= len(x):
-        out[period - 1:] = _window_sums(x, period) / period
+        np.divide(_window_sums(x, period), period, out=out[period - 1:])
     return out
 
 
@@ -86,19 +86,26 @@ def rsi_kernel(close, period):
     if T < period + 1:
         return out
     diff = close[1:] - close[:-1]  # row t - 1: the move into step t
-    gain = np.where(diff > 0.0, diff, 0.0)
-    loss = np.where(diff < 0.0, -diff, 0.0)
+    # gain and loss side by side, for one Wilder pass over both
+    moves = np.zeros((T - 1, 2) + close.shape[1:])
+    np.copyto(moves[:, 0], diff, where=diff > 0.0)
+    np.negative(diff, out=moves[:, 1], where=diff < 0.0)
+    # the loss seed counts every move that is not a gain as a loss (NaN too)
+    seed = moves[:period].copy()
     first = diff[:period]
-    # one Wilder pass over gain and loss side by side; the loss seed
-    # counts every move that is not a gain as a loss (NaN too)
-    avg = _wilder(np.stack((gain, loss), axis=1), period,
-                  np.stack((gain[:period], np.where(first > 0.0, 0.0, -first)),
-                           axis=1))
+    np.negative(first, out=seed[:, 1], where=~(first > 0.0))
+    del diff
+    avg = _wilder(moves, period, seed)
+    del moves
     avg_gain, avg_loss = avg[:, 0], avg[:, 1]
+    rsi = out[period:]
     with np.errstate(divide="ignore", invalid="ignore"):
-        rsi = 100.0 - 100.0 / (1.0 + avg_gain / avg_loss)
-    out[period:] = np.where(avg_loss == 0.0,
-                            np.where(avg_gain == 0.0, 50.0, 100.0), rsi)
+        np.divide(avg_gain, avg_loss, out=rsi)
+        np.add(1.0, rsi, out=rsi)
+        np.divide(100.0, rsi, out=rsi)
+        np.subtract(100.0, rsi, out=rsi)
+    np.copyto(rsi, np.where(avg_gain == 0.0, 50.0, 100.0),
+              where=avg_loss == 0.0)
     return out
 
 
@@ -107,15 +114,22 @@ def cci_kernel(high, low, close, period):
     out = np.full(close.shape, np.nan)
     if period > len(close):
         return out
-    tp = (high + low + close) / 3.0
-    m = _window_sums(tp, period) / period
+    tp = high + low
+    tp += close
+    tp /= 3.0
+    m = _window_sums(tp, period)
+    m /= period
     mad = np.zeros_like(m)
+    scratch = np.empty_like(m)
     for k in range(period):
-        mad += np.abs(tp[k:k + len(m)] - m)
+        np.subtract(tp[k:k + len(m)], m, out=scratch)
+        mad += np.abs(scratch, out=scratch)
     mad /= period
+    cci = out[period - 1:]
+    np.subtract(tp[period - 1:], m, out=cci)
     with np.errstate(divide="ignore", invalid="ignore"):
-        cci = (tp[period - 1:] - m) / (0.015 * mad)
-    out[period - 1:] = np.where(mad == 0.0, 0.0, cci)
+        cci /= np.multiply(0.015, mad, out=scratch)
+    np.copyto(cci, 0.0, where=mad == 0.0)
     return out
 
 
@@ -125,30 +139,43 @@ def adx_kernel(high, low, close, period):
     out = np.full(close.shape, np.nan)
     if T < 2 * period:
         return out
-    # row t - 1 of each move grid belongs to step t
+    # row t - 1 of the true range and the two directional moves, side by
+    # side, belongs to step t
+    moves = np.zeros((T - 1, 3) + close.shape[1:])
+    tr = moves[:, 0]
     up = high[1:] - high[:-1]
     dn = low[:-1] - low[1:]
-    pdm = np.where((up > dn) & (up > 0.0), up, 0.0)
-    mdm = np.where((dn > up) & (dn > 0.0), dn, 0.0)
-    r1 = high[1:] - low[1:]
-    r2 = np.abs(high[1:] - close[:-1])
-    r3 = np.abs(low[1:] - close[:-1])
-    r12 = np.where(r2 > r1, r2, r1)  # max(r1, r2, r3), NaN rules included
-    tr = np.where(r3 > r12, r3, r12)
-    # Wilder sums for steps period .. T-1, row t - period, of the three
-    # moves side by side
-    moves = np.stack((tr, pdm, mdm), axis=1)
-    s = np.empty((T - period,) + moves.shape[1:])
-    s[0] = _window_sums(moves[:period], period)[0]
-    for k in range(1, T - period):
-        s[k] = s[k - 1] - s[k - 1] / period + moves[period + k - 1]
-    s_tr, s_pdm, s_mdm = s[:, 0], s[:, 1], s[:, 2]
+    np.copyto(moves[:, 1], up, where=(up > dn) & (up > 0.0))
+    np.copyto(moves[:, 2], dn, where=(dn > up) & (dn > 0.0))
+    del up, dn
+    np.subtract(high[1:], low[1:], out=tr)
+    r = np.abs(high[1:] - close[:-1])
+    np.copyto(tr, r, where=r > tr)  # max(r1, r2, r3), NaN rules included
+    np.subtract(low[1:], close[:-1], out=r)
+    np.abs(r, out=r)
+    np.copyto(tr, r, where=r > tr)
+    del r
+    # Wilder sums for steps period .. T-1, written over the moves: the sum
+    # of step period + k sits at row period - 1 + k, and each step reads
+    # the move it overwrites
+    moves[period - 1] = _window_sums(moves[:period], period)[0]
+    for row in range(period, T - 1):
+        moves[row] = moves[row - 1] - moves[row - 1] / period + moves[row]
+    s = moves[period - 1:]
+    s_tr = s[:, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        pdi = 100.0 * s_pdm / s_tr
-        mdi = 100.0 * s_mdm / s_tr
+        pdi = 100.0 * s[:, 1] / s_tr
+        mdi = 100.0 * s[:, 2] / s_tr
         denom = pdi + mdi
-        dx = np.where(denom == 0.0, 0.0, 100.0 * np.abs(pdi - mdi) / denom)
-    dx = np.where(s_tr == 0.0, 0.0, dx)
+        dx = np.subtract(pdi, mdi, out=pdi)
+        del mdi
+        np.abs(dx, out=dx)
+        np.multiply(100.0, dx, out=dx)
+        dx /= denom
+    np.copyto(dx, 0.0, where=denom == 0.0)
+    del denom
+    np.copyto(dx, 0.0, where=s_tr == 0.0)
+    del s, s_tr, moves
     out[2 * period - 1:] = _wilder(dx, period)
     return out
 
@@ -164,7 +191,7 @@ def turbulence_kernel(returns, window, eps_scale, calibration):
     (row 0 is a placeholder and never used); the covariance gets a
     ridge of eps_scale * trace/n before the solve. `calibration`
     rescales the raw quadratic form (pass 1.0 for the uncalibrated
-    index).
+    index). A step whose quadratic form is NaN gets ``np.nan``.
 
     Each step's window is centered and multiplied on its own; the ridge,
     the ordered sums and the solves then run once per chunk of at most
@@ -191,8 +218,10 @@ def turbulence_kernel(returns, window, eps_scale, calibration):
         dev = returns[start:stop] - mu
         z = np.linalg.solve(cov, dev[:, :, None])[:, :, 0]
         d = _sum_in_order(zero, dev * z)
-        # d < 0 is roundoff dust near zero deviation
-        out[start:stop] = calibration * np.where(d < 0.0, 0.0, d)
+        # d < 0 is roundoff dust near zero deviation; a NaN form is np.nan,
+        # whichever NaN operand the products carried
+        out[start:stop] = np.where(np.isnan(d), np.nan,
+                                   calibration * np.where(d < 0.0, 0.0, d))
     return out
 
 

@@ -15,6 +15,7 @@ import warnings
 from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import chain, count, islice
 from math import inf, isfinite
 
 import numpy as np
@@ -25,6 +26,10 @@ logger = logging.getLogger(__name__)
 
 CSV_HEADER = ("timestamp", "ticker", "open", "high", "low", "close", "volume")
 PER_TICKER_HEADER = ("timestamp", "open", "high", "low", "close", "volume")
+
+# the rows numpy's C reader parses at a time; a block's text fields are
+# coded and dropped before the next block is read
+BLOCK_ROWS = 1 << 12
 
 FREQUENCY_SECONDS = {
     "1min": 60,
@@ -187,14 +192,29 @@ class CleaningPolicy:
             raise DataError("min_coverage must be within [0, 1]")
 
 
+def _first_rows(index: dict, values: list, start: int = 0) -> np.ndarray:
+    """For each value, numbered from ``start``, the number of its first
+    occurrence: ``index`` maps each value seen so far to it and takes the
+    new ones."""
+    return np.fromiter(map(index.setdefault, values, count(start)), np.intp,
+                       len(values))
+
+
+def _ranked(index: dict, first: np.ndarray) -> tuple[list, np.ndarray]:
+    """The keys of ``index`` in first-seen order, and the index among
+    them of each value whose first occurrence ``first`` holds, both as
+    ``_first_rows`` left them."""
+    rank = np.empty(len(first), np.intp)
+    rank[np.fromiter(index.values(), np.intp, len(index))] = \
+        np.arange(len(index))
+    return list(index), rank[first]
+
+
 def _codes(values: list) -> tuple[list, np.ndarray]:
     """The distinct values in first-seen order, and the index of each
     value among them."""
-    index = dict.fromkeys(values)
-    for k, value in enumerate(index):
-        index[value] = k
-    return list(index), np.fromiter(map(index.__getitem__, values), np.intp,
-                                    len(values))
+    index: dict = {}
+    return _ranked(index, _first_rows(index, values))
 
 
 def _table(frequency: str, names: list, codes, epochs, bars) -> BarTable:
@@ -292,30 +312,63 @@ def _ingest_rows(reader, ticker: str | None, rows: dict, bars: array,
         append(values)
 
 
-def _read_columns(fh, ticker: str | None):
-    """(names, codes, epochs, (5, m) bars), as ``_table`` takes them, of
-    the rows of ``fh`` after its header, read in one pass of numpy's C
-    parser and checked whole-array as ``_ingest_rows`` checks each row;
-    None when a row fails."""
-    keys = ("timestamp",) if ticker is not None else ("timestamp", "ticker")
+def _read_blocks(fh, texts: tuple, numbers: tuple, quotechar: str | None):
+    """The rows of ``fh`` after its header, parsed by numpy's C reader
+    ``BLOCK_ROWS`` rows at a time: for each field in ``texts`` its
+    distinct texts in first-seen order and each row's index among them,
+    and the fields in ``numbers`` as one (len(numbers), m) float array;
+    None when the reader refuses a block.
+
+    Only one block's texts are held as objects. A row whose quoted
+    newline falls on a block edge is split between two blocks: the reader
+    refuses its first part, or, when the quote is in the last field, the
+    second part leaves the next block a first text that is no timestamp,
+    which the caller's parse refuses.
+    """
+    dtype = [(k, object) for k in texts] + [(k, float) for k in numbers]
+    index: list[dict] = [{} for _ in texts]
+    first = [[np.empty(0, np.intp)] for _ in texts]
+    values = [np.empty((len(numbers), 0))]
+    rows = 0
     try:
-        with warnings.catch_warnings():  # it warns on a header-only file
+        with warnings.catch_warnings():  # it warns on a block of blank lines
             warnings.filterwarnings("ignore", "loadtxt: input contained no "
                                     "data", UserWarning)
-            data = np.loadtxt(
-                fh, delimiter=",", comments=None, quotechar='"', ndmin=1,
-                dtype=[(k, object) for k in keys] + [(k, float) for k in
-                                                     CSV_HEADER[2:]])
+            for line in fh:  # a block starts at the first unread line
+                block = np.loadtxt(
+                    chain((line,), islice(fh, BLOCK_ROWS - 1)),
+                    delimiter=",", comments=None, quotechar=quotechar,
+                    ndmin=1, dtype=dtype)
+                for seen, parts, key in zip(index, first, texts):
+                    parts.append(_first_rows(seen, block[key].tolist(), rows))
+                values.append(np.array([block[k] for k in numbers]))
+                rows += len(block)
     except ValueError:  # a field count, a number or the text encoding
         return None
-    texts, at = _codes(data["timestamp"].tolist())
-    names, codes = _codes(data["ticker"].tolist() if ticker is None
-                          else [ticker] * len(data))
+    return ([_ranked(seen, np.concatenate(parts))
+             for seen, parts in zip(index, first)],
+            np.concatenate(values, axis=1))
+
+
+def _read_columns(fh, ticker: str | None):
+    """(names, codes, epochs, (5, m) bars), as ``_table`` takes them, of
+    the rows of ``fh`` after its header, read by ``_read_blocks`` and
+    checked whole-array as ``_ingest_rows`` checks each row; None when a
+    row fails."""
+    columns = _read_blocks(fh, ("timestamp",) if ticker is not None else
+                           ("timestamp", "ticker"), CSV_HEADER[2:], '"')
+    if columns is None:
+        return None
+    coded, bars = columns
+    texts, at = coded[0]
+    if ticker is None:
+        names, codes = coded[1]
+    else:
+        names, codes = [ticker] if len(at) else [], np.zeros(len(at), np.intp)
     try:  # each distinct text once
         epochs = parse_epochs(texts)[at]
     except ValueError:
         return None
-    bars = np.array([data[k] for k in CSV_HEADER[2:]])
     cells = np.lexsort((epochs, codes))  # a repeated key sorts by its twin
     repeated = (np.diff(codes[cells]) == 0) & (np.diff(epochs[cells]) == 0)
     if "" in names or not _bars_ok(*bars).all() or repeated.any():
@@ -424,11 +477,11 @@ def clean(table: BarTable, policy: CleaningPolicy) -> BarTable:
         row_mask = present.any(axis=1)
 
     rows = np.flatnonzero(row_mask)
-    calendar = table.calendar[rows].copy()
+    calendar = table.calendar[rows]
     cols = np.array(keep)
 
-    def take(arr):
-        return arr[np.ix_(rows, cols)].copy()
+    def take(arr):  # a new grid, which clean fills in place
+        return arr[np.ix_(rows, cols)]
 
     o, h, l, c = take(table.open), take(table.high), take(table.low), take(table.close)
     v = take(table.volume)
@@ -450,28 +503,31 @@ def clean(table: BarTable, policy: CleaningPolicy) -> BarTable:
         else:
             T, m = pres.shape
             # row of each cell's latest real bar, -1 before the first one
-            last = np.maximum.accumulate(
-                np.where(pres, np.arange(T)[:, None], -1), axis=0)
+            last = np.where(pres, np.arange(T)[:, None], -1)
+            np.maximum.accumulate(last, axis=0, out=last)
             empty = np.flatnonzero(last[-1] < 0)
             if len(empty):
                 raise DataError(f"ticker {table.tickers[keep[empty[0]]]} has "
                                 f"no bars on the calendar")
             # a gap takes the latest real close, a leading gap the first one;
             # a gap after a present cell whose close is NaN stays unfilled
-            source = np.where(last < 0, np.argmax(pres, axis=0), last)
-            fill = c[source, np.arange(m)]
-            gap = ~pres & ((last < 0) | ~np.isnan(fill))
-            o, h, l, c = (np.where(gap, fill, arr) for arr in (o, h, l, c))
-            v = np.where(gap, 0.0, v)
-            synth = synth | gap
+            lead = last < 0
+            np.copyto(last, np.argmax(pres, axis=0), where=lead)
+            fill = c[last, np.arange(m)]
+            del last
+            gap = ~pres & (lead | ~np.isnan(fill))
+            del lead
+            for arr in (o, h, l, c):
+                np.copyto(arr, fill, where=gap)
+            del fill
+            np.copyto(v, 0.0, where=gap)
+            synth |= gap
             filled = int(gap.sum())
             pres = np.ones_like(pres)
 
     if dropped:
         logger.warning("clean(): dropped tickers %s", ", ".join(sorted(dropped)))
     tickers = tuple(table.tickers[j] for j in keep)
-    result = BarTable(table.frequency, tickers, calendar, o, h, l, c, v,
-                      pres.astype(bool), synth.astype(bool),
-                      meta={"dropped_tickers": tuple(sorted(dropped)),
-                            "filled_cells": filled})
-    return result
+    return BarTable(table.frequency, tickers, calendar, o, h, l, c, v, pres,
+                    synth, meta={"dropped_tickers": tuple(sorted(dropped)),
+                                 "filled_cells": filled})

@@ -143,7 +143,7 @@ class TextScorer:
         """Score the words of ``keys``, each key mapped to its Piece
         through ``tables[after_verb]``, or through ``_miss`` when that
         table lacks it; at a miss without credit the scan goes on over
-        the raw tokens of the rest, a "" after each sentence.
+        the raw tokens of the rest, a "" ending each sentence.
 
         One pass: a hit takes the boosts of the intensifiers before it in
         its clause, and the negation of a negator at most negation_window
@@ -160,13 +160,15 @@ class TextScorer:
         reach = -1  # last word index the clause's last negator reaches
         i = 0  # the sentence's words before the piece
         after_verb = False
-        miss = self._miss
+        miss = self._miss if self._credit > 0 else None
         keys = iter(keys)
         while True:
             for key in keys:
                 entry = tables[after_verb].get(key)
                 if entry is None:
-                    entry = miss(key, after_verb)
+                    self._misses += 1
+                    # a line begun without credit has no miss function
+                    entry = miss and miss(key, after_verb)
                     if entry is None:
                         break
                 events, n_words, after_verb, ends = entry
@@ -198,11 +200,15 @@ class TextScorer:
                 break
             # from this piece on, the text tokenizes and splits into
             # sentences as its pieces joined by spaces do, and each raw
-            # token is a key; "" ends each sentence
+            # token is a key; a "" ends the sentence in progress, then
+            # each later one with a raw token (one without leaves the
+            # state as the "" before it left it)
             rest: list[str] = []
             for chunk in _SENTENCE_RE.split(" ".join((key, *keys))):
-                rest += _WORD_RE.findall(chunk)
-                rest.append("")
+                tokens = _WORD_RE.findall(chunk)
+                if tokens or not rest:
+                    rest += tokens
+                    rest.append("")
             keys, miss = iter(rest), self._token
         if i:
             per_sentence.append(raw)
@@ -214,7 +220,6 @@ class TextScorer:
     def _miss(self, piece: str, after_verb: bool) -> Piece | None:
         """Store the Piece of a piece, or None when the memo has no
         credit."""
-        self._misses += 1
         if self._credit <= 0:
             return None
         self._credit -= 1

@@ -1,6 +1,8 @@
 """Shared builders for synthetic tables, features, and environments."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -117,7 +119,9 @@ def event_series(rows, kind: str) -> EventSeries:
 
 def turbulence_oracle(returns, window, eps_scale, calibration):
     """``kernels.turbulence_kernel`` one step at a time: a covariance, a
-    ridge and a solve per step. It is the oracle of the chunked kernel."""
+    ridge and a solve per step. It is the oracle of the chunked kernel. A
+    NaN form gives ``np.nan``, since which operand's NaN a product keeps
+    depends on the shape numpy multiplies."""
     T, n = returns.shape
     out = np.full(T, np.nan)
     if T <= window + 1:
@@ -137,7 +141,48 @@ def turbulence_oracle(returns, window, eps_scale, calibration):
         d = kernels._added_in_order(dev * z)
         if d < 0.0:
             d = 0.0
-        out[t] = calibration * d
+        out[t] = np.nan if np.isnan(d) else calibration * d
+    return out
+
+
+def _columns(grid):
+    """The index of each column of a (T, ...) grid, for ``grid[:, j]``."""
+    return [(slice(None),) + j for j in np.ndindex(grid.shape[1:])]
+
+
+def cci_oracle(high, low, close, period):
+    """``kernels.cci_kernel`` one ticker and one step at a time: the
+    window's mean and its mean absolute deviation each added oldest first
+    from 0.0."""
+    out = np.full(close.shape, np.nan)
+    tp = (high + low + close) / 3.0
+    for j in _columns(close):
+        column = tp[j].tolist()
+        for t in range(period - 1, len(column)):
+            window = column[t - period + 1:t + 1]
+            m = np.float64(kernels._added_in_order(np.array(window))) / period
+            mad = np.float64(0.0)
+            for x in window:
+                mad += abs(x - m)
+            mad /= period
+            out[j][t] = 0.0 if mad == 0.0 else (column[t] - m) / (0.015 * mad)
+    return out
+
+
+def ema_oracle(x, period):
+    """``kernels.ema_kernel`` one ticker and one step at a time."""
+    out = np.full(x.shape, np.nan)
+    if period > len(x):
+        return out
+    alpha = 2.0 / (period + 1.0)
+    for j in _columns(x):
+        column = x[j].tolist()
+        prev = np.float64(kernels._added_in_order(np.array(column[:period])))
+        prev /= period
+        out[j][period - 1] = prev
+        for t in range(period, len(column)):
+            prev = prev + alpha * (column[t] - prev)
+            out[j][t] = prev
     return out
 
 
@@ -207,6 +252,22 @@ def tables_equal(a: BarTable, b: BarTable, check_synthetic: bool = True) -> bool
         if not np.array_equal(getattr(a, name)[m], getattr(b, name)[m]):
             return False
     return True
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(fn's result, the most bytes tracemalloc saw allocated at once
+    during the call above what was allocated at its start)."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 def assert_bitwise_equal(actual, expected) -> None:

@@ -16,7 +16,10 @@ from quantgym import cli
 from quantgym import sentiment as sn
 from quantgym.cli import main
 from quantgym.config import SCHEMA
-from quantgym.market_data import ingest_csv
+from quantgym.features import EVENTS_HEADER
+from quantgym.market_data import CSV_HEADER, format_timestamps, ingest_csv
+
+from conftest import DAY, traced_peak
 
 pytestmark = pytest.mark.usefixtures("clean_env")
 
@@ -95,6 +98,42 @@ class TestIngestFeatures:
         assert np.isnan(values[:warmup]).all()
         assert np.isfinite(values[warmup:]).all()
 
+    def test_features_peak_stays_near_its_output(self, tmp_path):
+        """30 tickers x 1000 days, 1% of bars missing on a union calendar,
+        and 10k sentiment events: the command never holds more than 2.5
+        times the bytes of its cleaned table and feature values at once,
+        as tracemalloc counts them."""
+        rng = np.random.default_rng(5)
+        T, n = 1000, 30
+        close = (50.0 * np.exp(np.cumsum(rng.normal(0.0, 0.01, (T, n)),
+                                         axis=0))).tolist()
+        present = rng.random((T, n)) >= 0.01
+        present[:, 0] = True
+        stamps = format_timestamps(
+            np.datetime64("2000-01-03", "s") + np.arange(T) * DAY)
+        panel = tmp_path / "panel.csv"
+        panel.write_text(",".join(CSV_HEADER) + "\n" + "".join(
+            f"{stamps[t]},T{j:02d},{c!r},{c * 1.01!r},{c * 0.99!r},{c!r},1e3\n"
+            for t in range(T) for j, c in enumerate(close[t])
+            if present[t, j]))
+        when = np.sort(rng.integers(0, T * 86400, 10_000))
+        events = tmp_path / "events.csv"
+        events.write_text(EVENTS_HEADER + "\n" + "".join(
+            f"{stamp},T{j:02d},{v!r}\n" for stamp, j, v in zip(
+                format_timestamps(np.datetime64("2000-01-03", "s") + when),
+                rng.integers(0, n, len(when)).tolist(),
+                rng.uniform(-1, 1, len(when)).tolist())))
+        code, peak = traced_peak(run, ["features"], tmp_path, [
+            "--set", f"data.source={panel}",
+            "--set", "data.calendar_rule=union",
+            "--set", f"data.events_file={events}"])
+        assert code == 0
+        with np.load(tmp_path / "features" / "features.npz") as blob:
+            values = blob["values"]
+        assert values.shape == (T, n, 5)
+        table = T * n * (5 * 8 + 2)  # five float grids, present and synthetic
+        assert peak < 2.5 * (table + values.nbytes)
+
     def test_non_integer_indicator_period_exits_2(self, tmp_path, capsys):
         code = run(["features"], tmp_path,
                    ["--set", "features.indicators=rsi:abc"])
@@ -153,6 +192,30 @@ class TestSentimentCommands:
         assert lines[0] == "line,compound,polarity"
         assert lines[1].endswith("positive")
         assert lines[2].endswith("negative")
+
+    @pytest.mark.parametrize("text", [
+        "", "\n", "\n\n", "Profits surge",
+        "Profits surge\rLosses widen\r\r", "Profits surge\r\nLosses widen",
+        "gain\x0bloss\x1cgain\u2028loss\x85up\n\nend"])
+    def test_score_reads_one_document_per_line(self, tmp_path, text):
+        """Lines end at ``\n``, ``\r\n`` and ``\r``, other separators stay
+        inside their line, and a final line end starts no document."""
+        path = tmp_path / "texts.txt"
+        path.write_bytes(text.encode("utf-8"))
+        assert run(["sentiment", "score"], tmp_path,
+                   ["--set", f"sentiment.input={path}"]) == 0
+        rows = (tmp_path / "sentiment" / "scores.csv").read_text(
+            encoding="utf-8").split("\n")
+        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        if lines[-1] == "":
+            lines.pop()
+        dictionary, shifters = sn.mini_financial_dictionary(), \
+            sn.default_shifters()
+        assert rows == ["line,compound,polarity"] + [
+            f"{i},{score.compound!r},{score.polarity}" for i, score in
+            enumerate((sn.score_document(sn.preprocess(line), dictionary,
+                                         shifters) for line in lines),
+                      start=1)] + [""]
 
     def test_score_equals_score_document_per_line(self, tmp_path):
         # CRLF endings, tabs, no-break spaces, blank and punctuation-only

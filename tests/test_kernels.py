@@ -1,15 +1,17 @@
 """The fill kernel keeps its invariants; the population fill kernel
-agrees with the scalar one row by row; the chunked turbulence kernel and
-the stacked Wilder passes give the bits of their step-by-step oracles."""
+agrees with the scalar one row by row; the chunked turbulence kernel,
+the stacked Wilder passes, CCI and MACD give the bits of their
+step-by-step oracles."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quantgym import kernels
+from quantgym.features import IndicatorSpec, compute_indicator
 
-from conftest import adx_oracle, assert_bitwise_equal, rsi_oracle, \
-    turbulence_oracle
+from conftest import adx_oracle, assert_bitwise_equal, cci_oracle, \
+    ema_oracle, make_table, rsi_oracle, turbulence_oracle
 
 
 def fee_total(executed, prices, cost_rate):
@@ -124,8 +126,20 @@ def outcome(kernel, *args):
         return repr(exc)
 
 
+def nan_in_a_chunk_tail():
+    """Closes (132, 2) with a NaN at rows 58 and 129, window 4: step 129
+    lies in the tail of a 63-step chunk, where numpy's product of two NaN
+    keeps the second one's sign, while the one-step product keeps the
+    first one's."""
+    rng = np.random.default_rng(227)
+    close = 50.0 * np.exp(np.cumsum(rng.normal(0.0, 0.01, (132, 2)), axis=0))
+    close[58, 1] = close[129, 0] = np.nan
+    return close, 4
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=close_grids(), period=st.integers(1, 20))
+@example(case=nan_in_a_chunk_tail(), period=14)
 def test_batched_kernels_equal_their_step_by_step_oracles(case, period):
     close, window = case
     returns = np.zeros_like(close)
@@ -138,3 +152,12 @@ def test_batched_kernels_equal_their_step_by_step_oracles(case, period):
         outcome(rsi_oracle, close, period)
     assert outcome(kernels.adx_kernel, high, low, close, period) == \
         outcome(adx_oracle, high, low, close, period)
+    assert outcome(kernels.cci_kernel, high, low, close, period) == \
+        outcome(cci_oracle, high, low, close, period)
+    slow = 2 * period
+    if slow <= len(close):  # MACD as the features command computes it
+        with np.errstate(all="ignore"):
+            expected = ema_oracle(close, period) - ema_oracle(close, slow)
+        assert_bitwise_equal(compute_indicator(
+            make_table(close), IndicatorSpec("MACD", (period, slow, 9))),
+            expected)
