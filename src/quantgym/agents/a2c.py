@@ -1,10 +1,11 @@
 """Synchronous advantage actor-critic trained with numpy backprop.
 
-``train_a2c_all`` trains many (env, config) jobs as lockstep populations
-over an ``EnvPopulation``: one env step per rollout step for all rows,
-whatever their network shapes, and one stacked forward, loss and Adam
-step per shape. The ``_Learners`` rows sample, update and check for
-divergence. ``train_a2c`` is its case of one job.
+``train_a2c_all`` hands its jobs to ``train_in_lockstep``, one row each.
+A chunk trains as one lockstep population over an ``EnvPopulation``: one
+env step per rollout step for all rows, whatever their network shapes,
+and one stacked forward, loss and Adam step per shape. The ``_Learners``
+rows sample, update and check for divergence. ``train_a2c`` is its case
+of one job.
 """
 from __future__ import annotations
 
@@ -15,9 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ..envs import EnvPopulation, _row_dots, population_key
-from ..errors import TrainingError
-from .policy import GaussianPolicy, TrainConfig, check_policy_sizes
+from ..envs import EnvPopulation, _row_dots
+from ..errors import TrainingError, unwrap
+from .policy import GaussianPolicy, TrainConfig, train_in_lockstep
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -312,71 +313,49 @@ def _train_lockstep(envs, configs) -> list[GaussianPolicy | TrainingError]:
     it at episode ends), bootstraps n-step returns from the value head,
     normalizes advantages per rollout, and applies Adam with
     gradient-norm clipping; its observation scale is frozen from its
-    first state. The configs agree in every field but the seed, the
-    learning rate and ``hidden``, and the envs form one ``EnvPopulation``,
-    stepped once per rollout step for every row whatever its network
-    shape. A row whose action, loss or gradient turns non-finite fails
-    with a TrainingError naming the step; the others carry on unchanged.
+    first state. The envs form one ``EnvPopulation``, stepped once per
+    rollout step for every row whatever its network shape. A row whose
+    action, loss or gradient turns non-finite fails with a TrainingError
+    naming the step; the others carry on unchanged.
     """
     population = EnvPopulation(envs)
     env = population.env
-    with np.errstate(all="ignore"):
-        rows = _Learners(env.observation_dim, env.action_dim, configs)
-        obs = population.observations()
-        rows.obs_scale = np.maximum(1.0, np.abs(obs))
-        steps_done = 0
-        while (steps_done < rows.config.steps
-               and any(f is None for f in rows.failed)):
-            rows.begin_rollout()
-            for i in range(rows.config.rollout_steps):
-                steps_done += 1
-                actions, values = rows.sample(obs, i, steps_done)
-                rewards, dones = population.step(actions)
-                rows.record(i, obs, actions, rewards, values, dones)
-                obs = population.observations()
-            rows.update(obs, steps_done)
+    rows = _Learners(env.observation_dim, env.action_dim, configs)
+    obs = population.observations()
+    rows.obs_scale = np.maximum(1.0, np.abs(obs))
+    steps_done = 0
+    while (steps_done < rows.config.steps
+           and any(f is None for f in rows.failed)):
+        rows.begin_rollout()
+        for i in range(rows.config.rollout_steps):
+            steps_done += 1
+            actions, values = rows.sample(obs, i, steps_done)
+            rewards, dones = population.step(actions)
+            rows.record(i, obs, actions, rewards, values, dones)
+            obs = population.observations()
+        rows.update(obs, steps_done)
     return rows.outcomes()
 
 
 def train_a2c_all(jobs: Sequence[tuple]) -> list[GaussianPolicy | TrainingError]:
     """Train (env, TrainConfig) jobs: one policy or TrainingError per job.
 
-    Jobs whose envs have one ``population_key`` and whose configs agree
-    in every field but the seed, the learning rate and ``hidden`` train
-    in lockstep populations of at most ``LOCKSTEP_ROWS`` rows; the rows
-    of each ``hidden`` value run their network math as one stacked block. Each outcome is that of the job
-    trained alone, bit for bit, and is reproducible from (seed, config,
-    data).
+    ``train_in_lockstep`` with one row per job: jobs whose envs have one
+    ``population_key`` and whose configs agree in every field but the
+    seed, the learning rate and ``hidden`` train in lockstep populations
+    of at most ``LOCKSTEP_ROWS`` rows, one stacked block per ``hidden``.
+    Each outcome is that of the job trained alone, bit for bit, and is
+    reproducible from (seed, config, data).
     """
-    groups: dict[tuple, list[int]] = {}
-    outcomes: list = [None] * len(jobs)
-    for k, (env, config) in enumerate(jobs):
-        try:  # a job whose network cannot be built fails alone
-            check_policy_sizes(env.observation_dim, env.action_dim,
-                               config.hidden)
-        except TrainingError as exc:
-            outcomes[k] = exc
-            continue
-        key = (population_key(env),) + tuple(
-            getattr(config, f.name) for f in dataclasses.fields(config)
-            if f.name not in ("seed", "learning_rate", "hidden"))
-        groups.setdefault(key, []).append(k)
-    for members in groups.values():
-        # rows of one shape side by side: one block per shape and chunk
-        members.sort(key=lambda k: jobs[k][1].hidden)
-        for rows in np.array_split(members, -(-len(members) // LOCKSTEP_ROWS)):
-            fitted = _train_lockstep([jobs[k][0] for k in rows],
-                                     [jobs[k][1] for k in rows])
-            for k, outcome in zip(rows, fitted):
-                outcomes[k] = outcome
-    return outcomes
+    return train_in_lockstep(
+        jobs, lambda chunk: _train_lockstep(*zip(*chunk)),
+        [f.name for f in dataclasses.fields(TrainConfig)
+         if f.name not in ("seed", "learning_rate", "hidden")],
+        lambda config: 1, LOCKSTEP_ROWS)
 
 
 def train_a2c(env, config: TrainConfig) -> GaussianPolicy:
     """Train a Gaussian policy on a market environment: ``train_a2c_all``
     on one job. A non-finite action, loss or gradient raises
     TrainingError naming the step."""
-    outcome = train_a2c_all([(env, config)])[0]
-    if isinstance(outcome, TrainingError):
-        raise outcome
-    return outcome
+    return unwrap(train_a2c_all([(env, config)])[0])

@@ -1,21 +1,22 @@
 """Cross-entropy method: derivative-free policy search.
 
 ``cem_optimize`` runs one search over any population objective.
-``train_cem_all`` fits many (env, config) jobs, scoring the populations
-of the jobs that share their market data, network shape and search
-settings in one lockstep rollout per generation; every job's policy
-equals ``train_cem`` on its own env and config, bit for bit. Both run
-the same ask/tell ``_Search``.
+``train_cem_all`` hands its jobs to ``train_in_lockstep``, ``population``
+rows each; a chunk scores every job's population in one lockstep rollout
+per generation, one stacked forward per network shape, and each job's
+policy equals ``train_cem`` on that job alone, bit for bit. Both run the
+same ask/tell ``_Search``.
 """
 from __future__ import annotations
 
+import itertools
 from typing import Sequence
 
 import numpy as np
 
-from ..envs import population_key, population_returns
-from ..errors import TrainingError
-from .policy import GaussianPolicy, TrainConfig
+from ..envs import population_returns
+from ..errors import TrainingError, unwrap
+from .policy import GaussianPolicy, TrainConfig, train_in_lockstep
 
 # Rows per lockstep rollout: whole jobs, three default populations. A
 # rollout step's cost is mostly per-ticker fill work shared by every
@@ -25,12 +26,14 @@ CEM_LOCKSTEP_ROWS = 72
 
 
 def _check_search(iterations: int, population: int, elite_frac: float):
+    """The population, once the search settings check out."""
     if iterations < 1:
         raise TrainingError("iterations must be at least 1")
     if population < 2:
         raise TrainingError("population must be at least 2")
     if not 0.0 < elite_frac <= 1.0:
         raise TrainingError("elite_frac must lie in (0, 1]")
+    return population
 
 
 class _Search:
@@ -99,10 +102,12 @@ def cem_optimize(objective, dim: int, iterations: int, population: int,
 
 
 def _train_chunk(jobs) -> list[GaussianPolicy | TrainingError]:
-    """``train_cem`` on each job; every generation scores all live jobs'
-    populations in one ``population_returns`` rollout. The jobs share
-    their market data, network shape and search settings; a job whose
-    actions or objective turn non-finite fails alone."""
+    """``train_cem`` on each job; every generation scores all jobs'
+    populations in one ``population_returns`` rollout, job j on rows
+    j*P to (j+1)*P - 1. Each run of jobs with one ``hidden`` samples into
+    its own block, split into field views once, and runs one stacked
+    forward. A job whose actions or objective turn non-finite fails
+    alone: its rows step on, and nothing reads them."""
     config = jobs[0][1]
     P = config.population
     policies = [GaussianPolicy(env.observation_dim, env.action_dim,
@@ -112,23 +117,35 @@ def _train_chunk(jobs) -> list[GaussianPolicy | TrainingError]:
     searches = [_Search(p.n_parameters, P, c.elite_frac, c.seed,
                         init_mean=p.get_flat(), init_std=0.5)
                 for p, (_, c) in zip(policies, jobs)]
+    # per hidden: (rows, template, field views); per job: its sample rows
+    blocks, job_samples = [], []
+    for _, run in itertools.groupby(policies, lambda p: p.hidden):
+        run = list(run)
+        block = np.empty((len(run) * P, run[0].n_parameters))
+        start = len(job_samples) * P
+        blocks.append((slice(start, start + len(block)), run[0],
+                       run[0]._unflatten(block)))
+        job_samples += np.split(block, len(run))
+    envs = [env for env, _ in jobs for _ in range(P)]
+    scale = np.repeat(scales, P, axis=0)
+
+    def act(obs):
+        actions = np.empty((len(envs), policies[0].action_dim))
+        x = (obs / scale)[:, None, :]
+        for rows, template, fields in blocks:
+            actions[rows] = template.forward_scaled(x[rows], fields)[0][:, 0]
+        return actions
+
     failed: list[TrainingError | None] = [None] * len(jobs)
-    template = policies[0]
-    buffer = np.empty((len(jobs) * P, template.n_parameters))
     for generation in range(1, config.iterations + 1):
         live = [j for j, f in enumerate(failed) if f is None]
         if not live:
             break
-        samples = buffer[:len(live) * P]
-        for i, j in enumerate(live):
-            searches[j].ask(samples[i * P:(i + 1) * P])
-        scale = np.repeat(scales[live], P, axis=0)
-        scores, finite = population_returns(
-            [jobs[j][0] for j in live for _ in range(P)],
-            lambda obs: template.forward_population(
-                obs[:, None, :], samples, scale)[0][:, 0, :])
-        for i, j in enumerate(live):
-            rows = slice(i * P, (i + 1) * P)
+        for j in live:
+            searches[j].ask(job_samples[j])
+        scores, finite = population_returns(envs, act)
+        for j in live:
+            rows = slice(j * P, (j + 1) * P)
             if not finite[rows].all():
                 failed[j] = TrainingError(
                     f"non-finite action in CEM generation {generation}")
@@ -137,52 +154,29 @@ def _train_chunk(jobs) -> list[GaussianPolicy | TrainingError]:
                 searches[j].tell(scores[rows])
             except TrainingError as exc:
                 failed[j] = exc
-    out: list[GaussianPolicy | TrainingError] = []
-    for policy, scale_j, search, failure in zip(policies, scales, searches,
-                                                failed):
-        if failure is None:
-            policy.obs_scale = scale_j.copy()
-            policy.set_flat(search.mean)
-        out.append(policy if failure is None else failure)
-    return out
+    for policy, scale_j, search in zip(policies, scales, searches):
+        policy.obs_scale = scale_j.copy()
+        policy.set_flat(search.mean)
+    return [p if f is None else f for p, f in zip(policies, failed)]
 
 
 def train_cem_all(jobs: Sequence[tuple]) -> list[GaussianPolicy | TrainingError]:
     """Fit (env, TrainConfig) jobs: one policy or TrainingError per job.
 
-    Jobs whose envs have one ``population_key`` and whose configs share
-    ``hidden``, ``population``, ``iterations`` and ``elite_frac`` run
-    their generations in lockstep, in chunks of whole jobs of at most
-    ``CEM_LOCKSTEP_ROWS`` rows. Each outcome equals ``train_cem`` on that
-    job alone, bit for bit.
+    ``train_in_lockstep`` with ``population`` rows per job: jobs whose
+    envs have one ``population_key`` and whose configs share
+    ``population``, ``iterations`` and ``elite_frac`` run their
+    generations in lockstep, in chunks of at most ``CEM_LOCKSTEP_ROWS``
+    rows, whatever their ``hidden``. Each outcome equals ``train_cem`` on
+    that job alone, bit for bit.
     """
-    groups: dict[tuple, list[int]] = {}
-    for k, (env, c) in enumerate(jobs):
-        key = (population_key(env), c.hidden, c.population, c.iterations,
-               c.elite_frac)
-        groups.setdefault(key, []).append(k)
-    outcomes: list = [None] * len(jobs)
-    with np.errstate(all="ignore"):
-        for members in groups.values():
-            c = jobs[members[0]][1]
-            try:
-                _check_search(c.iterations, c.population, c.elite_frac)
-                per_chunk = max(1, CEM_LOCKSTEP_ROWS // c.population)
-                for chunk in np.array_split(
-                        members, -(-len(members) // per_chunk)):
-                    fitted = _train_chunk([jobs[k] for k in chunk])
-                    for k, outcome in zip(chunk, fitted):
-                        outcomes[k] = outcome
-            except TrainingError as exc:  # a search setting or network size
-                for k in members:
-                    outcomes[k] = exc
-    return outcomes
+    return train_in_lockstep(
+        jobs, _train_chunk, ("population", "iterations", "elite_frac"),
+        lambda c: _check_search(c.iterations, c.population, c.elite_frac),
+        CEM_LOCKSTEP_ROWS)
 
 
 def train_cem(env, config: TrainConfig) -> GaussianPolicy:
     """Fit a Gaussian policy by maximizing deterministic episode return:
     ``train_cem_all`` on one job."""
-    outcome = train_cem_all([(env, config)])[0]
-    if isinstance(outcome, TrainingError):
-        raise outcome
-    return outcome
+    return unwrap(train_cem_all([(env, config)])[0])

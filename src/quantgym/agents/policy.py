@@ -4,9 +4,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
+from ..envs import population_key
 from ..errors import DataError, TrainingError, reading
 
 
@@ -56,6 +58,42 @@ def check_policy_sizes(obs_dim: int, action_dim: int, hidden: int) -> None:
         raise TrainingError(f"policy sizes must be positive, got obs_dim="
                             f"{obs_dim}, action_dim={action_dim}, "
                             f"hidden={hidden}")
+
+
+def train_in_lockstep(jobs: Sequence[tuple], train_chunk, shared, rows_of,
+                      cap: int) -> list:
+    """Fit (env, TrainConfig) jobs: one policy or TrainingError per job.
+
+    A job fails alone when ``rows_of(config)``, its row count, or
+    ``check_policy_sizes`` raises. The rest group on ``population_key``,
+    row count and the ``shared`` config fields; each group, sorted by
+    ``hidden``, is cut into chunks of whole jobs of at most ``cap`` rows,
+    and ``train_chunk`` maps a chunk's jobs to their outcomes, with
+    numpy's floating-point warnings off.
+    """
+    outcomes: list = [None] * len(jobs)
+    groups: dict[tuple, list[int]] = {}
+    for k, (env, config) in enumerate(jobs):
+        try:
+            rows = rows_of(config)
+            check_policy_sizes(env.observation_dim, env.action_dim,
+                               config.hidden)
+        except TrainingError as exc:
+            outcomes[k] = exc
+            continue
+        key = (population_key(env), rows) + tuple(
+            getattr(config, name) for name in shared)
+        groups.setdefault(key, []).append(k)
+    with np.errstate(all="ignore"):
+        for (_, rows, *_), members in groups.items():
+            members.sort(key=lambda k: jobs[k][1].hidden)
+            per_chunk = max(1, cap // rows)
+            for chunk in np.array_split(members,
+                                        -(-len(members) // per_chunk)):
+                fitted = train_chunk([jobs[k] for k in chunk])
+                for k, outcome in zip(chunk, fitted):
+                    outcomes[k] = outcome
+    return outcomes
 
 
 class GaussianPolicy(Policy):
@@ -138,27 +176,12 @@ class GaussianPolicy(Policy):
         mean, _, _ = self.forward(observation)
         return mean[0]
 
-    def forward_population(self, obs: np.ndarray, params: np.ndarray,
-                           obs_scale: np.ndarray | None = None):
-        """Stacked forward pass of P parameter vectors, each on its own batch.
-
-        obs is (P, B, obs_dim), params (P, n_parameters) or its
-        ``_unflatten`` split, and obs_scale (P, obs_dim), by default this
-        policy's for every row. Returns
-        (mean, value, hidden activations) shaped (P, B, action_dim),
-        (P, B) and (P, B, hidden); row p equals ``forward(obs[p])`` of
-        a policy holding params[p] and obs_scale[p], bit for bit. Each
-        stacked matmul runs the product ``forward`` runs on that row,
-        so the summation order is unchanged.
-        """
-        p = params if isinstance(params, dict) else \
-            self._unflatten(np.asarray(params, dtype=float))
-        scale = self.obs_scale if obs_scale is None else obs_scale[:, None, :]
-        return self.forward_scaled(np.asarray(obs, dtype=float) / scale, p)
-
     def forward_scaled(self, x: np.ndarray, p: dict):
-        """``forward_population`` of observations already divided by
-        their scale, with params as its ``_unflatten`` split."""
+        """Stacked forward pass of P parameter rows, each on its own batch:
+        x is (P, B, obs_dim), observations divided by their rows' scales,
+        and p the rows' ``_unflatten`` split. Row p equals ``forward`` of a
+        policy holding row p's parameters, bit for bit: each stacked matmul
+        runs the product ``forward`` runs."""
         h = np.tanh(x @ p["W1"].transpose(0, 2, 1) + p["b1"][:, None, :])
         mean = h @ p["W2"].transpose(0, 2, 1) + p["b2"][:, None, :]
         value = (h @ p["wv"][:, :, None])[:, :, 0] + p["bv"][:, None]

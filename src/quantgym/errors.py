@@ -54,3 +54,10 @@ class EnvError(QuantGymError):
 
 class TrainingError(QuantGymError):
     """Agent training failed (divergence, dimension mismatch)."""
+
+
+def unwrap(outcome):
+    """A fitted outcome, or the error it holds raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome

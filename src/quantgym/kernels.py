@@ -6,7 +6,8 @@ recursive ones step through t on (n,) vectors, or on (k, n) stacks of
 the k series that share one recursion. Every sum is added in the order
 of the plain per-element loop (window rows oldest first), so each column
 is bit-identical to that loop on the column alone. All take
-float64 arrays and return float64; undefined warmup prefixes are NaN.
+float64 arrays and return float64; undefined warmup prefixes are NaN,
+and every NaN an indicator or turbulence kernel returns is ``np.nan``.
 """
 from __future__ import annotations
 
@@ -30,6 +31,12 @@ def _added_in_order(values):
     for v in values.tolist():
         total += v
     return total
+
+
+def _canonical_nan(out):
+    """out, with ``np.nan`` written over each NaN of either sign."""
+    np.copyto(out, np.nan, where=np.isnan(out))
+    return out
 
 
 def _wilder(x, period, seed=None):
@@ -56,7 +63,7 @@ def sma_kernel(x, period):
     out = np.full(x.shape, np.nan)
     if period <= len(x):
         np.divide(_window_sums(x, period), period, out=out[period - 1:])
-    return out
+    return _canonical_nan(out)
 
 
 def ema_kernel(x, period):
@@ -73,7 +80,7 @@ def ema_kernel(x, period):
     for t in range(period, len(x)):
         prev = prev + alpha * (x[t] - prev)
         out[t] = prev
-    return out
+    return _canonical_nan(out)
 
 
 def rsi_kernel(close, period):
@@ -106,7 +113,7 @@ def rsi_kernel(close, period):
         np.subtract(100.0, rsi, out=rsi)
     np.copyto(rsi, np.where(avg_gain == 0.0, 50.0, 100.0),
               where=avg_loss == 0.0)
-    return out
+    return _canonical_nan(out)
 
 
 def cci_kernel(high, low, close, period):
@@ -130,7 +137,7 @@ def cci_kernel(high, low, close, period):
     with np.errstate(divide="ignore", invalid="ignore"):
         cci /= np.multiply(0.015, mad, out=scratch)
     np.copyto(cci, 0.0, where=mad == 0.0)
-    return out
+    return _canonical_nan(out)
 
 
 def adx_kernel(high, low, close, period):
@@ -177,7 +184,7 @@ def adx_kernel(high, low, close, period):
     np.copyto(dx, 0.0, where=s_tr == 0.0)
     del s, s_tr, moves
     out[2 * period - 1:] = _wilder(dx, period)
-    return out
+    return _canonical_nan(out)
 
 
 # the most steps whose (n, n) covariances turbulence_kernel holds at once
@@ -218,11 +225,9 @@ def turbulence_kernel(returns, window, eps_scale, calibration):
         dev = returns[start:stop] - mu
         z = np.linalg.solve(cov, dev[:, :, None])[:, :, 0]
         d = _sum_in_order(zero, dev * z)
-        # d < 0 is roundoff dust near zero deviation; a NaN form is np.nan,
-        # whichever NaN operand the products carried
-        out[start:stop] = np.where(np.isnan(d), np.nan,
-                                   calibration * np.where(d < 0.0, 0.0, d))
-    return out
+        # d < 0 is roundoff dust near zero deviation
+        out[start:stop] = calibration * np.where(d < 0.0, 0.0, d)
+    return _canonical_nan(out)
 
 
 def execute_trades_kernel(prices, holdings, balance, deltas,

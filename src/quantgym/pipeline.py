@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .envs import PortfolioEnv, TradingEnv, Transition
-from .errors import DataError, QuantGymError, TrainingError
+from .errors import DataError, QuantGymError, TrainingError, unwrap
 from .market_data import format_timestamp
 
 
@@ -435,12 +435,6 @@ def _fit_each(agent_factory: Callable, jobs) -> list:
     return outcomes
 
 
-def _trained(outcome):
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
-
-
 def run_rolling(data: RollingData, plan: WindowPlan,
                 agent_factory: Callable, hyper_grid: Sequence[dict] | None = None,
                 seed: int = 0, annualization_basis: int = 365,
@@ -498,7 +492,7 @@ def run_rolling(data: RollingData, plan: WindowPlan,
         outcomes = [candidates.popleft() for _ in hyper_grid] if ranked else []
         try:
             for gi, outcome in enumerate(outcomes):
-                cand = _trained(outcome)
+                cand = unwrap(outcome)
                 if plan.n_test > 0:
                     test_env = data.make_env(day_start(window.train_stop),
                                              day_start(window.test_stop))
@@ -527,7 +521,7 @@ def run_rolling(data: RollingData, plan: WindowPlan,
         policy = None
         if reason is None:
             try:
-                policy = _trained(next(retrained))
+                policy = unwrap(next(retrained))
             except TrainingError as exc:
                 reason = str(exc)
         reports.append(WindowReport(window.index, days[window.trade_day],

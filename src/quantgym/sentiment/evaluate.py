@@ -2,14 +2,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from ..errors import DataError
 from .lexicon import SentimentDictionary, ShifterTable, read_tsv
-from .preprocess import preprocess
-from .scoring import score_document
+from .scoring import TextScorer
 
 LABEL_MIN, LABEL_MAX = -100.0, 100.0
 
@@ -58,9 +57,8 @@ def label_polarity(label: float) -> str:
 
 
 def evaluate(corpus: LabeledCorpus, dictionary: SentimentDictionary,
-             shifters: ShifterTable,
-             preprocessor: Callable | None = None) -> EvalResult:
-    """Score every corpus item and compare against its label.
+             shifters: ShifterTable) -> EvalResult:
+    """Score each corpus item with one ``TextScorer`` against its label.
 
     Accuracy is the fraction of predicted polarities matching the label
     sign; correlation is Pearson between compounds and raw labels, None
@@ -68,12 +66,12 @@ def evaluate(corpus: LabeledCorpus, dictionary: SentimentDictionary,
     """
     if len(corpus) == 0:
         raise ValueError("empty corpus")
-    prep = preprocessor or preprocess
+    scorer = TextScorer(dictionary, shifters)
     compounds = np.empty(len(corpus))
     labels = np.empty(len(corpus))
     hits = 0
     for i, (text, label) in enumerate(corpus.items):
-        score = score_document(prep(text), dictionary, shifters)
+        score = scorer.score(text)
         compounds[i] = score.compound
         labels[i] = label
         if score.polarity == label_polarity(label):

@@ -150,6 +150,12 @@ def _columns(grid):
     return [(slice(None),) + j for j in np.ndindex(grid.shape[1:])]
 
 
+def canonical_nan(out):
+    """out with every NaN, of either sign, as ``np.nan``: the indicator
+    kernels' NaN."""
+    return np.where(np.isnan(out), np.nan, out)
+
+
 def cci_oracle(high, low, close, period):
     """``kernels.cci_kernel`` one ticker and one step at a time: the
     window's mean and its mean absolute deviation each added oldest first
@@ -166,7 +172,7 @@ def cci_oracle(high, low, close, period):
                 mad += abs(x - m)
             mad /= period
             out[j][t] = 0.0 if mad == 0.0 else (column[t] - m) / (0.015 * mad)
-    return out
+    return canonical_nan(out)
 
 
 def ema_oracle(x, period):
@@ -183,7 +189,7 @@ def ema_oracle(x, period):
         for t in range(period, len(column)):
             prev = prev + alpha * (column[t] - prev)
             out[j][t] = prev
-    return out
+    return canonical_nan(out)
 
 
 def rsi_oracle(close, period):
@@ -201,7 +207,7 @@ def rsi_oracle(close, period):
     rsi = 100.0 - 100.0 / (1.0 + avg_gain / avg_loss)
     out[period:] = np.where(avg_loss == 0.0,
                             np.where(avg_gain == 0.0, 50.0, 100.0), rsi)
-    return out
+    return canonical_nan(out)
 
 
 def adx_oracle(high, low, close, period):
@@ -233,7 +239,7 @@ def adx_oracle(high, low, close, period):
     dx = np.where(denom == 0.0, 0.0, 100.0 * np.abs(pdi - mdi) / denom)
     dx = np.where(s_tr == 0.0, 0.0, dx)
     out[2 * period - 1:] = kernels._wilder(dx, period)
-    return out
+    return canonical_nan(out)
 
 
 def tables_equal(a: BarTable, b: BarTable, check_synthetic: bool = True) -> bool:

@@ -599,8 +599,8 @@ class TestCEMLockstep:
                            risk_indicator="turbulence", reward_scale=0.01,
                            turnover_cost_rate=0.003)
         features = simple_features(table)
-        # (start, end, hidden): two episode lengths; jobs 5 and 6 form a
-        # second group by their network shape
+        # (start, end, hidden): two episode lengths; jobs 5 and 6 run
+        # their network math as a second block, in the same rollout
         spec = [(2, 15, 6), (3, 11, 6), (4, 17, 6), (5, 13, 6), (32, 40, 6),
                 (6, 19, 4), (7, 15, 4), (8, 21, 6), (20, 33, 6)]
         jobs = []
@@ -658,16 +658,16 @@ class TestCEMLockstep:
         jobs = self.jobs(TradingEnv)
         expected = train_cem_all(jobs)
         poisoned = jobs[0][0].table.close[30]  # seen by job 8 only
-        forward = GaussianPolicy.forward_population
+        returns = cem.population_returns
 
-        def nan_at_step_30(self, obs, params, obs_scale=None):
-            mean, value, h = forward(self, obs, params, obs_scale)
-            hit = (obs[:, 0, 1:4] == poisoned).all(axis=1)
-            mean[hit] = np.nan
-            return mean, value, h
+        def nan_at_step_30(envs, act):
+            def poisoned_act(obs):
+                actions = act(obs)
+                actions[(obs[:, 1:4] == poisoned).all(axis=1)] = np.nan
+                return actions
+            return returns(envs, poisoned_act)
 
-        monkeypatch.setattr(GaussianPolicy, "forward_population",
-                            nan_at_step_30)
+        monkeypatch.setattr(cem, "population_returns", nan_at_step_30)
         outcomes = train_cem_all(jobs)
         assert str(outcomes[8]) == "non-finite action in CEM generation 1"
         with pytest.raises(TrainingError, match="non-finite action"):
@@ -691,7 +691,8 @@ class TestCEMLockstep:
             assert not any(isinstance(o, TrainingError) for o in outcomes[2:])
 
     @pytest.mark.parametrize("env_cls", [TradingEnv, PortfolioEnv])
-    def test_grid_over_hidden_equals_train_cem_per_job(self, env_cls):
+    def test_grid_over_hidden_equals_train_cem_per_job(self, env_cls,
+                                                       monkeypatch):
         env = self.jobs(env_cls)[0][0]
         grid = [TrainConfig(population=6, iterations=3, elite_frac=0.4,
                             hidden=hidden, seed=seed)
@@ -699,7 +700,16 @@ class TestCEMLockstep:
         jobs = [(env, c) for c in grid]
         # a network that cannot be built fails its own job alone
         jobs.insert(2, (env, dataclasses.replace(grid[0], hidden=0)))
+        chunks = []  # jobs per lockstep chunk
+        train_chunk = cem._train_chunk
+
+        def counted(chunk):
+            chunks.append(len(chunk))
+            return train_chunk(chunk)
+
+        monkeypatch.setattr(cem, "_train_chunk", counted)
         outcomes = train_cem_all(jobs)
+        assert chunks == [len(grid)]  # every hidden in one rollout
         assert str(outcomes[2]).startswith("policy sizes must be positive")
         for outcome, (env, config) in zip(outcomes, jobs):
             if config.hidden == 0:
@@ -717,12 +727,15 @@ class TestCEMLockstep:
 @pytest.mark.parametrize("batch", [1, 6])
 def test_forward_population_equals_forward(obs_dim, action_dim, hidden,
                                            batch):
+    """A population's stacked forward, ``forward_scaled``, equals
+    ``forward`` of each row's policy."""
     rng = np.random.default_rng(obs_dim)
     policy = GaussianPolicy(obs_dim, action_dim, hidden, seed=1)
     params = rng.normal(0.0, 1.0, (9, policy.n_parameters))
     scales = rng.uniform(1.0, 100.0, (9, obs_dim))
     obs = rng.normal(0.0, 50.0, (9, batch, obs_dim))
-    mean, value, h = policy.forward_population(obs, params, scales)
+    mean, value, h = policy.forward_scaled(obs / scales[:, None, :],
+                                           policy._unflatten(params))
     assert mean.shape == (9, batch, action_dim)
     for p in range(9):
         policy.set_flat(params[p])
@@ -730,18 +743,14 @@ def test_forward_population_equals_forward(obs_dim, action_dim, hidden,
         for got, want in zip((mean[p], value[p], h[p]),
                              policy.forward(obs[p])):
             assert_bitwise_equal(got, want)
-    # without obs_scale every row uses the policy's own
-    shared, _, _ = policy.forward_population(obs, params)
-    for p in range(9):
-        policy.set_flat(params[p])
-        assert_bitwise_equal(shared[p], policy.forward(obs[p])[0])
 
 
 def test_forward_population_rejects_wrong_parameter_count():
+    """A population's parameters reach ``forward_scaled`` through
+    ``_unflatten``, which checks their count."""
     policy = GaussianPolicy(3, 2, 4)
     with pytest.raises(TrainingError, match="entries"):
-        policy.forward_population(np.zeros((2, 1, 3)),
-                                  np.zeros((2, policy.n_parameters + 1)))
+        policy._unflatten(np.zeros((2, policy.n_parameters + 1)))
 
 
 # --- baselines --------------------------------------------------------------

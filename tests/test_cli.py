@@ -1,4 +1,5 @@
 """End-to-end CLI runs on the shipped synthetic dataset."""
+import csv
 import json
 import logging
 import os
@@ -14,10 +15,12 @@ from hypothesis import strategies as st
 import quantgym
 from quantgym import cli
 from quantgym import sentiment as sn
-from quantgym.cli import main
-from quantgym.config import SCHEMA
+from quantgym.agents import estimate_moments, mean_variance_weights
+from quantgym.cli import build_rolling_data, main
+from quantgym.config import SCHEMA, load_config
 from quantgym.features import EVENTS_HEADER
 from quantgym.market_data import CSV_HEADER, format_timestamps, ingest_csv
+from quantgym.pipeline import plan_windows
 
 from conftest import DAY, traced_peak
 
@@ -389,6 +392,42 @@ class TestTradeSim:
         for name in ("windows.json", "trades.csv", "values.csv"):
             assert ((tmp_path / "batched" / "trade-sim" / name).read_bytes()
                     == (tmp_path / "plain" / "trade-sim" / name).read_bytes())
+
+    @pytest.mark.parametrize("kind", ["trading", "portfolio"])
+    def test_mean_variance_trades_its_estimated_weights(self, tmp_path,
+                                                        kind):
+        # a risk aversion that leaves every ticker a weight inside (0, 1)
+        overrides = ["agent.type=mean_variance", "agent.risk_aversion=100",
+                     f"env.kind={kind}"]
+        assert run(["trade-sim"], tmp_path,
+                   [a for o in overrides for a in ("--set", o)]) == 0
+        out = tmp_path / "trade-sim"
+        with open(out / "values.csv", encoding="utf-8") as fh:
+            values = [float(r["value"]) for r in csv.DictReader(fh)]
+        with open(out / "trades.csv", encoding="utf-8") as fh:
+            trades = list(csv.DictReader(fh))
+        assert [int(r["window_id"]) for r in trades] == list(range(5))
+        assert [float(r["value"]) for r in trades] == values[:5]
+        assert len(values) == 6 and values[0] == 1_000_000.0
+        assert read_json(out / "metrics.json")["cumulative_return"] == \
+            pytest.approx(values[-1] / values[0] - 1.0, rel=1e-12)
+        if kind == "trading":
+            return
+        # the first window retrains on its train and test days
+        config = load_config(None, overrides)
+        data = build_rolling_data(config)
+        plan = plan_windows(data.usable_days().tolist(),
+                            *(config.get("pipeline", k)
+                              for k in ("n_train", "n_test", "n_trade")))
+        window = plan.windows[0]
+        lo, hi = data.day_first_steps([plan.days[window.train_start],
+                                       plan.days[window.test_stop]])
+        expected = mean_variance_weights(
+            *estimate_moments(data.table.close[lo:hi]), 100.0)
+        assert ((expected > 0.0) & (expected < 1.0)).all()
+        applied = [float(trades[0][f"executed_{tk}"])
+                   for tk in data.table.tickers]
+        np.testing.assert_allclose(applied, expected, rtol=0.0, atol=1e-9)
 
     def test_vix_risk_ticker_split_from_universe(self, tmp_path):
         assert run(["trade-sim"], tmp_path, self.BASE + [

@@ -100,7 +100,7 @@ def test_execute_trades_population_takes_prices_per_row():
 def close_grids(draw):
     """(close, window): n from 1 to 30 tickers, T - window - 1 steps just
     below, at or just above a multiple of the turbulence chunk, and maybe
-    a flat stretch and NaN closes."""
+    a flat stretch and NaN closes of either sign."""
     n = draw(st.integers(1, 30))
     window = draw(st.integers(n + 2, n + 12))
     chunk = kernels.TURBULENCE_CHUNK
@@ -113,7 +113,8 @@ def close_grids(draw):
         start = int(rng.integers(T))
         close[start:start + int(rng.integers(1, 3 * window))] = close[start]
     for _ in range(draw(st.integers(0, 2))):
-        close[rng.integers(T), rng.integers(n)] = np.nan
+        close[rng.integers(T), rng.integers(n)] = np.copysign(
+            np.nan, draw(st.sampled_from((1.0, -1.0))))
     return close, window
 
 
@@ -137,9 +138,22 @@ def nan_in_a_chunk_tail():
     return close, 4
 
 
+def signed_nans_in_an_rsi_seed():
+    """Closes (69, 7) with a NaN at rows 6 and 9 of ticker 1, the second
+    one negative, window 9: with period 18 both moves lie in RSI's seed
+    window, whose NaN sums in the kernel and in the oracle kept opposite
+    signs until both wrote np.nan for every NaN output."""
+    rng = np.random.default_rng(69)
+    close = 50.0 * np.exp(np.cumsum(rng.normal(0.0, 0.01, (69, 7)), axis=0))
+    close[6, 1] = np.nan
+    close[9, 1] = -np.nan
+    return close, 9
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=close_grids(), period=st.integers(1, 20))
 @example(case=nan_in_a_chunk_tail(), period=14)
+@example(case=signed_nans_in_an_rsi_seed(), period=18)
 def test_batched_kernels_equal_their_step_by_step_oracles(case, period):
     close, window = case
     returns = np.zeros_like(close)

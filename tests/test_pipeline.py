@@ -506,7 +506,8 @@ class TestPhasedRolling:
 
         monkeypatch.setattr(cem, "_train_chunk", counted)
         assert main(args + ["--set", f"run.output_dir={tmp_path / 'a'}"]) == 0
-        assert max(chunks) == 3  # a grid point's jobs of three windows
+        # a population value's jobs of three windows, both hidden values
+        assert max(chunks) == 6
         make_factory = cli.make_agent_factory
 
         def job_by_job(config):  # a plain callable, without fit_all
