@@ -3,9 +3,10 @@
 ``cem_optimize`` runs one search over any population objective.
 ``train_cem_all`` hands its jobs to ``train_in_lockstep``, ``population``
 rows each; a chunk scores every job's population in one lockstep rollout
-per generation, one stacked forward per network shape, and each job's
-policy equals ``train_cem`` on that job alone, bit for bit. Both run the
-same ask/tell ``_Search``.
+per generation, one stacked ``mean_scaled`` per network shape (the
+search reads the action means only, so no value head runs), and each
+job's policy equals ``train_cem`` on that job alone, bit for bit. Both
+run the same ask/tell ``_Search``.
 """
 from __future__ import annotations
 
@@ -106,7 +107,7 @@ def _train_chunk(jobs) -> list[GaussianPolicy | TrainingError]:
     populations in one ``population_returns`` rollout, job j on rows
     j*P to (j+1)*P - 1. Each run of jobs with one ``hidden`` samples into
     its own block, split into field views once, and runs one stacked
-    forward. A job whose actions or objective turn non-finite fails
+    ``mean_scaled``. A job whose actions or objective turn non-finite fails
     alone: its rows step on, and nothing reads them."""
     config = jobs[0][1]
     P = config.population
@@ -133,7 +134,7 @@ def _train_chunk(jobs) -> list[GaussianPolicy | TrainingError]:
         actions = np.empty((len(envs), policies[0].action_dim))
         x = (obs / scale)[:, None, :]
         for rows, template, fields in blocks:
-            actions[rows] = template.forward_scaled(x[rows], fields)[0][:, 0]
+            actions[rows] = template.mean_scaled(x[rows], fields)[0][:, 0]
         return actions
 
     failed: list[TrainingError | None] = [None] * len(jobs)

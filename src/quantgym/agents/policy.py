@@ -176,14 +176,25 @@ class GaussianPolicy(Policy):
         mean, _, _ = self.forward(observation)
         return mean[0]
 
+    def mean_scaled(self, x: np.ndarray, p: dict):
+        """The trunk and mean head of ``forward_scaled``: (mean, hidden
+        activations), without the value head. Biases and tanh apply in
+        place, to the products' own arrays."""
+        h = x @ p["W1"].transpose(0, 2, 1)
+        h += p["b1"][:, None, :]
+        np.tanh(h, h)
+        mean = h @ p["W2"].transpose(0, 2, 1)
+        mean += p["b2"][:, None, :]
+        return mean, h
+
     def forward_scaled(self, x: np.ndarray, p: dict):
         """Stacked forward pass of P parameter rows, each on its own batch:
         x is (P, B, obs_dim), observations divided by their rows' scales,
         and p the rows' ``_unflatten`` split. Row p equals ``forward`` of a
         policy holding row p's parameters, bit for bit: each stacked matmul
-        runs the product ``forward`` runs."""
-        h = np.tanh(x @ p["W1"].transpose(0, 2, 1) + p["b1"][:, None, :])
-        mean = h @ p["W2"].transpose(0, 2, 1) + p["b2"][:, None, :]
+        runs the product ``forward`` runs. ``mean_scaled`` is its trunk and
+        mean head, for callers that read no value."""
+        mean, h = self.mean_scaled(x, p)
         value = (h @ p["wv"][:, :, None])[:, :, 0] + p["bv"][:, None]
         return mean, value, h
 

@@ -208,14 +208,20 @@ class _BaseEnv:
             raise EnvError(f"start {t} outside [{self.start}, {self.end})")
         return t
 
+    @cached_property
+    def _market(self) -> np.ndarray:
+        """Row t: the closes, then the features, of step t, as one
+        observation holds them. Computed on first use."""
+        return np.concatenate((self.table.close, self.features.values.reshape(
+            self.table.n_steps, -1)), axis=1)
+
     def _observations(self, t, cash, held) -> np.ndarray:
         """``state.observation()`` of P rows at step t, an int or a (P,)
         vector: [cash or value, prices, features, held]."""
         n = self.n
         obs = np.empty((len(cash), self.observation_dim))
         obs[:, 0] = cash
-        obs[:, 1:1 + n] = self.table.close[t]
-        obs[:, 1 + n:-n] = self.features.values[t].reshape(np.shape(t) + (-1,))
+        obs[:, 1:-n] = self._market[t]
         obs[:, -n:] = held
         return obs
 
@@ -273,10 +279,14 @@ class TradingEnv(_BaseEnv):
         executed share deltas and the risk flag (per row, or one for
         every row when t is an int)."""
         cfg = self.config
-        deltas = np.rint(np.clip(actions, -1.0, 1.0) * cfg.h_max)
+        # np.clip's values, then scaled and rounded, in one new array
+        deltas = np.minimum(actions, 1.0)
+        np.maximum(deltas, -1.0, out=deltas)
+        deltas *= cfg.h_max
+        np.rint(deltas, out=deltas)
         triggered = self._risk_triggered(t)
         if triggered.any():
-            deltas = np.where(triggered[..., None], -holdings, deltas)
+            np.negative(holdings, out=deltas, where=triggered[..., None])
         prices = self.table.close[t]
         new_h, new_b, executed = execute_trades_population(
             prices, holdings, balance, deltas, cfg.cost_rate,
@@ -376,7 +386,7 @@ class EnvPopulation:
     def __init__(self, envs: Sequence[_BaseEnv]):
         env = envs[0]
         key = population_key(env)
-        for other in envs:
+        for other in {id(e): e for e in envs}.values():  # each env once
             if population_key(other) != key:
                 raise EnvError("population envs must share one class, table, "
                                "feature matrix, risk series and config")
@@ -386,6 +396,7 @@ class EnvPopulation:
         self.env = env
         self.starts = np.array([e.start for e in envs])
         self.ends = np.array([e.end for e in envs])
+        self._last = self.ends - 1  # a row is done once t reaches it
         first = env.reset().observation()
         self._cash0 = np.full(len(envs), first[0])
         self._held0 = np.tile(first[-env.n:], (len(envs), 1))
@@ -401,8 +412,8 @@ class EnvPopulation:
         spoils only its own row."""
         self.cash, self.held, reward = self.env._population_step(
             self.t, self.cash, self.held, actions)[:3]
-        self.t = self.t + 1
-        done = self.t >= self.ends - 1
+        self.t += 1
+        done = self.t >= self._last
         if done.any():
             self.t[done] = self.starts[done]
             self.cash[done] = self._cash0[done]

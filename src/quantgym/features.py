@@ -17,7 +17,7 @@ import numpy as np
 from . import kernels
 from .errors import FeatureError, reading
 from .market_data import BarTable, _codes, _number, _read_blocks, \
-    format_timestamp, parse_epoch, parse_epochs
+    format_timestamp, parse_epoch
 
 logger = logging.getLogger(__name__)
 
@@ -142,14 +142,12 @@ def _read_event_columns(fh):
     """(times, tickers, values) of the rows of ``fh`` after its header,
     read by ``_read_blocks`` and checked whole-array as ``_event_rows``
     checks each row; None when a row fails."""
-    columns = _read_blocks(fh, ("enter_time", "ticker"), ("value",), None)
+    # news stamps seldom repeat, so each block's are parsed as they come
+    columns = _read_blocks(fh, ("enter_time", "ticker"), ("value",), None,
+                           stamps="enter_time")
     if columns is None:
         return None
-    ((texts, at), (names, codes)), (values,) = columns
-    try:  # each distinct text once
-        epochs = parse_epochs(texts)[at]
-    except ValueError:
-        return None
+    (epochs, (names, codes)), (values,) = columns
     if not np.isfinite(values).all():
         return None
     return (epochs.astype("datetime64[s]"),

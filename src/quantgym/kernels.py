@@ -287,9 +287,10 @@ def execute_trades_population(prices, holdings, balance, deltas,
     executed_deltas); row p of each equals the scalar kernel on row p,
     bit for bit. Only the buys read the balance, each one the balance
     the buys before it left, so only they loop over the tickers (with
-    vector operations over P). Everything else runs on the whole (P, n)
-    grid, and the sell proceeds are added to the balance in ticker order,
-    as the scalar kernel adds them.
+    vector operations over P, on a ticker-major copy of the buys and
+    prices, into buffers allocated once). Everything else runs on the
+    whole (P, n) grid, and the sell proceeds are added to the balance in
+    ticker order, as the scalar kernel adds them.
 
     ``fmin(q, cap)`` stands for the scalar ``cap if q > cap else q``
     (also when cap is NaN). The two can differ only in the sign of a
@@ -303,21 +304,31 @@ def execute_trades_population(prices, holdings, balance, deltas,
     # an unsold column adds -0.0, the exact identity
     b = _sum_in_order(balance, np.where(sold, proceeds - cost_rate * proceeds,
                                         -0.0))
-    buy = np.fmax(deltas, 0.0)
-    unit = prices * (1.0 + cost_rate)
+    # row i: ticker i of every account; a price row per account, or one
+    # price for all of them
+    buy = np.fmax(deltas.T, 0.0, order="C")
+    price = np.ascontiguousarray(prices.T)
+    unit = price * (1.0 + cost_rate)
     if not allow_margin and not unit.min() > 0.0:
         # a unit cost <= 0 affords no share: those buys become 0 here, and
         # a unit of 1 keeps their unused cap free of a division by zero
-        payable = unit > 0.0
-        buy = np.where(payable, buy, 0.0)
-        unit = np.where(payable, unit, 1.0)
-    for i, (price, u) in enumerate(zip(prices.T, unit.T)):
-        qty = buy[:, i]
+        unpayable = ~(unit > 0.0)
+        np.copyto(buy, 0.0, where=unpayable.reshape(len(buy), -1))
+        np.copyto(unit, 1.0, where=unpayable)
+    # every output is passed by position: a keyword costs more per call
+    afford, spend = np.empty_like(b), np.empty_like(b)
+    fills = np.empty(b.shape, dtype=bool)
+    for qty, p, u in zip(buy, price, unit):
         if not allow_margin:
-            qty = np.fmin(qty, np.floor(b / u))
-        notional = qty * price
-        np.subtract(b, notional + cost_rate * notional, out=b, where=qty > 0.0)
-        buy[:, i] = qty
+            np.divide(b, u, afford)
+            np.floor(afford, afford)
+            np.fmin(qty, afford, qty)
+        np.multiply(qty, p, spend)  # the notional, then plus its fee
+        np.multiply(cost_rate, spend, afford)
+        np.add(spend, afford, spend)
+        np.greater(qty, 0.0, fills)
+        np.subtract(b, spend, b, where=fills)
+    buy = buy.T
     bought = buy > 0.0
     executed = np.where(sold, -sell, np.where(bought, buy, 0.0))
     new_h = np.where(sold | bought, holdings + executed, holdings)

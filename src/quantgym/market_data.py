@@ -312,12 +312,16 @@ def _ingest_rows(reader, ticker: str | None, rows: dict, bars: array,
         append(values)
 
 
-def _read_blocks(fh, texts: tuple, numbers: tuple, quotechar: str | None):
+def _read_blocks(fh, texts: tuple, numbers: tuple, quotechar: str | None,
+                 stamps: str | None = None):
     """The rows of ``fh`` after its header, parsed by numpy's C reader
     ``BLOCK_ROWS`` rows at a time: for each field in ``texts`` its
     distinct texts in first-seen order and each row's index among them,
     and the fields in ``numbers`` as one (len(numbers), m) float array;
-    None when the reader refuses a block.
+    None when the reader refuses a block. The field named ``stamps``, one
+    of ``texts`` whose texts seldom repeat, is parsed by ``parse_epochs``
+    a block at a time instead, into one int64 array of epochs; a block it
+    refuses gives None too.
 
     Only one block's texts are held as objects. A row whose quoted
     newline falls on a block edge is split between two blocks: the reader
@@ -340,13 +344,16 @@ def _read_blocks(fh, texts: tuple, numbers: tuple, quotechar: str | None):
                     delimiter=",", comments=None, quotechar=quotechar,
                     ndmin=1, dtype=dtype)
                 for seen, parts, key in zip(index, first, texts):
-                    parts.append(_first_rows(seen, block[key].tolist(), rows))
+                    column = block[key].tolist()
+                    parts.append(parse_epochs(column) if key == stamps
+                                 else _first_rows(seen, column, rows))
                 values.append(np.array([block[k] for k in numbers]))
                 rows += len(block)
-    except ValueError:  # a field count, a number or the text encoding
+    except ValueError:  # a field count, a number, the text encoding or a stamp
         return None
-    return ([_ranked(seen, np.concatenate(parts))
-             for seen, parts in zip(index, first)],
+    return ([np.concatenate(parts) if key == stamps
+             else _ranked(seen, np.concatenate(parts))
+             for seen, parts, key in zip(index, first, texts)],
             np.concatenate(values, axis=1))
 
 

@@ -679,6 +679,44 @@ class TestCEMLockstep:
                 assert_bitwise_equal(outcomes[k].get_flat(),
                                      expected[k].get_flat())
 
+    def test_objective_actions_are_each_rows_forward_mean(self, monkeypatch):
+        """The actions CEM's objective steps with are, row by row,
+        ``GaussianPolicy.forward(obs)[0]`` of that sample row's policy."""
+        # both hidden values, in the order the chunk runs them
+        jobs = self.jobs(TradingEnv)
+        jobs = [jobs[k] for k in (5, 6, 0, 1)]
+        P = jobs[0][1].population
+        asked, seen = [], []
+        ask, returns = cem._Search.ask, cem.population_returns
+
+        def recorded_ask(search, out):
+            ask(search, out)
+            asked.append(out.copy())
+
+        def recorded_returns(envs, act):
+            samples = asked[-len(jobs):]  # one block per job
+
+            def recorded_act(obs):
+                actions = act(obs)
+                seen.append((samples, obs.copy(), actions.copy()))
+                return actions
+            return returns(envs, recorded_act)
+
+        monkeypatch.setattr(cem._Search, "ask", recorded_ask)
+        monkeypatch.setattr(cem, "population_returns", recorded_returns)
+        train_cem_all(jobs)
+        assert len(asked) == 3 * len(jobs)  # every generation was scored
+        for samples, obs, actions in seen:
+            assert actions.shape == (len(jobs) * P, 3)
+            for r in range(len(jobs) * P):
+                env, config = jobs[r // P]
+                policy = GaussianPolicy(env.observation_dim, env.action_dim,
+                                        config.hidden)
+                policy.obs_scale = np.maximum(
+                    1.0, np.abs(env.reset().observation()))
+                policy.set_flat(samples[r // P][r % P])
+                assert_bitwise_equal(actions[r], policy.forward(obs[r])[0][0])
+
     def test_search_settings_validated(self):
         jobs = self.jobs(TradingEnv)[:2]
         for field, value, message in [("iterations", 0, "iterations"),

@@ -1,7 +1,9 @@
 """The fill kernel keeps its invariants; the population fill kernel
-agrees with the scalar one row by row; the chunked turbulence kernel,
-the stacked Wilder passes, CCI and MACD give the bits of their
-step-by-step oracles."""
+agrees with the scalar one row by row, also on drawn accounts; the
+chunked turbulence kernel, the stacked Wilder passes, CCI and MACD give
+the bits of their step-by-step oracles."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -94,6 +96,54 @@ def test_execute_trades_population_takes_prices_per_row():
             assert_bitwise_equal(new_b[p], b)
             assert_bitwise_equal(executed[p], e)
             assert_bitwise_equal(fee_total(executed[p], prices[p], 0.001), c)
+
+
+@st.composite
+def fill_cases(draw):
+    """Arguments of ``execute_trades_population``: prices shared by every
+    row or given per row, zeros among them; balances of 0.0, -0.0, below
+    zero and NaN; both flags and three cost rates."""
+    n, P = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    price = st.one_of(st.just(0.0), st.floats(0.01, 500.0))
+    shape = draw(st.sampled_from([(n,), (P, n)]))
+    prices = np.array(draw(st.lists(price, min_size=math.prod(shape),
+                                    max_size=math.prod(shape)))).reshape(shape)
+    shares = st.integers(-40, 40).map(float)
+    holdings = np.array(draw(st.lists(shares, min_size=P * n,
+                                      max_size=P * n))).reshape(P, n)
+    deltas = np.array(draw(st.lists(shares, min_size=P * n,
+                                    max_size=P * n))).reshape(P, n)
+    balance = np.array(draw(st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0, -250.0, np.nan]),
+                  st.floats(-1000.0, 5000.0)), min_size=P, max_size=P)))
+    return (prices, holdings, balance, deltas,
+            draw(st.sampled_from([0.0, 0.001, 0.05])), draw(st.booleans()),
+            draw(st.booleans()))
+
+
+# in row 0, cash clips three buys in a row: to 99 of 100 shares, then
+# to none of 30, twice
+@example((np.array([10.0, 20.0, 30.0]), np.zeros((2, 3)),
+          np.array([1000.0, 5000.0]), np.array([[100.0, 30.0, 30.0]] * 2),
+          0.001, False, False))
+@settings(max_examples=300, deadline=None)
+@given(fill_cases())
+def test_execute_trades_population_property(case):
+    """Row by row, the population kernel gives the scalar kernel's bits."""
+    prices, holdings, balance, deltas, cost_rate, allow_short, \
+        allow_margin = case
+    new_h, new_b, executed = kernels.execute_trades_population(
+        prices, holdings, balance, deltas, cost_rate, allow_short,
+        allow_margin)
+    for p in range(len(balance)):
+        row_prices = prices if prices.ndim == 1 else prices[p]
+        h, b, e, c = kernels.execute_trades_kernel(
+            row_prices, holdings[p], float(balance[p]), deltas[p], cost_rate,
+            allow_short, allow_margin)
+        assert_bitwise_equal(new_h[p], h)
+        assert_bitwise_equal(new_b[p], b)
+        assert_bitwise_equal(executed[p], e)
+        assert_bitwise_equal(fee_total(executed[p], row_prices, cost_rate), c)
 
 
 @st.composite
