@@ -4,11 +4,13 @@
 A chunk trains as one lockstep population over an ``EnvPopulation``: one
 env step per rollout step for all rows, whatever their network shapes,
 and one stacked forward, loss and Adam step per shape. The ``_Learners``
-rows sample, update and check for divergence. ``train_a2c`` is its case
-of one job.
+rows sample, update and check for divergence, filling rollout buffers
+allocated once per chunk; the gradient-clip norms double as the
+finiteness check. ``train_a2c`` is its case of one job.
 """
 from __future__ import annotations
 
+import copy
 import dataclasses
 import itertools
 import math
@@ -143,14 +145,16 @@ class Adam:
         return np.subtract(params, step, out=params)
 
 
-def _clip_rows(grad: np.ndarray, limit: float) -> None:
+def _clip_rows(grad: np.ndarray, limit: float) -> np.ndarray:
     """Scale each row of grad whose norm exceeds limit down to that norm,
-    in place. A row within the limit is multiplied by 1.0, which leaves
-    every value as it is."""
+    in place, and return the (P,) norms of the rows before the clip. A
+    row within the limit is multiplied by 1.0, which leaves every value
+    as it is; a row whose norm overflows to inf is scaled to zeros."""
     # np.linalg.norm of a vector is the square root of its dot
     norms = np.sqrt(_row_dots(grad, grad))
     grad *= np.divide(limit, norms, out=np.ones_like(norms),
                       where=norms > limit)[:, None]
+    return norms
 
 
 class _Shape:
@@ -175,13 +179,15 @@ class _Learners:
     and sampling stream of configs[p]. Each run of
     rows with one ``hidden`` is a ``_Shape`` whose network math runs
     stacked; the action noise, the finiteness check and the rollout
-    buffers cover every row at once."""
+    buffers cover every row at once. The buffers and the noise block are
+    allocated once and refilled in place by every rollout: ``sample``
+    writes each step's scaled observations, actions and values, and
+    ``record`` its rewards and episode ends."""
 
     def __init__(self, obs_dim: int, action_dim: int,
                  configs: Sequence[TrainConfig]):
         self.configs = configs
         self.config = configs[0]
-        self.obs_dim, self.action_dim = obs_dim, action_dim
         self.shapes = []
         start = 0
         for hidden, run in itertools.groupby(configs, lambda c: c.hidden):
@@ -194,56 +200,55 @@ class _Learners:
         self.rngs = [np.random.default_rng(c.seed) for c in configs]
         self.obs_scale = np.ones((len(configs), obs_dim))
         self.failed: list[TrainingError | None] = [None] * len(configs)
-
-    def begin_rollout(self) -> None:
-        """Clear the rollout buffers and draw each row's action noise,
-        std * N(0, 1), for the rollout's steps. One (R, action_dim) draw
-        gives the values of R draws of (action_dim,), in order, and std
-        only changes in ``update``."""
-        P, R = len(self.configs), self.config.rollout_steps
-        self.batch_obs = np.empty((P, R, self.obs_dim))
-        self.batch_act = np.empty((P, R, self.action_dim))
+        P, R = len(configs), self.config.rollout_steps
+        self.batch_obs = np.empty((P, R, obs_dim))  # divided by obs_scale
+        self.batch_act = np.empty((P, R, action_dim))
         self.batch_rew, self.batch_val = np.empty((P, R)), np.empty((P, R))
         self.batch_done = np.empty((P, R), dtype=bool)
-        std = np.empty((P, self.action_dim))
-        for s in self.shapes:
-            np.exp(s.fields["log_std"], out=std[s.rows])
-        self.noise = std * np.stack([rng.standard_normal((R, self.action_dim))
-                                     for rng in self.rngs], axis=1)
+        self.noise = np.empty((P, R, action_dim))
 
-    def _forward(self, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Action means and values of every row on its (obs_dim,)
-        observation, one stacked forward per shape."""
-        P = len(self.configs)
-        mean, value = np.empty((P, self.action_dim)), np.empty(P)
-        x = (obs / self.obs_scale)[:, None, :]
+    def begin_rollout(self) -> None:
+        """Draw each row's action noise, std * N(0, 1), for the rollout's
+        steps. One (R, action_dim) draw gives the values of R draws of
+        (action_dim,), in order, and std only changes in ``update``."""
+        for rng, block in zip(self.rngs, self.noise):
+            rng.standard_normal(out=block)
         for s in self.shapes:
-            m, v, _ = s.template.forward_scaled(x[s.rows], s.fields)
+            self.noise[s.rows] *= np.exp(s.fields["log_std"])[:, None, :]
+
+    def _forward(self, x: np.ndarray, mean: np.ndarray,
+                 value: np.ndarray) -> None:
+        """Write the action means and values of every row on its
+        (obs_dim,) scaled observation x into mean and value, one stacked
+        forward per shape."""
+        for s in self.shapes:
+            m, v, _ = s.template.forward_scaled(x[s.rows, None, :], s.fields)
             mean[s.rows], value[s.rows] = m[:, 0, :], v[:, 0]
-        return mean, value
 
-    def sample(self, obs: np.ndarray, i: int, step: int):
-        """Actions and values of every row on its (obs_dim,) observation,
-        with the noise drawn for rollout step i.
+    def sample(self, obs: np.ndarray, i: int, step: int) -> np.ndarray:
+        """Actions of every row on its (obs_dim,) observation, with the
+        noise drawn for rollout step i; the scaled observations, the
+        actions and the values are stored as rollout step i.
 
         A row whose action is not finite fails at this step. Rows never
         mix, so a failed row can go on stepping without touching the
         others.
         """
-        actions, values = self._forward(obs)
-        actions += self.noise[i]
+        actions = self.batch_act[:, i]
+        self._forward(np.divide(obs, self.obs_scale, out=self.batch_obs[:, i]),
+                      actions, self.batch_val[:, i])
+        actions += self.noise[:, i]
         finite = np.isfinite(actions)
-        if not finite.all():
+        if not np.logical_and.reduce(finite, axis=None):
             for p in np.flatnonzero(~finite.all(axis=1)):
                 self._fail(p, f"non-finite action at step {step}; try a "
                               f"smaller learning rate")
-        return actions, values
+        return actions
 
-    def record(self, i: int, obs, actions, rewards, values, dones) -> None:
-        """Store rollout step i of every row."""
-        self.batch_obs[:, i], self.batch_act[:, i] = obs, actions
-        self.batch_rew[:, i], self.batch_val[:, i] = rewards, values
-        self.batch_done[:, i] = dones
+    def record(self, i: int, rewards, dones) -> None:
+        """Store the rewards and episode ends of rollout step i, whose
+        observations, actions and values ``sample`` stored."""
+        self.batch_rew[:, i], self.batch_done[:, i] = rewards, dones
 
     def _fail(self, p: int, reason: str) -> None:
         if self.failed[p] is None:
@@ -254,19 +259,25 @@ class _Learners:
 
         n-step returns bootstrap from the value of next_obs unless the
         rollout ended an episode; advantages are normalized per row. The
-        loss, gradient clip and Adam step run per shape.
+        loss, gradient clip and Adam step run per shape. A row fails when
+        its loss or gradient is not finite: with clipping on, a finite
+        loss and clip norm show every entry finite, and the entries are
+        checked only when some row's test fails (an overflowing norm of
+        finite entries clips the row to zeros and does not fail it).
         """
         c = self.config
-        obs, actions, rewards, dones, values = (
-            self.batch_obs, self.batch_act, self.batch_rew, self.batch_done,
-            self.batch_val)
-        _, v_last = self._forward(next_obs)
-        acc = np.where(dones[:, -1], 0.0, v_last)
+        x, actions, rewards, dones = (
+            self.batch_obs, self.batch_act, self.batch_rew, self.batch_done)
+        acc = np.empty(len(self.configs))  # the bootstrap values first
+        self._forward(next_obs / self.obs_scale,
+                      np.empty(actions[:, 0].shape), acc)
         returns = np.empty(rewards.shape)
         for i in range(rewards.shape[1] - 1, -1, -1):
-            acc = rewards[:, i] + c.gamma * np.where(dones[:, i], 0.0, acc)
+            np.copyto(acc, 0.0, where=dones[:, i])
+            np.multiply(c.gamma, acc, out=acc)
+            np.add(rewards[:, i], acc, out=acc)
             returns[:, i] = acc
-        advantages = returns - values
+        advantages = returns - self.batch_val
         adv_std = advantages.std(axis=1)
         scaled = adv_std > 1e-12
         advantages = np.where(
@@ -277,30 +288,35 @@ class _Learners:
         for s in self.shapes:
             r = s.rows
             loss, grad = _stacked_loss_and_grad(
-                s.template, s.params, obs[r] / self.obs_scale[r, None, :],
-                actions[r], returns[r], advantages[r], c.entropy_coef,
-                c.vf_coef)
-            for p in np.flatnonzero(~(np.isfinite(loss)
-                                      & np.isfinite(grad).all(axis=1))):
-                self._fail(r.start + p,
-                           f"non-finite loss/gradient at step {steps_done} "
-                           f"(loss={float(loss[p])!r}); try a smaller "
-                           f"learning rate")
+                s.template, s.params, x[r], actions[r], returns[r],
+                advantages[r], c.entropy_coef, c.vf_coef)
+            finite = np.isfinite(loss)
             if c.grad_clip > 0:
-                _clip_rows(grad, c.grad_clip)
+                finite &= np.isfinite(_clip_rows(grad, c.grad_clip))
+            if c.grad_clip <= 0 or not finite.all():
+                # clipping keeps each entry finite or non-finite
+                finite = np.isfinite(loss) & np.isfinite(grad).all(axis=1)
+                for p in np.flatnonzero(~finite):
+                    self._fail(r.start + p,
+                               f"non-finite loss/gradient at step "
+                               f"{steps_done} (loss={float(loss[p])!r}); "
+                               f"try a smaller learning rate")
             s.adam.step(s.params, grad)
 
     def outcomes(self) -> list[GaussianPolicy | TrainingError]:
+        """Each row's TrainingError, or its trained policy: a copy of its
+        shape's template holding the row's seed, observation scale and
+        parameters, so no random init is drawn to be overwritten."""
         out = []
         for s in self.shapes:
-            t = s.template
             for p, row in enumerate(s.params, s.rows.start):
                 if self.failed[p] is not None:
                     out.append(self.failed[p])
                     continue
-                policy = GaussianPolicy(t.obs_dim, t.action_dim, t.hidden,
-                                        self.configs[p].seed,
-                                        obs_scale=self.obs_scale[p].copy())
+                policy = copy.copy(s.template)
+                policy.hyperparameters = {**policy.hyperparameters,
+                                          "seed": self.configs[p].seed}
+                policy.obs_scale = self.obs_scale[p].copy()
                 policy.set_flat(row)
                 out.append(policy)
         return out
@@ -329,9 +345,8 @@ def _train_lockstep(envs, configs) -> list[GaussianPolicy | TrainingError]:
         rows.begin_rollout()
         for i in range(rows.config.rollout_steps):
             steps_done += 1
-            actions, values = rows.sample(obs, i, steps_done)
-            rewards, dones = population.step(actions)
-            rows.record(i, obs, actions, rewards, values, dones)
+            rewards, dones = population.step(rows.sample(obs, i, steps_done))
+            rows.record(i, rewards, dones)
             obs = population.observations()
         rows.update(obs, steps_done)
     return rows.outcomes()

@@ -100,10 +100,12 @@ class Transition:
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, so a (P, n) batch maps row by row."""
-    z = np.exp(x - x.max(axis=-1, keepdims=True))
-    w = z / z.sum(axis=-1, keepdims=True)
-    return w / w.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, so a (P, n) batch maps row by row.
+    Normalized twice, in place."""
+    z = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
+    return z
 
 
 def _row_dots(rows: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -256,9 +258,11 @@ class TradingEnv(_BaseEnv):
         action = self._check_steppable(action)
         state: TradingState = self._state
         t, t2 = state.t, state.t + 1
-        balance, holdings, reward, executed, triggered = \
-            self._population_step(t, np.array([state.balance]),
-                                  state.holdings[None], action[None])
+        balance, holdings = np.array([state.balance]), state.holdings[None]
+        balance, holdings, _, reward, executed, triggered = \
+            self._population_step(t, balance, holdings,
+                                  self._values(t, balance, holdings),
+                                  action[None])
         executed = executed[0]
         # the fill kernel's fee total: sells, then buys, in ticker order
         fees = self.config.cost_rate * (np.abs(executed) * state.prices)
@@ -273,11 +277,17 @@ class TradingEnv(_BaseEnv):
                           t2 >= self.end - 1,
                           {"cost": cost, "risk_triggered": bool(triggered)})
 
-    def _population_step(self, t, balance, holdings, actions):
-        """One step of P rows at step t, an int or a (P,) vector: the new
-        (P,) balances, (P, n) holdings and (P,) rewards, then the
-        executed share deltas and the risk flag (per row, or one for
-        every row when t is an int)."""
+    def _values(self, t, balance, holdings) -> np.ndarray:
+        """The (P,) account values of P rows at step t, an int or a (P,)
+        vector: holdings at the close of step t plus the balance."""
+        return _row_dots(holdings, self.table.close[t]) + balance
+
+    def _population_step(self, t, balance, holdings, value, actions):
+        """One step of P rows at step t, an int or a (P,) vector, whose
+        ``_values`` are value: the new (P,) balances, (P, n) holdings,
+        (P,) values and (P,) rewards, then the executed share deltas and
+        the risk flag (per row, or one for every row when t is an
+        int)."""
         cfg = self.config
         # np.clip's values, then scaled and rounded, in one new array
         deltas = np.minimum(actions, 1.0)
@@ -291,10 +301,9 @@ class TradingEnv(_BaseEnv):
         new_h, new_b, executed = execute_trades_population(
             prices, holdings, balance, deltas, cfg.cost_rate,
             cfg.allow_short, cfg.allow_margin)
-        prices_next = self.table.close[t + 1]
-        reward = ((_row_dots(new_h, prices_next) + new_b)
-                  - (_row_dots(holdings, prices) + balance)) * cfg.reward_scale
-        return new_b, new_h, reward, executed, triggered
+        new_value = self._values(t + 1, new_b, new_h)
+        reward = (new_value - value) * cfg.reward_scale
+        return new_b, new_h, new_value, reward, executed, triggered
 
 
 class PortfolioEnv(_BaseEnv):
@@ -335,8 +344,9 @@ class PortfolioEnv(_BaseEnv):
         action = self._check_steppable(action)
         state: PortfolioState = self._state
         t, t2 = state.t, state.t + 1
-        value, weights, reward, _, triggered, fee = self._population_step(
-            t, np.array([state.value]), state.weights[None], action[None])
+        value = np.array([state.value])
+        value, weights, _, reward, _, triggered, fee = self._population_step(
+            t, value, state.weights[None], value, action[None])
         next_state = PortfolioState(t2, self.table.calendar[t2],
                                     float(value[0]),
                                     self.table.close[t2].astype(float),
@@ -348,21 +358,28 @@ class PortfolioEnv(_BaseEnv):
                           {"cost": float(fee[0]),
                            "risk_triggered": bool(triggered)})
 
-    def _population_step(self, t, value, weights, actions):
-        """One step of P rows at step t, an int or a (P,) vector: the new
-        (P,) values, (P, n) weights and (P,) rewards, then the applied
-        weights (the new weights), the risk flag (per row, or one for
-        every row when t is an int) and the (P,) turnover fees."""
+    def _values(self, t, value, weights) -> np.ndarray:
+        """The (P,) values of P rows: the first slot of their state."""
+        return value
+
+    def _population_step(self, t, _, weights, value, actions):
+        """One step of P rows at step t, an int or a (P,) vector, whose
+        values are value (also their first state slot): the new (P,)
+        values, (P, n) weights, (P,) values again and (P,) rewards, then
+        the applied weights (the new weights), the risk flag (per row, or
+        one for every row when t is an int) and the (P,) turnover
+        fees."""
         cfg = self.config
         new_w = softmax(actions)
         triggered = self._risk_triggered(t)
         if triggered.any():
             new_w = np.where(triggered[..., None], 1.0 / self.n, new_w)
-        turnover = 0.5 * np.abs(new_w - weights).sum(axis=1)
+        change = new_w - weights
+        turnover = 0.5 * np.add.reduce(np.abs(change, out=change), axis=1)
         fee = value * cfg.turnover_cost_rate * turnover
         new_value = value * _row_dots(new_w, self._price_ratios[t]) - fee
         reward = (new_value - value) * cfg.reward_scale
-        return new_value, new_w, reward, new_w, triggered, fee
+        return new_value, new_w, new_value, reward, new_w, triggered, fee
 
 
 def population_key(env: _BaseEnv) -> tuple:
@@ -381,6 +398,9 @@ class EnvPopulation:
     and rewards equal that loop on ``envs[p]``, bit for bit. The envs
     must have one ``population_key``, as the envs of
     ``RollingData.make_env`` do, and each range must hold a step.
+    Each row's value after a step is the value the next step starts
+    from, so it is carried, not computed again; a reset row takes the
+    value of its start, computed once.
     """
 
     def __init__(self, envs: Sequence[_BaseEnv]):
@@ -400,8 +420,10 @@ class EnvPopulation:
         first = env.reset().observation()
         self._cash0 = np.full(len(envs), first[0])
         self._held0 = np.tile(first[-env.n:], (len(envs), 1))
+        self._value0 = env._values(self.starts, self._cash0, self._held0)
         self.t = self.starts.copy()
         self.cash, self.held = self._cash0.copy(), self._held0.copy()
+        self.value = self._value0.copy()
 
     def observations(self) -> np.ndarray:
         return self.env._observations(self.t, self.cash, self.held)
@@ -410,14 +432,16 @@ class EnvPopulation:
         """Apply (P, n) actions; returns (rewards, done) per row and resets
         the rows that are done. Rows never mix, so a non-finite action
         spoils only its own row."""
-        self.cash, self.held, reward = self.env._population_step(
-            self.t, self.cash, self.held, actions)[:3]
+        self.cash, self.held, self.value, reward = \
+            self.env._population_step(self.t, self.cash, self.held,
+                                      self.value, actions)[:4]
         self.t += 1
         done = self.t >= self._last
         if done.any():
             self.t[done] = self.starts[done]
             self.cash[done] = self._cash0[done]
             self.held[done] = self._held0[done]
+            self.value[done] = self._value0[done]
         return reward, done
 
 

@@ -118,36 +118,95 @@ class ConstRewardEnv:
 
 # --- A2C --------------------------------------------------------------------
 
+def adam_step_oracle(adam, params, grad):
+    """The out-of-place ``Adam.step``: returns new parameters and leaves
+    params and grad as they are."""
+    adam.t += 1
+    adam.m *= adam.beta1
+    adam.m += (1 - adam.beta1) * grad
+    adam.v *= adam.beta2
+    g2 = (1 - adam.beta2) * grad
+    g2 *= grad
+    adam.v += g2
+    step = adam.m / (1 - adam.beta1 ** adam.t)
+    step *= adam.lr
+    denom = np.divide(adam.v, 1 - adam.beta2 ** adam.t, out=g2)
+    np.sqrt(denom, out=denom)
+    denom += adam.eps
+    step /= denom
+    return np.subtract(params, step, out=step)
+
+
+def clip_oracle(grad, limit):
+    """The out-of-place clip of each gradient row to norm `limit`."""
+    norms = np.sqrt(np.array([g @ g for g in grad]))
+    clip = norms > limit
+    return np.where(clip[:, None],
+                    grad * (limit / np.where(clip, norms, 1.0))[:, None],
+                    grad)
+
+
 def train_a2c_oracle(env, config):
     """A2C on one reset/step environment, one transition at a time: the
-    oracle of the lockstep trainer. A quantgym env steps through
-    ``reference_step``. The first non-finite action, loss or gradient
-    raises its TrainingError."""
+    oracle of the lockstep trainer, sharing none of its code. It runs
+    ``GaussianPolicy.forward``, ``a2c_loss_and_grad`` and the out-of-place
+    clip and Adam above, with the job's own ``default_rng(seed)`` for the
+    noise. A quantgym env steps through ``reference_step``. The first
+    non-finite action, loss or gradient raises its TrainingError."""
     step = (functools.partial(reference_step, env)
             if isinstance(env, _BaseEnv) else env.step)
+    policy = GaussianPolicy(env.observation_dim, env.action_dim,
+                            config.hidden, config.seed)
+    rng = np.random.default_rng(config.seed)
+    adam = a2c.Adam(policy.n_parameters, config.learning_rate)
+    R = config.rollout_steps
     with np.errstate(all="ignore"):
-        rows = a2c._Learners(env.observation_dim, env.action_dim, [config])
         obs = env.reset().observation()
         # the observation scale is frozen from the first state
-        rows.obs_scale = np.maximum(1.0, np.abs(obs))[None]
+        policy.obs_scale = np.maximum(1.0, np.abs(obs))
         steps_done = 0
         while steps_done < config.steps:
-            rows.begin_rollout()
-            for i in range(config.rollout_steps):
+            noise = np.exp(policy.log_std) * rng.standard_normal(
+                (R, env.action_dim))
+            batch_obs, actions = [], []
+            rewards, values, dones = np.empty(R), np.empty(R), []
+            for i in range(R):
                 steps_done += 1
-                actions, values = rows.sample(obs[None], i, steps_done)
-                if rows.failed[0] is not None:
-                    raise rows.failed[0]
-                transition = step(actions[0])
-                rows.record(i, obs, actions, transition.reward, values,
-                            transition.done)
+                mean, value, _ = policy.forward(obs)
+                action = mean[0] + noise[i]
+                if not np.isfinite(action).all():
+                    raise TrainingError(f"non-finite action at step "
+                                        f"{steps_done}; try a smaller "
+                                        f"learning rate")
+                transition = step(action)
+                batch_obs.append(obs)
+                actions.append(action)
+                rewards[i], values[i] = transition.reward, value[0]
+                dones.append(transition.done)
                 state = env.reset() if transition.done \
                     else transition.next_state
                 obs = state.observation()
-            rows.update(obs[None], steps_done)
-            if rows.failed[0] is not None:
-                raise rows.failed[0]
-        return rows.outcomes()[0]
+            # n-step returns, bootstrapped unless the rollout ended an episode
+            acc = policy.forward(obs)[1][0]
+            returns = np.empty(R)
+            for i in range(R - 1, -1, -1):
+                acc = rewards[i] + config.gamma * (0.0 if dones[i] else acc)
+                returns[i] = acc
+            advantages = returns - values
+            if advantages.std() > 1e-12:
+                advantages = ((advantages - advantages.mean())
+                              / advantages.std())
+            loss, grad = a2c_loss_and_grad(
+                policy, np.array(batch_obs), np.array(actions), returns,
+                advantages, config.entropy_coef, config.vf_coef)
+            if not (np.isfinite(loss) and np.isfinite(grad).all()):
+                raise TrainingError(f"non-finite loss/gradient at step "
+                                    f"{steps_done} (loss={loss!r}); try a "
+                                    f"smaller learning rate")
+            if config.grad_clip > 0:
+                grad = clip_oracle(grad[None], config.grad_clip)[0]
+            policy.set_flat(adam_step_oracle(adam, policy.get_flat(), grad))
+    return policy
 
 
 class TestA2CGradient:
@@ -384,33 +443,46 @@ class TestA2CLockstep:
         assert_bitwise_equal(outcomes[1].get_flat(), expected.get_flat())
         assert_bitwise_equal(outcomes[1].obs_scale, expected.obs_scale)
 
+    def test_gradient_finiteness_rule(self, monkeypatch):
+        # row 1's first gradient is overwritten: entries whose squared
+        # norm overflows are finite and clip to zeros; one NaN entry
+        # fails the row alone, with or without clipping
+        env = self.jobs(TradingEnv)[0][0]
+        stacked = a2c._stacked_loss_and_grad
+        losses = []
 
-def adam_step_oracle(adam, params, grad):
-    """The out-of-place ``Adam.step``: returns new parameters and leaves
-    params and grad as they are."""
-    adam.t += 1
-    adam.m *= adam.beta1
-    adam.m += (1 - adam.beta1) * grad
-    adam.v *= adam.beta2
-    g2 = (1 - adam.beta2) * grad
-    g2 *= grad
-    adam.v += g2
-    step = adam.m / (1 - adam.beta1 ** adam.t)
-    step *= adam.lr
-    denom = np.divide(adam.v, 1 - adam.beta2 ** adam.t, out=g2)
-    np.sqrt(denom, out=denom)
-    denom += adam.eps
-    step /= denom
-    return np.subtract(params, step, out=step)
+        def train(grad_clip, poison):
+            losses.clear()
 
+            def poisoned(*args):
+                loss, grad = stacked(*args)
+                if not losses:
+                    losses.append(float(loss[1]))
+                    poison(grad[1])
+                return loss, grad
 
-def clip_oracle(grad, limit):
-    """The out-of-place clip of each gradient row to norm `limit`."""
-    norms = np.sqrt(np.array([g @ g for g in grad]))
-    clip = norms > limit
-    return np.where(clip[:, None],
-                    grad * (limit / np.where(clip, norms, 1.0))[:, None],
-                    grad)
+            monkeypatch.setattr(a2c, "_stacked_loss_and_grad", poisoned)
+            return train_a2c_all([(env, TrainConfig(
+                steps=20, rollout_steps=10, hidden=4, seed=s,
+                grad_clip=grad_clip)) for s in (1, 2, 3)])
+
+        def fill(value):
+            return lambda g: g.fill(value)
+
+        def nan_entry(g):
+            g[5] = np.nan
+
+        for got, want in zip(train(0.5, fill(1e200)), train(0.5, fill(0.0))):
+            assert_bitwise_equal(got.get_flat(), want.get_flat())
+        for grad_clip in (0.5, 0.0):
+            clean = train(grad_clip, lambda g: None)
+            outcomes = train(grad_clip, nan_entry)
+            assert str(outcomes[1]) == (
+                f"non-finite loss/gradient at step 10 (loss={losses[0]!r}); "
+                f"try a smaller learning rate")
+            for k in (0, 2):
+                assert_bitwise_equal(outcomes[k].get_flat(),
+                                     clean[k].get_flat())
 
 
 class TestA2CInPlace:
@@ -456,9 +528,8 @@ class TestA2CInPlace:
             rows.begin_rollout()
             for i in range(4):
                 obs = rng.normal(0.0, 1.0, (2, 3))
-                actions, values = rows.sample(obs, i, 4 * update + i + 1)
-                rows.record(i, obs, actions, rng.normal(0.0, 1.0, 2), values,
-                            np.zeros(2, dtype=bool))
+                rows.sample(obs, i, 4 * update + i + 1)
+                rows.record(i, rng.normal(0.0, 1.0, 2), np.zeros(2, dtype=bool))
             rows.update(rng.normal(0.0, 1.0, (2, 3)), 4 * update + 4)
         assert shape.params is params
         assert not (params == shape.template.get_flat()).all()
