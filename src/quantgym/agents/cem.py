@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..config import check_domain
 from ..envs import population_returns
 from ..errors import TrainingError, unwrap
 from .policy import GaussianPolicy, TrainConfig, train_in_lockstep
@@ -27,13 +28,10 @@ CEM_LOCKSTEP_ROWS = 72
 
 
 def _check_search(iterations: int, population: int, elite_frac: float):
-    """The population, once the search settings check out."""
-    if iterations < 1:
-        raise TrainingError("iterations must be at least 1")
-    if population < 2:
-        raise TrainingError("population must be at least 2")
-    if not 0.0 < elite_frac <= 1.0:
-        raise TrainingError("elite_frac must lie in (0, 1]")
+    """The population, once the search settings lie in their domains."""
+    for key, value in (("iterations", iterations), ("population", population),
+                       ("elite_frac", elite_frac)):
+        check_domain("agent", key, value, TrainingError)
     return population
 
 

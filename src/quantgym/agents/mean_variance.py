@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..config import check_domain
 from ..errors import TrainingError
 
 
@@ -49,8 +50,7 @@ def mean_variance_weights(mu: np.ndarray, sigma: np.ndarray,
         raise TrainingError(f"covariance shape {sigma.shape} != {(n, n)}")
     if mode not in ("mean_variance", "min_variance"):
         raise TrainingError(f"unknown mode {mode!r}")
-    if risk_aversion < 0:
-        raise TrainingError("risk_aversion must be >= 0")
+    check_domain("agent", "risk_aversion", risk_aversion, TrainingError)
     sym = 0.5 * (sigma + sigma.T)
     eigs = np.linalg.eigvalsh(sym)
     scale = max(1.0, float(eigs[-1]))

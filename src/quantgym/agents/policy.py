@@ -8,6 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..config import check_domain
 from ..envs import population_key
 from ..errors import DataError, TrainingError, reading
 
@@ -28,13 +29,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.gamma <= 1.0:
-            raise TrainingError("gamma must lie in (0, 1]")
-        if self.steps < 1 or self.rollout_steps < 1:
-            raise TrainingError("steps and rollout_steps must be positive")
-        if not self.learning_rate > 0.0:
-            raise TrainingError(f"learning_rate must be positive, got "
-                                f"{self.learning_rate!r}")
+        for key in ("steps", "learning_rate", "gamma", "rollout_steps"):
+            check_domain("agent", key, getattr(self, key), TrainingError)
 
 
 class Policy:

@@ -39,13 +39,12 @@ from .agents import (
     train_cem,
     train_cem_all,
 )
-from .config import RunConfig, load_config
+from .config import TRAINING_KEYS, RunConfig, load_config, parse_indicators
 from .envs import EnvConfig
 from .errors import ConfigError, DataError, QuantGymError, TrainingError, \
     reading
 from .features import (
     FeatureMatrix,
-    IndicatorSpec,
     align_events,
     compute_feature_matrix,
     load_events_csv,
@@ -111,36 +110,12 @@ def load_table(config: RunConfig) -> BarTable:
     source = _data_source(config)
     frequency = config.get("data", "frequency")
     fmt = config.get("data", "format")
-    if fmt == "csv":
-        raw = ingest_csv(source, frequency)
-    elif fmt == "dir":
-        raw = ingest_dir(source, frequency)
-    else:
-        raise ConfigError(f"unknown data format {fmt!r}")
+    raw = (ingest_csv if fmt == "csv" else ingest_dir)(source, frequency)
     policy = CleaningPolicy(
         calendar_rule=config.get("data", "calendar_rule"),
         fill_rule=config.get("data", "fill_rule"),
         min_coverage=config.get("data", "min_coverage"))
     return clean(raw, policy)
-
-
-def parse_indicators(spec_text: str) -> list[IndicatorSpec]:
-    """"macd,rsi:7" -> [IndicatorSpec("MACD"), IndicatorSpec("RSI", (7,))]."""
-    specs = []
-    for chunk in spec_text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        kind, *periods = chunk.split(":")
-        try:
-            params = tuple(int(p) for p in periods)
-        except ValueError:
-            raise ConfigError(f"features.indicators: {chunk!r} has a "
-                              f"non-integer period") from None
-        specs.append(IndicatorSpec(kind, params))
-    if not specs:
-        raise ConfigError("features.indicators selects no indicators")
-    return specs
 
 
 def build_features(config: RunConfig, table: BarTable) -> FeatureMatrix:
@@ -199,26 +174,9 @@ def build_rolling_data(config: RunConfig) -> RollingData:
 
 
 def train_config_from(config: RunConfig, hyper: dict, seed: int) -> TrainConfig:
-    agent = config["agent"]
-    values = {
-        "steps": agent["steps"],
-        "learning_rate": agent["learning_rate"],
-        "gamma": agent["gamma"],
-        "rollout_steps": agent["rollout_steps"],
-        "hidden": agent["hidden"],
-        "entropy_coef": agent["entropy_coef"],
-        "population": agent["population"],
-        "elite_frac": agent["elite_frac"],
-        "iterations": agent["iterations"],
-        "seed": seed,
-    }
-    for key, value in hyper.items():
-        if key == "type":
-            continue
-        if key not in values:
-            raise ConfigError(f"grid key {key!r} is not a training field")
-        values[key] = value
-    return TrainConfig(**values)
+    """The [agent] training fields, with a grid point's values over them."""
+    agent = dict(config["agent"], **hyper)
+    return TrainConfig(seed=seed, **{key: agent[key] for key in TRAINING_KEYS})
 
 
 # trainable agent kind -> trainer of a list of (env, TrainConfig) jobs
@@ -237,12 +195,7 @@ def make_agent_factory(config: RunConfig):
     calls it.
     """
     default_kind = config.get("agent", "type")
-
-    def rebalance_every() -> int:
-        every = config.get("agent", "rebalance_every")
-        if every < 1:
-            raise ConfigError(f"agent.rebalance_every must be >= 1, got {every}")
-        return every
+    rebalance_every = config.get("agent", "rebalance_every")
 
     def factory(env, hyper, seed):
         kind = hyper.get("type", default_kind)
@@ -255,20 +208,16 @@ def make_agent_factory(config: RunConfig):
         if kind == "passive":
             return baseline_passive(env)
         if kind == "equal":
-            return baseline_equal(env, rebalance_every())
+            return baseline_equal(env, rebalance_every)
         if kind == "zero":
             return baseline_zero(env)
-        if kind == "mean_variance":
-            mu, sigma = estimate_moments(env.table.close[env.start:env.end])
-            weights = mean_variance_weights(
-                mu, sigma, config.get("agent", "risk_aversion"))
-            return WeightRebalancePolicy(
-                weights,
-                kind="trading" if config.get("env", "kind") == "trading"
-                else "portfolio",
-                rebalance_every=rebalance_every(),
-                h_max=config.get("env", "h_max"))
-        raise ConfigError(f"unknown agent type {kind!r}")
+        # mean_variance: load_config allows no other kind
+        mu, sigma = estimate_moments(env.table.close[env.start:env.end])
+        weights = mean_variance_weights(
+            mu, sigma, config.get("agent", "risk_aversion"))
+        return WeightRebalancePolicy(
+            weights, kind=config.get("env", "kind"),
+            rebalance_every=rebalance_every, h_max=config.get("env", "h_max"))
 
     def fit_all(jobs):
         outcomes = [None] * len(jobs)

@@ -13,12 +13,13 @@ sums one episode per row of an ``EnvPopulation``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
+from .config import check_domain
 from .errors import EnvError
 from .features import FeatureMatrix, TurbulenceSeries
 from .kernels import _added_in_order, execute_trades_population
@@ -40,19 +41,8 @@ class EnvConfig:
     turnover_cost_rate: float = 0.0  # portfolio env rebalancing fee
 
     def __post_init__(self):
-        if self.initial_capital <= 0:
-            raise EnvError("initial_capital must be positive")
-        if not 0.0 <= self.cost_rate <= 0.1:
-            raise EnvError("cost_rate must lie in [0, 0.1]")
-        if self.h_max <= 0:
-            raise EnvError("h_max must be positive")
-        if self.risk_indicator not in ("turbulence", "vix", "none"):
-            raise EnvError(f"unknown risk_indicator {self.risk_indicator!r}")
-        if not 0.0 <= self.turnover_cost_rate <= 0.1:
-            raise EnvError("turnover_cost_rate must lie in [0, 0.1]")
-        if not self.reward_scale > 0.0:
-            raise EnvError(f"reward_scale must be positive, got "
-                           f"{self.reward_scale!r}")
+        for f in fields(self):
+            check_domain("env", f.name, getattr(self, f.name), EnvError)
 
 
 @dataclass(frozen=True)

@@ -15,44 +15,12 @@ from math import isfinite
 import numpy as np
 
 from . import kernels
+from .config import IndicatorSpec
 from .errors import FeatureError, reading
 from .market_data import BarTable, _codes, _number, _read_blocks, \
     format_timestamp, parse_epoch
 
 logger = logging.getLogger(__name__)
-
-INDICATOR_DEFAULTS = {
-    "MACD": (12, 26, 9),
-    "RSI": (14,),
-    "CCI": (20,),
-    "ADX": (14,),
-    "SMA": (20,),
-    "EMA": (20,),
-}
-
-
-@dataclass(frozen=True)
-class IndicatorSpec:
-    kind: str
-    params: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        kind = self.kind.upper()
-        if kind not in INDICATOR_DEFAULTS:
-            raise FeatureError(f"unknown indicator kind {self.kind!r}")
-        object.__setattr__(self, "kind", kind)
-        params = tuple(int(p) for p in self.params) or INDICATOR_DEFAULTS[kind]
-        if len(params) != len(INDICATOR_DEFAULTS[kind]):
-            raise FeatureError(
-                f"{kind} takes {len(INDICATOR_DEFAULTS[kind])} period(s), "
-                f"got {params}")
-        if any(p < 1 for p in params):
-            raise FeatureError(f"{kind} periods must be >= 1, got {params}")
-        object.__setattr__(self, "params", params)
-
-    @property
-    def name(self) -> str:
-        return "_".join([self.kind.lower()] + [str(p) for p in self.params])
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,22 +318,24 @@ def align_events(table: BarTable, events: EventSeries) -> np.ndarray:
     # become one time-sorted slice
     order = np.lexsort((times, cols))
     times, vals, cols = times[order], vals[order], cols[order]
-    starts = np.searchsorted(cols, np.arange(n + 1))
 
     cal = table.calendar
     if events.kind == "sentiment":
-        # bar t's events are those in (edges[t], edges[t + 1]]
+        # bar t's events are those in (edges[t], edges[t + 1]]; each bin
+        # with an event is one run of the sorted events, so it is found
+        # without a (T, n) grid
         edges = np.concatenate(
             (cal[:1] - np.timedelta64(table.freq_seconds, "s"), cal))
-        lo, count = np.empty((T, n), np.intp), np.empty((T, n), np.intp)
-        for j in range(n):
-            a, b = starts[j], starts[j + 1]
-            bounds = a + np.searchsorted(times[a:b], edges, side="right")
-            lo[:, j], count[:, j] = bounds[:-1], np.diff(bounds)
+        bar = np.searchsorted(edges, times, side="left") - 1
+        kept = (cols >= 0) & (bar >= 0) & (bar < T)
+        cell, vals = bar[kept] * n + cols[kept], vals[kept]
+        lo = np.flatnonzero(np.diff(cell, prepend=-1))
+        count = np.diff(lo, append=len(cell))
+        cell = cell[lo]
         # numpy's mean of fewer than 8 values is (0.0 + x0 + x1 + ...) / k,
         # so every short bin's k-th value is added in one column; a longer
         # bin sums pairwise in its own mean
-        short = (count > 0) & (count < 8)
+        short = count < 8
         first, k_short = lo[short], count[short]
         total = np.zeros(len(first))
         # a sum that overflows gives inf, which FeatureMatrix rejects by
@@ -374,10 +344,12 @@ def align_events(table: BarTable, events: EventSeries) -> np.ndarray:
             for k in range(int(k_short.max(initial=0))):
                 more = k_short > k
                 total[more] += vals[first[more] + k]
-            out[short] = total / k_short
-            for t, j in np.argwhere(count >= 8).tolist():
-                out[t, j] = vals[lo[t, j]:lo[t, j] + count[t, j]].mean()
+            out.flat[cell[short]] = total / k_short
+            for c, a, k in zip(cell[~short].tolist(), lo[~short].tolist(),
+                               count[~short].tolist()):
+                out.flat[c] = vals[a:a + k].mean()
     else:
+        starts = np.searchsorted(cols, np.arange(n + 1))
         for j in range(n):
             a, b = starts[j], starts[j + 1]
             if a == b:

@@ -13,13 +13,14 @@ import logging
 import os
 import warnings
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from itertools import chain, count, islice
 from math import inf, isfinite
 
 import numpy as np
 
+from .config import FREQUENCY_SECONDS, check_domain
 from .errors import DataError, IngestError, reading
 
 logger = logging.getLogger(__name__)
@@ -30,16 +31,6 @@ PER_TICKER_HEADER = ("timestamp", "open", "high", "low", "close", "volume")
 # the rows numpy's C reader parses at a time; a block's text fields are
 # coded and dropped before the next block is read
 BLOCK_ROWS = 1 << 12
-
-FREQUENCY_SECONDS = {
-    "1min": 60,
-    "5min": 300,
-    "15min": 900,
-    "30min": 1800,
-    "1h": 3600,
-    "1day": 86400,
-    "1d": 86400,
-}
 
 
 def parse_epoch(text: str) -> int:
@@ -184,12 +175,8 @@ class CleaningPolicy:
     min_coverage: float = 0.0
 
     def __post_init__(self):
-        if self.calendar_rule not in ("intersection", "union"):
-            raise DataError(f"unknown calendar_rule {self.calendar_rule!r}")
-        if self.fill_rule not in ("fill", "drop-ticker"):
-            raise DataError(f"unknown fill_rule {self.fill_rule!r}")
-        if not 0.0 <= self.min_coverage <= 1.0:
-            raise DataError("min_coverage must be within [0, 1]")
+        for f in fields(self):
+            check_domain("data", f.name, getattr(self, f.name), DataError)
 
 
 def _first_rows(index: dict, values: list, start: int = 0) -> np.ndarray:

@@ -19,6 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .config import check_domain
 from .envs import PortfolioEnv, TradingEnv, Transition
 from .errors import DataError, QuantGymError, TrainingError, unwrap
 from .market_data import format_timestamp
@@ -97,8 +98,8 @@ def metrics(values, risk_free: float = 0.0, trading_days: int | None = None,
         raise DataError("need at least two portfolio values")
     if not (np.isfinite(values).all() and (values > 0).all()):
         raise DataError("portfolio values must be positive and finite")
-    if annualization_basis not in (365, 252):
-        raise DataError("annualization_basis must be 365 or 252")
+    check_domain("pipeline", "annualization_basis", annualization_basis,
+                 DataError)
 
     steps = values.size - 1
     days = None
@@ -186,8 +187,9 @@ def plan_windows(days: Sequence, n_train: int, n_test: int,
     Consecutive windows shift by exactly one day; the first trade day is
     day index N+S.
     """
-    if n_train < 1 or n_test < 0 or n_trade < 1:
-        raise DataError("need n_train >= 1, n_test >= 0, n_trade >= 1")
+    for key, value in (("n_train", n_train), ("n_test", n_test),
+                       ("n_trade", n_trade)):
+        check_domain("pipeline", key, value, DataError)
     if len(days) < n_train + n_test + n_trade:
         raise DataError(
             f"calendar has {len(days)} days, need at least "
@@ -323,8 +325,7 @@ class RollingData:
     risk_series: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.env_kind not in ("trading", "portfolio"):
-            raise DataError(f"unknown env_kind {self.env_kind!r}")
+        check_domain("env", "kind", self.env_kind, DataError)
 
     def make_env(self, start: int, end: int):
         cls = TradingEnv if self.env_kind == "trading" else PortfolioEnv

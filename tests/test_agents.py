@@ -598,7 +598,7 @@ class TestCEM:
         assert history == [float(np.max(s @ np.arange(3.0))) for s in seen]
 
     def test_iterations_floor(self):
-        with pytest.raises(TrainingError, match="iterations must be at least 1"):
+        with pytest.raises(TrainingError, match=r"iterations = 0 is outside \[1, inf\)"):
             cem_optimize(rowwise(lambda th: 0.0), dim=2, iterations=0,
                          population=4, elite_frac=0.5)
 
@@ -796,7 +796,8 @@ class TestCEMLockstep:
             bad = [(env, dataclasses.replace(c, **{field: value}))
                    for env, c in jobs]
             outcomes = train_cem_all(bad + jobs)
-            assert [str(o).split()[0] for o in outcomes[:2]] == [message] * 2
+            assert [str(o).split()[:2] for o in outcomes[:2]] == [
+                ["[agent]", message]] * 2
             assert not any(isinstance(o, TrainingError) for o in outcomes[2:])
 
     @pytest.mark.parametrize("env_cls", [TradingEnv, PortfolioEnv])

@@ -2,6 +2,7 @@
 import csv
 import json
 import logging
+import math
 import os
 import re
 import subprocess
@@ -143,6 +144,18 @@ class TestIngestFeatures:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "'rsi:abc'" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("spec",
+                             ["rsi:0", "macd:12:0:9", "bogus", "rsi:7:7"])
+    def test_refused_indicator_exits_2_before_ingest(self, tmp_path, capsys,
+                                                     spec):
+        code = run(["features"], tmp_path,
+                   ["--set", f"data.source={tmp_path / 'missing.csv'}",
+                    "--set", f"features.indicators={spec}"])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("config error: [features] indicators: "), err
         assert len(err.splitlines()) == 1
 
     def test_event_feature_column(self, tmp_path):
@@ -587,11 +600,10 @@ class TestExitCodes:
             assert len(err.splitlines()) == 1
 
     def test_runtime_error_exits_4(self, tmp_path):
-        # cem with population 1 raises TrainingError out of cmd_train
-        code = run(["train"], tmp_path,
-                   ["--set", "agent.type=cem", "--set", "agent.population=1"])
+        # a diverging a2c fit raises TrainingError out of cmd_train
+        code = run(["train"], tmp_path, ["--set", "agent.learning_rate=1e9"])
         assert code == 4
-        assert run(["train"], tmp_path, ["--set", "agent.hidden=0"]) == 4
+        assert not (tmp_path / "train" / "policy.json").exists()
 
     @pytest.mark.parametrize("env_kind", ["trading", "portfolio"])
     @pytest.mark.parametrize("kind", ["a2c", "cem"])
@@ -613,30 +625,31 @@ class TestExitCodes:
         # trade-sim absorbs the same failure per window; a run in which
         # every window was skipped traded nothing and is an error
         code = run(["trade-sim"], tmp_path,
-                   ["--set", "agent.type=cem", "--set", "agent.population=1",
+                   ["--set", "agent.learning_rate=1e9",
                     "--set", "pipeline.n_trade=2"])
         assert code == 4
         err = capsys.readouterr().err
         assert err.startswith("runtime error: every window was skipped")
-        assert "population must be at least 2" in err
+        assert "non-finite" in err
         assert len(err.splitlines()) == 1
 
     def test_cem_iterations_below_one_exit_4(self, tmp_path, capsys):
         # a search of no generation would report its random initial policy
-        # as trained
+        # as trained, so it is refused when the config loads (exit 2),
+        # before any data is read
         assert run(["train"], tmp_path, ["--set", "agent.type=cem",
-                                         "--set", "agent.iterations=0"]) == 4
+                                         "--set", "agent.iterations=0"]) == 2
         assert not (tmp_path / "train" / "policy.json").exists()
         assert run(["trade-sim"], tmp_path,
                    ["--set", "agent.type=cem", "--set", "agent.iterations=-3",
-                    "--set", "pipeline.n_trade=2"]) == 4
+                    "--set", "pipeline.n_trade=2"]) == 2
         assert capsys.readouterr().err.splitlines() == [
-            "runtime error: iterations must be at least 1",
-            "runtime error: every window was skipped (window 0: iterations "
-            "must be at least 1)"]
+            "config error: [agent] iterations = 0 is outside [1, inf)",
+            "config error: [agent] iterations = -3 is outside [1, inf)"]
 
     # a learning rate <= 0 never learns or ascends the loss; a reward
-    # scale <= 0 zeroes or flips every trainer's objective
+    # scale <= 0 zeroes or flips every trainer's objective; both are
+    # refused when the config loads (exit 2)
     REFUSED = [(command, key, value)
                for command in (["train"], ["trade-sim", "--set",
                                            "pipeline.n_trade=2"])
@@ -648,18 +661,19 @@ class TestExitCodes:
                                                command, key, value):
         code = run(command, tmp_path, ["--set", f"{key}={value}"])
         err = capsys.readouterr().err
-        assert code == 4, err
+        assert code == 2, err
         assert len(err.splitlines()) == 1, err
-        assert err.startswith("runtime error: ")
-        assert f"{key.split('.')[1]} must be positive" in err
+        section, name = key.split(".")
+        assert err == (f"config error: [{section}] {name} = {float(value)!r} "
+                       f"is outside (0, inf)\n"), err
         written = {name for _, _, names in os.walk(tmp_path)
                    for name in names}
         assert not written & {"policy.json", "metrics.json"}, written
 
     @pytest.mark.parametrize("args,message", [
-        (["trade-sim", "--set", "agent.type=cem", "--set",
-          "agent.population=1", "--set", "pipeline.n_trade=2"],
-         "runtime error: every window was skipped (window 0: population"),
+        (["trade-sim", "--set", "agent.learning_rate=1e9", "--set",
+          "pipeline.n_trade=2"],
+         "runtime error: every window was skipped (window 0: non-finite"),
         (["trade-sim", "--set", "agent.grid=learning_rate=1e9,0.003",
           "--set", "pipeline.n_trade=2"],
          "runtime error: every window was skipped (window 0: non-finite"),
@@ -764,6 +778,126 @@ class TestExitCodes:
         assert (tmp_path / "via_env" / "sentiment" / "eval.json").exists()
 
 
+# every SCHEMA key with a domain: a set of choices, or an interval as
+# (low, high, low end closed, high end closed)
+DOMAINS = {
+    "data.format": {"csv", "dir"},
+    "data.frequency": {"1min", "5min", "15min", "30min", "1h", "1day", "1d"},
+    "data.calendar_rule": {"intersection", "union"},
+    "data.fill_rule": {"fill", "drop-ticker"},
+    "data.min_coverage": (0.0, 1.0, True, True),
+    "data.events_kind": {"sentiment", "fundamental"},
+    "env.kind": {"trading", "portfolio"},
+    "env.initial_capital": (0.0, math.inf, False, False),
+    "env.cost_rate": (0.0, 0.1, True, True),
+    "env.h_max": (1, math.inf, True, False),
+    "env.risk_indicator": {"none", "turbulence", "vix"},
+    "env.reward_scale": (0.0, math.inf, False, False),
+    "env.turnover_cost_rate": (0.0, 0.1, True, True),
+    "agent.type": {"a2c", "cem", "passive", "equal", "mean_variance", "zero"},
+    "agent.steps": (1, math.inf, True, False),
+    "agent.learning_rate": (0.0, math.inf, False, False),
+    "agent.gamma": (0.0, 1.0, False, True),
+    "agent.rollout_steps": (1, math.inf, True, False),
+    "agent.hidden": (1, math.inf, True, False),
+    "agent.population": (2, math.inf, True, False),
+    "agent.elite_frac": (0.0, 1.0, False, True),
+    "agent.iterations": (1, math.inf, True, False),
+    "agent.rebalance_every": (1, math.inf, True, False),
+    "agent.risk_aversion": (0.0, math.inf, True, False),
+    "pipeline.n_train": (1, math.inf, True, False),
+    "pipeline.n_test": (0, math.inf, True, False),
+    "pipeline.n_trade": (1, math.inf, True, False),
+    "pipeline.annualization_basis": {252, 365},
+    "run.seed": (0, math.inf, True, False),
+}
+
+
+def in_domain(key, value):
+    domain = DOMAINS.get(key)
+    if domain is None:
+        return True
+    if isinstance(domain, set):
+        return value in domain
+    low, high, low_closed, high_closed = domain
+    return ((low < value or low_closed and value == low)
+            and (value < high or high_closed and value == high))
+
+
+def domain_edges(key):
+    """Values just outside and just inside the domain of key."""
+    domain = DOMAINS[key]
+    if isinstance(domain, set):
+        least = min(domain)
+        return [least + 1 if isinstance(least, int) else "bogus"], sorted(domain)
+    low, high, low_closed, high_closed = domain
+    step = 1 if isinstance(low, int) else 1e-9
+    outside = [low - step if low_closed else low]
+    inside = [low if low_closed else low + step]
+    if high != math.inf:
+        outside.append(high + step if high_closed else high)
+        inside.append(high if high_closed else high - step)
+    return outside, inside
+
+
+def test_every_schema_domain_is_tested():
+    assert set(DOMAINS) == {f"{section}.{key}"
+                            for section, keys in SCHEMA.items()
+                            for key, (_, _, domain) in keys.items()
+                            if domain is not None}
+
+
+@pytest.mark.parametrize("key", sorted(DOMAINS))
+def test_value_outside_its_domain_exits_2(key, tmp_path, capsys):
+    section, name = key.split(".")
+    outside, inside = domain_edges(key)
+    out = tmp_path / "out"
+    for value in outside:
+        for source in ("synthetic", tmp_path / "missing.csv"):
+            code = run(["trade-sim"], out, ["--set", f"data.source={source}",
+                                            "--set", f"{key}={value}"])
+            err = capsys.readouterr().err
+            assert code == 2, (value, err)
+            assert err.startswith(f"config error: [{section}] {name} = "), err
+            assert len(err.splitlines()) == 1, err
+            assert not out.exists()
+    for value in inside:
+        assert load_config(None, [f"{key}={value}"]).get(section, name) == value
+
+
+# out-of-range values that once ran (annualization_basis trained every
+# window first) or exited 3 or 4 on the shipped data, whichever agent
+# kind reads them, and grid points outside their domains
+@pytest.mark.parametrize("command,overrides", [
+    (["trade-sim"], ["pipeline.annualization_basis=100"]),
+    (["trade-sim"], ["env.cost_rate=0.5"]),
+    (["trade-sim"], ["data.min_coverage=2"]),
+    (["features"], ["features.indicators=rsi:0"]),
+    (["trade-sim"], ["agent.type=mean_variance", "agent.risk_aversion=-1"]),
+    (["trade-sim"], ["agent.type=a2c", "agent.population=1"]),
+    (["trade-sim"], ["agent.type=passive", "agent.iterations=0"]),
+    (["train"], ["agent.type=a2c", "agent.gamma=0"]),
+    (["train"], ["agent.type=a2c", "agent.steps=0"]),
+    (["train"], ["agent.type=a2c", "agent.rollout_steps=0"]),
+    (["train"], ["agent.type=a2c", "agent.learning_rate=-1"]),
+    (["train"], ["agent.type=cem", "agent.population=1"]),
+    (["train"], ["agent.type=cem", "agent.elite_frac=0"]),
+    (["train"], ["agent.type=cem", "agent.iterations=0"]),
+    (["trade-sim"], ["agent.grid=gamma=0.5,0"]),
+    (["trade-sim"], ["agent.grid=type=zero,bogus"]),
+    (["trade-sim"], ["agent.grid=rebalance_every=1,2"]),
+])
+def test_out_of_range_value_exits_2_whatever_the_agent(command, overrides,
+                                                      tmp_path, capsys):
+    code = run(command, tmp_path, [x for item in overrides
+                                   for x in ("--set", item)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("config error: "), err
+    assert len(err.splitlines()) == 1, err
+    assert not os.listdir(tmp_path)
+
+
 # --set fuzzing: every command, random overrides drawn from SCHEMA, and
 # missing or malformed files for every path key
 
@@ -803,6 +937,22 @@ FUZZ_KEYS = sorted(f"{section}.{key}" for section, keys in SCHEMA.items()
 FUZZ_BASE = ["agent.steps=16", "agent.rollout_steps=4", "agent.hidden=4",
              "agent.population=4", "agent.iterations=2", "pipeline.n_trade=2",
              "agent.policy_file=<policy>", "sentiment.input=<headlines>"]
+
+
+def fuzz_refused(key, raw):
+    """Whether load_config refuses --set key=raw for its value: one its
+    type cannot parse, a non-finite float, or one outside its domain."""
+    section, name = key.split(".")
+    kind = SCHEMA[section][name][0]
+    if kind == "bool":
+        return raw not in ("true", "false")
+    try:
+        value = {"int": int, "float": float, "str": str}[kind](raw)
+    except ValueError:
+        return True
+    if kind == "float" and not math.isfinite(value):
+        return True
+    return not in_domain(key, value)
 
 
 def fuzz_value(key):
@@ -856,6 +1006,13 @@ def test_fuzzed_overrides_exit_with_a_documented_code(
     assert code in (0, 2, 3, 4), argv
     if code:
         assert_one_error_line(err, argv)
+    # the first drawn value load_config refuses is the one named
+    refused = [item.split("=", 1)[0] for item in overrides
+               if fuzz_refused(*item.split("=", 1))]
+    if refused:
+        section, name = refused[0].split(".")
+        assert code == 2, argv
+        assert err.startswith(f"config error: [{section}] {name} = "), argv
 
 
 def assert_one_error_line(err, argv):

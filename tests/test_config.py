@@ -1,8 +1,11 @@
 """Config parsing, schema validation, overrides, and grid expansion."""
 import pytest
 
+from quantgym.agents import TrainConfig
 from quantgym.config import default_config, load_config
-from quantgym.errors import ConfigError
+from quantgym.envs import EnvConfig
+from quantgym.errors import ConfigError, DataError, EnvError, TrainingError
+from quantgym.market_data import CleaningPolicy
 
 
 def test_defaults_load_without_file():
@@ -97,9 +100,25 @@ def test_empty_grid_is_single_point():
 
 
 def test_grid_unknown_field_rejected():
-    config = load_config(None, ["agent.grid=warp=1,2"])
     with pytest.raises(ConfigError, match="unknown agent key"):
-        config.hyper_grid()
+        load_config(None, ["agent.grid=warp=1,2"])
+
+
+@pytest.mark.parametrize("build,error,override", [
+    (lambda: EnvConfig(cost_rate=0.5), EnvError, "env.cost_rate=0.5"),
+    (lambda: TrainConfig(gamma=0.0), TrainingError, "agent.gamma=0"),
+    (lambda: CleaningPolicy(min_coverage=2.0), DataError,
+     "data.min_coverage=2"),
+])
+def test_library_callers_keep_their_error_type(build, error, override):
+    # the dataclasses read the config's domains: load_config's message,
+    # under the error type each raised before
+    with pytest.raises(ConfigError) as loaded:
+        load_config(None, [override])
+    with pytest.raises(error) as built:
+        build()
+    assert not isinstance(built.value, ConfigError)
+    assert str(built.value) == str(loaded.value)
 
 
 def test_canonical_serialization_sorted():
