@@ -3,10 +3,13 @@
 ``train_a2c_all`` hands its jobs to ``train_in_lockstep``, one row each.
 A chunk trains as one lockstep population over an ``EnvPopulation``: one
 env step per rollout step for all rows, whatever their network shapes,
-and one stacked forward, loss and Adam step per shape. The ``_Learners``
+and one ``StackedNet`` trunk and mean head per shape. The ``_Learners``
 rows sample, update and check for divergence, filling rollout buffers
-allocated once per chunk; the gradient-clip norms double as the
-finiteness check. ``train_a2c`` is its case of one job.
+allocated once per chunk. Each update reads the rollout's values off
+its stored activations in one product per shape, checks its actions for
+finiteness once, and runs one stacked loss and Adam step per shape; the
+gradient-clip norms double as the gradient's finiteness check.
+``train_a2c`` is its case of one job.
 """
 from __future__ import annotations
 
@@ -20,7 +23,8 @@ import numpy as np
 
 from ..envs import EnvPopulation, _row_dots
 from ..errors import TrainingError, unwrap
-from .policy import GaussianPolicy, TrainConfig, train_in_lockstep
+from .policy import (GaussianPolicy, StackedNet, TrainConfig, draw_weights,
+                     train_in_lockstep)
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -37,54 +41,55 @@ LOG_2PI = math.log(2.0 * math.pi)
 LOCKSTEP_ROWS = 64
 
 
-def _stacked_loss_and_grad(policy: GaussianPolicy, params: np.ndarray,
+def _stacked_loss_and_grad(net: StackedNet, grad: np.ndarray, g: dict,
                            x: np.ndarray, actions: np.ndarray,
                            returns: np.ndarray, advantages: np.ndarray,
                            entropy_coef: float,
                            vf_coef: float) -> tuple[np.ndarray, np.ndarray]:
-    """``a2c_loss_and_grad`` of P parameter rows, each on its own batch.
+    """``a2c_loss_and_grad`` of the P parameter rows ``net`` reads, each
+    on its own batch.
 
-    params is (P, n_parameters), x (P, B, obs_dim) the observations
-    divided by their rows' scales, actions (P, B, action_dim), returns
-    and advantages (P, B); ``policy`` only supplies the shapes. Returns
-    the (P,) losses and the (P, n_parameters) gradients.
+    x is (P, B, obs_dim), the observations divided by their rows'
+    scales, actions (P, B, action_dim), returns and advantages (P, B).
+    The (P, n_parameters) gradients are written into grad, whose field
+    views are g. Returns the (P,) losses and grad.
     """
     B = x.shape[1]
-    f = policy._unflatten(params)
-    mean, value, h = policy.forward_scaled(x, f)
+    f = net.fields
+    mean, value, h = net.forward(x)
     log_std = f["log_std"]
+    action_dim = log_std.shape[1]
     std = np.exp(log_std)[:, None, :]
 
-    z = (actions - mean) / std
-    logp = -0.5 * (z * z).sum(axis=2) - log_std.sum(axis=1)[:, None] \
-        - 0.5 * policy.action_dim * LOG_2PI
-    entropy = log_std.sum(axis=1) + 0.5 * policy.action_dim * (LOG_2PI + 1.0)
+    diff = actions - mean
+    z = diff / std
+    zz = z * z
+    logp = -0.5 * zz.sum(axis=2) - log_std.sum(axis=1)[:, None] \
+        - 0.5 * action_dim * LOG_2PI
+    entropy = log_std.sum(axis=1) + 0.5 * action_dim * (LOG_2PI + 1.0)
 
     policy_loss = -(logp * advantages).mean(axis=1)
     value_err = value - returns
     value_loss = (value_err * value_err).mean(axis=1)
     loss = policy_loss + vf_coef * value_loss - entropy_coef * entropy
 
-    # backward pass
-    dmean = (-advantages[:, :, None] / B) * ((actions - mean) / (std * std))
-    dlog_std = (-1.0 / B) * (advantages[:, :, None] * (z * z - 1.0)).sum(
-        axis=1) - entropy_coef
+    # backward pass, each part written into the gradient as soon as it
+    # exists
+    dmean = (-advantages[:, :, None] / B) * (diff / (std * std))
+    g["log_std"][...] = (-1.0 / B) * (advantages[:, :, None] * (
+        zz - 1.0)).sum(axis=1) - entropy_coef
     dvalue = vf_coef * 2.0 * value_err / B
-
-    # each part is written into the gradient as soon as it exists, which
-    # keeps the peak memory of a large population down
-    grad = np.empty_like(params)
-    g = policy._unflatten(grad)
-    g["log_std"][...] = dlog_std
     dh = dmean @ f["W2"] + dvalue[:, :, None] * f["wv"][:, None, :]
-    dz1 = dh * (1.0 - h * h)
     np.matmul(dmean.transpose(0, 2, 1), h, out=g["W2"])
     dmean.sum(axis=1, out=g["b2"])
     g["wv"][...] = (h.transpose(0, 2, 1) @ dvalue[:, :, None])[:, :, 0]
     dvalue.sum(axis=1, out=g["bv"])
-    del dh, dmean, h
-    np.matmul(dz1.transpose(0, 2, 1), x, out=g["W1"])
-    dz1.sum(axis=1, out=g["b1"])
+    # the tanh derivative 1 - h * h, in place, once h is read
+    np.multiply(h, h, out=h)
+    np.subtract(1.0, h, out=h)
+    dh *= h
+    np.matmul(dh.transpose(0, 2, 1), x, out=g["W1"])
+    dh.sum(axis=1, out=g["b1"])
     return loss, grad
 
 
@@ -99,8 +104,10 @@ def a2c_loss_and_grad(policy: GaussianPolicy, obs: np.ndarray,
     Entropy bonus is exact for a diagonal Gaussian (depends on log_std
     only). This is the P=1 case of the stacked loss the trainers run.
     """
+    grad = np.empty((1, policy.n_parameters))
     loss, grad = _stacked_loss_and_grad(
-        policy, policy.get_flat()[None],
+        StackedNet(policy, policy.get_flat()[None]), grad,
+        policy._unflatten(grad),
         (np.atleast_2d(np.asarray(obs, dtype=float)) / policy.obs_scale)[None],
         np.asarray(actions, dtype=float)[None],
         np.asarray(returns, dtype=float)[None],
@@ -159,16 +166,30 @@ def _clip_rows(grad: np.ndarray, limit: float) -> np.ndarray:
 
 class _Shape:
     """The rows of a ``_Learners`` population that share one ``hidden``:
-    a policy supplying the shapes, the rows' stacked parameters, views
-    of each field split once, and Adam state. Adam updates ``params`` in
-    place, so the views stay current."""
+    a policy supplying the shapes, the rows' stacked parameters and the
+    ``StackedNet`` reading them, a gradient block with its field views,
+    one rollout's hidden activations, and Adam state. The parameters and
+    gradient are split once: Adam updates ``params`` in place and the
+    loss refills ``grad``, so every view stays current."""
 
-    def __init__(self, rows: slice, policies: Sequence[GaussianPolicy],
-                 configs: Sequence[TrainConfig]):
+    def __init__(self, rows: slice, template: GaussianPolicy,
+                 configs: Sequence[TrainConfig], rollout_steps: int):
         self.rows = rows
-        self.template = policies[0]
-        self.params = np.stack([p.get_flat() for p in policies])
-        self.fields = self.template._unflatten(self.params)
+        self.template = template
+        # each row starts as GaussianPolicy(..., seed) would, with no
+        # policy built per row
+        self.params = np.empty((len(configs), template.n_parameters))
+        self.params[...] = template.get_flat()
+        self.net = StackedNet(template, self.params)
+        for k, c in enumerate(configs):
+            draw_weights(c.seed, [self.net.fields[name][k]
+                                  for name in ("W1", "W2", "wv")])
+        self.grad = np.empty_like(self.params)
+        self.grad_fields = template._unflatten(self.grad)
+        # rollout step i's (rows, 1, hidden) activations at [i], whole,
+        # so the bias and tanh run on one contiguous block
+        self.activations = np.empty((rollout_steps, len(configs), 1,
+                                     template.hidden))
         self.adam = Adam(self.params.shape,
                          np.array([[c.learning_rate] for c in configs]))
 
@@ -176,33 +197,36 @@ class _Shape:
 class _Learners:
     """P A2C learners that share every TrainConfig field but the seed,
     the learning rate and ``hidden``. Row p holds the policy, Adam state
-    and sampling stream of configs[p]. Each run of
-    rows with one ``hidden`` is a ``_Shape`` whose network math runs
-    stacked; the action noise, the finiteness check and the rollout
-    buffers cover every row at once. The buffers and the noise block are
-    allocated once and refilled in place by every rollout: ``sample``
-    writes each step's scaled observations, actions and values, and
-    ``record`` its rewards and episode ends."""
+    and sampling stream of configs[p]. Each run of rows with one
+    ``hidden`` is a ``_Shape`` whose network math runs stacked; the
+    action noise and the rollout buffers cover every row at once. The
+    buffers and the noise block are allocated once and refilled in place
+    by every rollout: ``sample`` writes each step's scaled observations,
+    actions and hidden activations, and ``record`` its rewards and
+    episode ends. The values and the finiteness check of the actions
+    wait for ``update``, which runs them over the whole rollout."""
 
     def __init__(self, obs_dim: int, action_dim: int,
                  configs: Sequence[TrainConfig]):
         self.configs = configs
         self.config = configs[0]
+        P, R = len(configs), self.config.rollout_steps
         self.shapes = []
         start = 0
         for hidden, run in itertools.groupby(configs, lambda c: c.hidden):
             run = list(run)
             self.shapes.append(_Shape(
                 slice(start, start + len(run)),
-                [GaussianPolicy(obs_dim, action_dim, hidden, c.seed)
-                 for c in run], run))
+                GaussianPolicy(obs_dim, action_dim, hidden, run[0].seed),
+                run, R))
             start += len(run)
         self.rngs = [np.random.default_rng(c.seed) for c in configs]
-        self.obs_scale = np.ones((len(configs), obs_dim))
-        self.failed: list[TrainingError | None] = [None] * len(configs)
-        P, R = len(configs), self.config.rollout_steps
-        self.batch_obs = np.empty((P, R, obs_dim))  # divided by obs_scale
-        self.batch_act = np.empty((P, R, action_dim))
+        self.obs_scale = np.ones((P, obs_dim))
+        self.failed: list[TrainingError | None] = [None] * P
+        # step-major, so each step writes whole blocks; the observations
+        # are divided by obs_scale
+        self.batch_obs = np.empty((R, P, obs_dim))
+        self.batch_act = np.empty((R, P, action_dim))
         self.batch_rew, self.batch_val = np.empty((P, R)), np.empty((P, R))
         self.batch_done = np.empty((P, R), dtype=bool)
         self.noise = np.empty((P, R, action_dim))
@@ -214,40 +238,30 @@ class _Learners:
         for rng, block in zip(self.rngs, self.noise):
             rng.standard_normal(out=block)
         for s in self.shapes:
-            self.noise[s.rows] *= np.exp(s.fields["log_std"])[:, None, :]
+            self.noise[s.rows] *= np.exp(s.net.fields["log_std"])[:, None, :]
 
-    def _forward(self, x: np.ndarray, mean: np.ndarray,
-                 value: np.ndarray) -> None:
-        """Write the action means and values of every row on its
-        (obs_dim,) scaled observation x into mean and value, one stacked
-        forward per shape."""
-        for s in self.shapes:
-            m, v, _ = s.template.forward_scaled(x[s.rows, None, :], s.fields)
-            mean[s.rows], value[s.rows] = m[:, 0, :], v[:, 0]
-
-    def sample(self, obs: np.ndarray, i: int, step: int) -> np.ndarray:
+    def sample(self, obs: np.ndarray, i: int) -> np.ndarray:
         """Actions of every row on its (obs_dim,) observation, with the
         noise drawn for rollout step i; the scaled observations, the
-        actions and the values are stored as rollout step i.
+        hidden activations and the actions are stored as rollout step i.
 
-        A row whose action is not finite fails at this step. Rows never
-        mix, so a failed row can go on stepping without touching the
-        others.
+        Each shape writes its trunk into its activation buffer and its
+        means into the action buffer, with no value head: ``update``
+        reads the values off the stored activations. A non-finite action
+        fails its row there. Rows never mix, so a failed row can go on
+        stepping without touching the others.
         """
-        actions = self.batch_act[:, i]
-        self._forward(np.divide(obs, self.obs_scale, out=self.batch_obs[:, i]),
-                      actions, self.batch_val[:, i])
+        x = np.divide(obs, self.obs_scale, out=self.batch_obs[i])
+        for s in self.shapes:
+            h = s.net.trunk(x[s.rows, None], out=s.activations[i])
+            s.net.mean(h, out=self.batch_act[i, s.rows, None])
+        actions = self.batch_act[i]
         actions += self.noise[:, i]
-        finite = np.isfinite(actions)
-        if not np.logical_and.reduce(finite, axis=None):
-            for p in np.flatnonzero(~finite.all(axis=1)):
-                self._fail(p, f"non-finite action at step {step}; try a "
-                              f"smaller learning rate")
         return actions
 
     def record(self, i: int, rewards, dones) -> None:
         """Store the rewards and episode ends of rollout step i, whose
-        observations, actions and values ``sample`` stored."""
+        observations, activations and actions ``sample`` stored."""
         self.batch_rew[:, i], self.batch_done[:, i] = rewards, dones
 
     def _fail(self, p: int, reason: str) -> None:
@@ -257,26 +271,41 @@ class _Learners:
     def update(self, next_obs: np.ndarray, steps_done: int) -> None:
         """One A2C update of every row from its recorded rollout.
 
-        n-step returns bootstrap from the value of next_obs unless the
-        rollout ended an episode; advantages are normalized per row. The
-        loss, gradient clip and Adam step run per shape. A row fails when
-        its loss or gradient is not finite: with clipping on, a finite
-        loss and clip norm show every entry finite, and the entries are
-        checked only when some row's test fails (an overflowing norm of
-        finite entries clips the row to zeros and does not fail it).
+        A row whose action at some rollout step is not finite fails
+        first, naming that step, as it would have when sampling. The
+        rollout's values come from one stacked product per shape over
+        the stored activations, one dot per row and step as the rollout
+        would have run. n-step returns bootstrap from the value of
+        next_obs unless the rollout ended an episode; advantages are
+        normalized per row. The loss, gradient clip and Adam step run
+        per shape. A row fails when its loss or gradient is not finite:
+        with clipping on, a finite loss and clip norm show every entry
+        finite, and the entries are checked only when some row's test
+        fails (an overflowing norm of finite entries clips the row to
+        zeros and does not fail it).
         """
         c = self.config
-        x, actions, rewards, dones = (
-            self.batch_obs, self.batch_act, self.batch_rew, self.batch_done)
+        # (P, R, ...) views of the step-major buffers
+        x = self.batch_obs.transpose(1, 0, 2)
+        actions = self.batch_act.transpose(1, 0, 2)
+        rewards, dones = self.batch_rew, self.batch_done
+        R = rewards.shape[1]
+        bad = ~np.isfinite(actions).all(axis=2)  # (P, R)
+        for p in np.flatnonzero(bad.any(axis=1)):
+            self._fail(p, f"non-finite action at step "
+                          f"{steps_done - R + 1 + int(bad[p].argmax())}; "
+                          f"try a smaller learning rate")
         acc = np.empty(len(self.configs))  # the bootstrap values first
-        self._forward(next_obs / self.obs_scale,
-                      np.empty(actions[:, 0].shape), acc)
-        returns = np.empty(rewards.shape)
-        for i in range(rewards.shape[1] - 1, -1, -1):
-            np.copyto(acc, 0.0, where=dones[:, i])
-            np.multiply(c.gamma, acc, out=acc)
-            np.add(rewards[:, i], acc, out=acc)
-            returns[:, i] = acc
+        bootstrap = next_obs / self.obs_scale
+        for s in self.shapes:
+            h = s.net.trunk(bootstrap[s.rows, None])
+            acc[s.rows] = s.net.value(h)[:, 0]
+            self.batch_val[s.rows] = s.net.value(s.activations)[:, :, 0].T
+        returns, discounted = np.empty(rewards.shape), np.empty(acc.shape)
+        for i in range(R - 1, -1, -1):
+            np.multiply(c.gamma, acc, out=discounted)
+            np.copyto(discounted, 0.0, where=dones[:, i])
+            acc = np.add(rewards[:, i], discounted, out=returns[:, i])
         advantages = returns - self.batch_val
         adv_std = advantages.std(axis=1)
         scaled = adv_std > 1e-12
@@ -288,7 +317,7 @@ class _Learners:
         for s in self.shapes:
             r = s.rows
             loss, grad = _stacked_loss_and_grad(
-                s.template, s.params, x[r], actions[r], returns[r],
+                s.net, s.grad, s.grad_fields, x[r], actions[r], returns[r],
                 advantages[r], c.entropy_coef, c.vf_coef)
             finite = np.isfinite(loss)
             if c.grad_clip > 0:
@@ -345,7 +374,7 @@ def _train_lockstep(envs, configs) -> list[GaussianPolicy | TrainingError]:
         rows.begin_rollout()
         for i in range(rows.config.rollout_steps):
             steps_done += 1
-            rewards, dones = population.step(rows.sample(obs, i, steps_done))
+            rewards, dones = population.step(rows.sample(obs, i))
             rows.record(i, rewards, dones)
             obs = population.observations()
         rows.update(obs, steps_done)

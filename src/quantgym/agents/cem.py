@@ -3,8 +3,8 @@
 ``cem_optimize`` runs one search over any population objective.
 ``train_cem_all`` hands its jobs to ``train_in_lockstep``, ``population``
 rows each; a chunk scores every job's population in one lockstep rollout
-per generation, one stacked ``mean_scaled`` per network shape (the
-search reads the action means only, so no value head runs), and each
+per generation, one ``StackedNet`` trunk and mean head per network shape
+(the search reads the action means only, so no value head runs), and each
 job's policy equals ``train_cem`` on that job alone, bit for bit. Both
 run the same ask/tell ``_Search``.
 """
@@ -18,7 +18,7 @@ import numpy as np
 from ..config import check_domain
 from ..envs import population_returns
 from ..errors import TrainingError, unwrap
-from .policy import GaussianPolicy, TrainConfig, train_in_lockstep
+from .policy import GaussianPolicy, StackedNet, TrainConfig, train_in_lockstep
 
 # Rows per lockstep rollout: whole jobs, three default populations. A
 # rollout step's cost is mostly per-ticker fill work shared by every
@@ -104,8 +104,8 @@ def _train_chunk(jobs) -> list[GaussianPolicy | TrainingError]:
     """``train_cem`` on each job; every generation scores all jobs'
     populations in one ``population_returns`` rollout, job j on rows
     j*P to (j+1)*P - 1. Each run of jobs with one ``hidden`` samples into
-    its own block, split into field views once, and runs one stacked
-    ``mean_scaled``. A job whose actions or objective turn non-finite fails
+    its own block, read by one ``StackedNet``, which writes the block's
+    action means. A job whose actions or objective turn non-finite fails
     alone: its rows step on, and nothing reads them."""
     config = jobs[0][1]
     P = config.population
@@ -116,14 +116,14 @@ def _train_chunk(jobs) -> list[GaussianPolicy | TrainingError]:
     searches = [_Search(p.n_parameters, P, c.elite_frac, c.seed,
                         init_mean=p.get_flat(), init_std=0.5)
                 for p, (_, c) in zip(policies, jobs)]
-    # per hidden: (rows, template, field views); per job: its sample rows
+    # per hidden: (rows, net); per job: its sample rows
     blocks, job_samples = [], []
     for _, run in itertools.groupby(policies, lambda p: p.hidden):
         run = list(run)
         block = np.empty((len(run) * P, run[0].n_parameters))
         start = len(job_samples) * P
-        blocks.append((slice(start, start + len(block)), run[0],
-                       run[0]._unflatten(block)))
+        blocks.append((slice(start, start + len(block)),
+                       StackedNet(run[0], block)))
         job_samples += np.split(block, len(run))
     envs = [env for env, _ in jobs for _ in range(P)]
     scale = np.repeat(scales, P, axis=0)
@@ -131,8 +131,8 @@ def _train_chunk(jobs) -> list[GaussianPolicy | TrainingError]:
     def act(obs):
         actions = np.empty((len(envs), policies[0].action_dim))
         x = (obs / scale)[:, None, :]
-        for rows, template, fields in blocks:
-            actions[rows] = template.mean_scaled(x[rows], fields)[0][:, 0]
+        for rows, net in blocks:
+            net.mean(net.trunk(x[rows]), out=actions[rows, None])
         return actions
 
     failed: list[TrainingError | None] = [None] * len(jobs)

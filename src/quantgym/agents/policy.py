@@ -92,6 +92,16 @@ def train_in_lockstep(jobs: Sequence[tuple], train_chunk, shared, rows_of,
     return outcomes
 
 
+def draw_weights(seed: int, weights) -> None:
+    """Fill a new policy's W1, W2 and wv, in that order, with normals
+    from ``default_rng(seed)`` scaled by 1/sqrt(fan-in): the values of
+    ``rng.normal(0.0, scale, shape)``, drawn into the given views."""
+    rng = np.random.default_rng(seed)
+    for w in weights:
+        rng.standard_normal(out=w)
+        w *= 1.0 / math.sqrt(w.shape[-1])
+
+
 class GaussianPolicy(Policy):
     """Two-layer tanh perceptron with a state-independent log-std per
     action dimension and a value head sharing the trunk."""
@@ -103,17 +113,17 @@ class GaussianPolicy(Policy):
         super().__init__({"obs_dim": obs_dim, "action_dim": action_dim,
                           "hidden": hidden, "seed": seed})
         check_policy_sizes(obs_dim, action_dim, hidden)
-        rng = np.random.default_rng(seed)
         self.obs_dim = obs_dim
         self.action_dim = action_dim
         self.hidden = hidden
-        self.W1 = rng.normal(0.0, 1.0 / math.sqrt(obs_dim), (hidden, obs_dim))
+        self.W1 = np.empty((hidden, obs_dim))
         self.b1 = np.zeros(hidden)
-        self.W2 = rng.normal(0.0, 1.0 / math.sqrt(hidden), (action_dim, hidden))
+        self.W2 = np.empty((action_dim, hidden))
         self.b2 = np.zeros(action_dim)
         self.log_std = np.full(action_dim, -0.5)
-        self.wv = rng.normal(0.0, 1.0 / math.sqrt(hidden), hidden)
+        self.wv = np.empty(hidden)
         self.bv = 0.0
+        draw_weights(seed, (self.W1, self.W2, self.wv))
         self.obs_scale = (np.ones(obs_dim) if obs_scale is None
                           else np.asarray(obs_scale, dtype=float))
         if self.obs_scale.shape != (obs_dim,):
@@ -172,27 +182,44 @@ class GaussianPolicy(Policy):
         mean, _, _ = self.forward(observation)
         return mean[0]
 
-    def mean_scaled(self, x: np.ndarray, p: dict):
-        """The trunk and mean head of ``forward_scaled``: (mean, hidden
-        activations), without the value head. Biases and tanh apply in
-        place, to the products' own arrays."""
-        h = x @ p["W1"].transpose(0, 2, 1)
-        h += p["b1"][:, None, :]
-        np.tanh(h, h)
-        mean = h @ p["W2"].transpose(0, 2, 1)
-        mean += p["b2"][:, None, :]
-        return mean, h
 
-    def forward_scaled(self, x: np.ndarray, p: dict):
-        """Stacked forward pass of P parameter rows, each on its own batch:
-        x is (P, B, obs_dim), observations divided by their rows' scales,
-        and p the rows' ``_unflatten`` split. Row p equals ``forward`` of a
-        policy holding row p's parameters, bit for bit: each stacked matmul
-        runs the product ``forward`` runs. ``mean_scaled`` is its trunk and
-        mean head, for callers that read no value."""
-        mean, h = self.mean_scaled(x, p)
-        value = (h @ p["wv"][:, :, None])[:, :, 0] + p["bv"][:, None]
-        return mean, value, h
+class StackedNet:
+    """The forward pass of P parameter rows of one ``GaussianPolicy``
+    shape, each row on its own batch of observations divided by its
+    row's scale. Row p equals ``forward`` of a policy holding row p's
+    parameters, bit for bit: each stacked matmul runs the product
+    ``forward`` runs. The views it reads are split from the (P,
+    n_parameters) block once and stay current while the block is
+    updated in place."""
+
+    def __init__(self, policy: GaussianPolicy, params: np.ndarray):
+        self.fields = f = policy._unflatten(params)
+        self.W1T, self.b1 = f["W1"].transpose(0, 2, 1), f["b1"][:, None, :]
+        self.W2T, self.b2 = f["W2"].transpose(0, 2, 1), f["b2"][:, None, :]
+        self.wv, self.bv = f["wv"][:, :, None], f["bv"][:, None]
+
+    def trunk(self, x: np.ndarray, out: np.ndarray | None = None):
+        """(P, B, hidden) activations of (P, B, obs_dim) x, written into
+        out when given; the bias and tanh apply in place."""
+        h = np.matmul(x, self.W1T, out=out)
+        h += self.b1
+        return np.tanh(h, out=h)
+
+    def mean(self, h: np.ndarray, out: np.ndarray | None = None):
+        """(P, B, action_dim) action means of activations h, written into
+        out when given."""
+        return np.add(h @ self.W2T, self.b2, out=out)
+
+    def value(self, h: np.ndarray) -> np.ndarray:
+        """(..., P, B) values of (..., P, B, hidden) activations h: one
+        product per row and leading index, so a stack of batches of one
+        runs one dot each, as a single batch of one does."""
+        return (h @ self.wv)[..., 0] + self.bv
+
+    def forward(self, x: np.ndarray):
+        """(mean, value, hidden activations) of (P, B, obs_dim) x."""
+        h = self.trunk(x)
+        return self.mean(h), self.value(h), h
 
 
 POLICY_FORMAT = 1

@@ -15,7 +15,7 @@ from math import isfinite
 import numpy as np
 
 from . import kernels
-from .config import IndicatorSpec
+from .config import IndicatorSpec, check_domain
 from .errors import FeatureError, reading
 from .market_data import BarTable, _codes, _number, _read_blocks, \
     format_timestamp, parse_epoch
@@ -73,8 +73,7 @@ class EventSeries:
     kind: str  # "sentiment" | "fundamental"
 
     def __post_init__(self):
-        if self.kind not in ("sentiment", "fundamental"):
-            raise FeatureError(f"unknown event kind {self.kind!r}")
+        check_domain("data", "events_kind", self.kind, FeatureError)
         if not len(self.times) == len(self.tickers) == len(self.values):
             raise FeatureError("event columns differ in length")
 

@@ -120,8 +120,7 @@ class BarTable:
     meta: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        if self.frequency not in FREQUENCY_SECONDS:
-            raise DataError(f"unknown frequency {self.frequency!r}")
+        check_domain("data", "frequency", self.frequency, DataError)
         T, n = len(self.calendar), len(self.tickers)
         for name in ("open", "high", "low", "close", "volume", "present", "synthetic"):
             arr = getattr(self, name)
@@ -398,8 +397,7 @@ def ingest_csv(path: str, frequency: str) -> BarTable:
     positive, OHLC ordering, parsable UTC-offset timestamp) and duplicate
     (ticker, timestamp) keys are rejected with their line number.
     """
-    if frequency not in FREQUENCY_SECONDS:
-        raise DataError(f"unknown frequency {frequency!r}")
+    check_domain("data", "frequency", frequency, DataError)
     columns = _read_market_file(path, CSV_HEADER, None)
     if not columns[0]:
         raise IngestError("file has no data rows", path)

@@ -23,6 +23,7 @@ from quantgym.agents import (
     train_cem_all,
 )
 from quantgym.agents import a2c, cem
+from quantgym.agents.policy import StackedNet
 from quantgym.envs import (
     EnvConfig,
     EnvPopulation,
@@ -528,20 +529,119 @@ class TestA2CInPlace:
             rows.begin_rollout()
             for i in range(4):
                 obs = rng.normal(0.0, 1.0, (2, 3))
-                rows.sample(obs, i, 4 * update + i + 1)
+                rows.sample(obs, i)
                 rows.record(i, rng.normal(0.0, 1.0, 2), np.zeros(2, dtype=bool))
             rows.update(rng.normal(0.0, 1.0, (2, 3)), 4 * update + 4)
         assert shape.params is params
         assert not (params == shape.template.get_flat()).all()
         split = shape.template._unflatten(params)
-        for name, view in shape.fields.items():
+        for name, view in shape.net.fields.items():
             assert np.shares_memory(view, params), name
             assert_bitwise_equal(view, split[name])
+        for view in shape.grad_fields.values():
+            assert np.shares_memory(view, shape.grad)
         outcomes = rows.outcomes()
         trained = params.copy()
         params += 1.0
         for policy, row in zip(outcomes, trained):
             assert_bitwise_equal(policy.get_flat(), row)
+
+    def test_rows_start_as_new_policies(self):
+        # both shapes, several seeds: each row block is the flat vector
+        # of a new policy of its seed, whose weights are rng.normal draws
+        configs = [TrainConfig(hidden=h, seed=s)
+                   for h, s in ((3, 0), (3, 7), (3, 123456), (8, 1), (8, 99))]
+        rows = a2c._Learners(5, 2, configs)
+        assert [s.rows for s in rows.shapes] == [slice(0, 3), slice(3, 5)]
+        for s in rows.shapes:
+            for row, c in zip(s.params, configs[s.rows]):
+                assert_bitwise_equal(
+                    row, GaussianPolicy(5, 2, c.hidden, c.seed).get_flat())
+                rng = np.random.default_rng(c.seed)
+                W1 = rng.normal(0.0, 1.0 / np.sqrt(5), (c.hidden, 5))
+                W2 = rng.normal(0.0, 1.0 / np.sqrt(c.hidden), (2, c.hidden))
+                wv = rng.normal(0.0, 1.0 / np.sqrt(c.hidden), c.hidden)
+                assert_bitwise_equal(row, np.concatenate([
+                    W1.ravel(), np.zeros(c.hidden), W2.ravel(), np.zeros(2),
+                    np.full(2, -0.5), wv, [0.0]]))
+
+    def test_rollout_means_and_deferred_values_equal_forward(self):
+        """Over whole rollouts of two shapes, each stored action is the
+        forward mean of its row plus its noise, and the values ``update``
+        computes from the stored activations are the forward values,
+        under the parameters the rollout ran with."""
+        rng = np.random.default_rng(24)
+        R, obs_dim, action_dim = 5, 4, 3
+        configs = [TrainConfig(rollout_steps=R, hidden=h, seed=s,
+                               learning_rate=0.05)
+                   for h, s in ((3, 1), (3, 2), (6, 3), (6, 4), (6, 5))]
+        rows = a2c._Learners(obs_dim, action_dim, configs)
+        rows.obs_scale = rng.uniform(1.0, 5.0, (len(configs), obs_dim))
+        for update in range(3):
+            policies = []
+            for s in rows.shapes:
+                for row, c in zip(s.params, configs[s.rows]):
+                    policy = GaussianPolicy(obs_dim, action_dim, c.hidden)
+                    policy.set_flat(row)
+                    policy.obs_scale = rows.obs_scale[len(policies)]
+                    policies.append(policy)
+            rows.begin_rollout()
+            seen = []
+            for i in range(R):
+                obs = rng.normal(0.0, 3.0, (len(configs), obs_dim))
+                rows.sample(obs, i)
+                rows.record(i, rng.normal(0.0, 1.0, len(configs)),
+                            rng.uniform(size=len(configs)) < 0.3)
+                seen.append(obs)
+            rows.update(rng.normal(0.0, 3.0, (len(configs), obs_dim)),
+                        R * (update + 1))
+            for p, policy in enumerate(policies):
+                for i, obs in enumerate(seen):
+                    mean, value, _ = policy.forward(obs[p])
+                    assert_bitwise_equal(rows.batch_act[i, p],
+                                         mean[0] + rows.noise[p, i])
+                    assert_bitwise_equal(rows.batch_val[p, i], value[0])
+        assert rows.failed == [None] * len(configs)
+
+    def test_non_finite_action_fails_its_row_at_its_step(self, monkeypatch):
+        """A row whose action turns non-finite mid-rollout fails naming
+        the step of its first such action, as sampling it would have;
+        the other rows train on unchanged."""
+        jobs = TestA2CLockstep().jobs(PortfolioEnv)
+        # both shapes, in the order the chunk sorts them; all finite
+        jobs = [jobs[k] for k in (5, 0, 1, 3)]
+        clean = train_a2c_all(jobs)
+        R = jobs[0][1].rollout_steps
+        rollouts = []
+        begin = a2c._Learners.begin_rollout
+
+        def poisoned(rows):
+            begin(rows)
+            rollouts.append(None)
+            if len(rollouts) == 2:  # steps R + 4 and R + 7 of row 1
+                rows.noise[1, [3, 6], 0] = np.nan
+        monkeypatch.setattr(a2c._Learners, "begin_rollout", poisoned)
+        outcomes = train_a2c_all(jobs)
+        assert str(outcomes[1]) == (f"non-finite action at step {R + 4}; "
+                                    f"try a smaller learning rate")
+        for k in (0, 2, 3):
+            assert_bitwise_equal(outcomes[k].get_flat(),
+                                 clean[k].get_flat())
+
+    @pytest.mark.parametrize("grad_clip", [0.5, 0.0])
+    def test_updates_through_kept_buffers_equal_oracle(self, grad_clip):
+        """Several updates that reuse the kept gradient, activation and
+        rollout buffers, over episodes ending mid-rollout, equal the
+        oracle after each update."""
+        env = TestA2CLockstep().jobs(TradingEnv)[1][0]  # 8-step episodes
+        for steps in (6, 12, 24):
+            jobs = [(env, TrainConfig(steps=steps, rollout_steps=6,
+                                      hidden=h, seed=s, grad_clip=grad_clip,
+                                      learning_rate=0.02))
+                    for h, s in ((4, 1), (4, 2), (7, 3))]
+            for outcome, job in zip(train_a2c_all(jobs), jobs):
+                assert_bitwise_equal(outcome.get_flat(),
+                                     train_a2c_oracle(*job).get_flat())
 
 
 # --- CEM --------------------------------------------------------------------
@@ -837,15 +937,15 @@ class TestCEMLockstep:
 @pytest.mark.parametrize("batch", [1, 6])
 def test_forward_population_equals_forward(obs_dim, action_dim, hidden,
                                            batch):
-    """A population's stacked forward, ``forward_scaled``, equals
+    """A population's stacked forward, ``StackedNet.forward``, equals
     ``forward`` of each row's policy."""
     rng = np.random.default_rng(obs_dim)
     policy = GaussianPolicy(obs_dim, action_dim, hidden, seed=1)
     params = rng.normal(0.0, 1.0, (9, policy.n_parameters))
     scales = rng.uniform(1.0, 100.0, (9, obs_dim))
     obs = rng.normal(0.0, 50.0, (9, batch, obs_dim))
-    mean, value, h = policy.forward_scaled(obs / scales[:, None, :],
-                                           policy._unflatten(params))
+    mean, value, h = StackedNet(policy, params).forward(
+        obs / scales[:, None, :])
     assert mean.shape == (9, batch, action_dim)
     for p in range(9):
         policy.set_flat(params[p])
@@ -856,11 +956,11 @@ def test_forward_population_equals_forward(obs_dim, action_dim, hidden,
 
 
 def test_forward_population_rejects_wrong_parameter_count():
-    """A population's parameters reach ``forward_scaled`` through
+    """A population's parameters reach ``StackedNet`` through
     ``_unflatten``, which checks their count."""
     policy = GaussianPolicy(3, 2, 4)
     with pytest.raises(TrainingError, match="entries"):
-        policy._unflatten(np.zeros((2, policy.n_parameters + 1)))
+        StackedNet(policy, np.zeros((2, policy.n_parameters + 1)))
 
 
 # --- baselines --------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Config parsing, schema validation, overrides, and grid expansion."""
+import numpy as np
 import pytest
 
 from quantgym.agents import TrainConfig
 from quantgym.config import default_config, load_config
 from quantgym.envs import EnvConfig
-from quantgym.errors import ConfigError, DataError, EnvError, TrainingError
-from quantgym.market_data import CleaningPolicy
+from quantgym.errors import (ConfigError, DataError, EnvError, FeatureError,
+                             TrainingError)
+from quantgym.features import EventSeries
+from quantgym.market_data import BarTable, CleaningPolicy, ingest_csv
 
 
 def test_defaults_load_without_file():
@@ -109,6 +112,14 @@ def test_grid_unknown_field_rejected():
     (lambda: TrainConfig(gamma=0.0), TrainingError, "agent.gamma=0"),
     (lambda: CleaningPolicy(min_coverage=2.0), DataError,
      "data.min_coverage=2"),
+    (lambda: EventSeries(np.array([], "datetime64[s]"), np.array([], object),
+                         np.array([]), "news"), FeatureError,
+     "data.events_kind=news"),
+    (lambda: BarTable("2week", (), np.array([], "datetime64[s]"),
+                      *[np.empty((0, 0))] * 5, *[np.empty((0, 0), bool)] * 2),
+     DataError, "data.frequency=2week"),
+    (lambda: ingest_csv("never-read.csv", "3day"), DataError,
+     "data.frequency=3day"),
 ])
 def test_library_callers_keep_their_error_type(build, error, override):
     # the dataclasses read the config's domains: load_config's message,

@@ -124,7 +124,9 @@ def test_effective_date_past_year_9999_is_a_feature_error():
 
 
 def test_event_series_validates_kind():
-    with pytest.raises(Exception, match="unknown event kind"):
+    with pytest.raises(FeatureError, match=r"^\[data\] events_kind = 'news' "
+                                           r"is not one of sentiment, "
+                                           r"fundamental$"):
         event_series((), "news")
 
 

@@ -75,7 +75,7 @@ class TestEventsLoader:
         with pytest.raises(FeatureError) as built:
             event_series((), "news")
         assert str(loaded.value) == str(built.value) == \
-            "unknown event kind 'news'"
+            "[data] events_kind = 'news' is not one of sentiment, fundamental"
 
 
 class TestRiskTickerSplit:
@@ -168,7 +168,8 @@ class TestBarTableValidation:
     def test_unknown_frequency(self):
         cal = np.array(["2022-01-03T00:00:00"], dtype="datetime64[s]")
         ones = np.ones((1, 1))
-        with pytest.raises(DataError, match="unknown frequency"):
+        with pytest.raises(DataError, match=r"^\[data\] frequency = '2week' "
+                                            r"is not one of 1min, "):
             BarTable("2week", ("A",), cal, ones, ones, ones, ones, ones,
                      ones.astype(bool), np.zeros((1, 1), bool))
 
