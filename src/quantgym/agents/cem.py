@@ -5,8 +5,10 @@
 rows each; a chunk scores every job's population in one lockstep rollout
 per generation, one ``StackedNet`` trunk and mean head per network shape
 (the search reads the action means only, so no value head runs), and each
-job's policy equals ``train_cem`` on that job alone, bit for bit. Both
-run the same ask/tell ``_Search``.
+job's policy equals ``train_cem`` on that job alone, bit for bit. The
+chunk's ``EnvPopulation`` and its buffers of scaled observations and of
+actions are built once and serve every generation. Both run the same
+ask/tell ``_Search``.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from ..config import check_domain
-from ..envs import population_returns
+from ..envs import EnvPopulation, population_returns
 from ..errors import TrainingError, unwrap
 from .policy import GaussianPolicy, StackedNet, TrainConfig, train_in_lockstep
 
@@ -70,9 +72,13 @@ class _Search:
         if not np.isfinite(scores).all():
             raise TrainingError("non-finite objective value during CEM search")
         elite_idx = np.argsort(-scores, kind="stable")[:self.n_elite]
+        # the ufunc calls of elites.mean(axis=0) and elites.std(axis=0)
         elites = self.samples[elite_idx]
-        self.mean = elites.mean(axis=0)
-        self.std = np.maximum(elites.std(axis=0), self.std_floor)
+        self.mean = np.add.reduce(elites, 0) / self.n_elite
+        deviation = np.subtract(elites, self.mean, out=elites)
+        np.square(deviation, out=deviation)
+        var = np.add.reduce(deviation, 0) / self.n_elite
+        self.std = np.maximum(np.sqrt(var, out=var), self.std_floor)
         self.history.append(float(scores[elite_idx[0]]))
 
 
@@ -125,12 +131,14 @@ def _train_chunk(jobs) -> list[GaussianPolicy | TrainingError]:
         blocks.append((slice(start, start + len(block)),
                        StackedNet(run[0], block)))
         job_samples += np.split(block, len(run))
-    envs = [env for env, _ in jobs for _ in range(P)]
+    population = EnvPopulation([env for env, _ in jobs for _ in range(P)])
     scale = np.repeat(scales, P, axis=0)
+    # the chunk's buffers: scaled observations, actions
+    x = np.empty((len(scale), 1, scale.shape[1]))
+    actions = np.empty((len(scale), policies[0].action_dim))
 
     def act(obs):
-        actions = np.empty((len(envs), policies[0].action_dim))
-        x = (obs / scale)[:, None, :]
+        np.divide(obs, scale, x[:, 0])
         for rows, net in blocks:
             net.mean(net.trunk(x[rows]), out=actions[rows, None])
         return actions
@@ -142,7 +150,7 @@ def _train_chunk(jobs) -> list[GaussianPolicy | TrainingError]:
             break
         for j in live:
             searches[j].ask(job_samples[j])
-        scores, finite = population_returns(envs, act)
+        scores, finite = population_returns(population, act)
         for j in live:
             rows = slice(j * P, (j + 1) * P)
             if not finite[rows].all():

@@ -9,7 +9,7 @@ auto-resets finished ones. Each env writes its rule once, as a (P, n)
 ``_population_step``: ``step`` is its case of one row, and
 ``EnvPopulation`` is the one lockstep driver, stepping P auto-resetting
 episodes of envs with equal ``population_key``. ``population_returns``
-sums one episode per row of an ``EnvPopulation``.
+restarts an ``EnvPopulation`` and sums one episode per row.
 """
 from __future__ import annotations
 
@@ -390,7 +390,9 @@ class EnvPopulation:
     ``RollingData.make_env`` do, and each range must hold a step.
     Each row's value after a step is the value the next step starts
     from, so it is carried, not computed again; a reset row takes the
-    value of its start, computed once.
+    value of its start, computed once. ``restart`` puts every row back
+    at its start, so one population can run one set of episodes after
+    another.
     """
 
     def __init__(self, envs: Sequence[_BaseEnv]):
@@ -411,6 +413,11 @@ class EnvPopulation:
         self._cash0 = np.full(len(envs), first[0])
         self._held0 = np.tile(first[-env.n:], (len(envs), 1))
         self._value0 = env._values(self.starts, self._cash0, self._held0)
+        self.restart()
+
+    def restart(self) -> None:
+        """Put every row back at the start of its episode, where a new
+        population of the same envs starts."""
         self.t = self.starts.copy()
         self.cash, self.held = self._cash0.copy(), self._held0.copy()
         self.value = self._value0.copy()
@@ -435,36 +442,43 @@ class EnvPopulation:
         return reward, done
 
 
-def population_returns(envs: Sequence[_BaseEnv], act):
-    """Summed rewards of one episode per row of ``EnvPopulation(envs)``:
-    row p on the step range of ``envs[p]`` from its ``reset()``, which
-    must hold at least one step.
+def population_returns(population: EnvPopulation, act):
+    """Summed rewards of one episode per row of ``population``, which
+    restarts first: row p on the step range of its env from its
+    ``reset()``. One population can so score one generation of actors
+    after another.
 
     ``act`` maps the (P, observation_dim) observations to (P, n) actions.
-    Row p's sum equals a ``reset()``/``step`` loop on envs[p] driven by
+    Row p's sum equals a ``reset()``/``step`` loop on its env driven by
     row p of ``act``, bit for bit. A row adds nothing once its episode
     has ended or once its action was not finite; non-finite actions are
     zeroed before the step. Returns the (P,) sums and a (P,) mask of the
     rows whose actions all stayed finite while their episode ran.
     """
-    population = EnvPopulation(envs)
-    P, n = len(envs), population.env.n
+    population.restart()
+    P, n = len(population.starts), population.env.n
     lengths = population.ends - population.starts - 1  # steps per episode
     total = np.zeros(P)
     finite = np.ones(P, dtype=bool)
+    # every row adds its reward, without a mask of live rows, until the
+    # shortest episode ends or an action is not finite
+    unmasked = int(lengths.min())
     for k in range(int(lengths.max())):
-        live = finite & (k < lengths)
+        live = None if k < unmasked else finite & (k < lengths)
         actions = np.asarray(act(population.observations()), dtype=float)
         if actions.shape != (P, n):
             raise EnvError(f"actions have shape {actions.shape}, "
                            f"expected {(P, n)}")
-        if not np.isfinite(actions).all():
+        # the sum is not finite when an action is not (or it overflows)
+        if not np.isfinite(np.add.reduce(actions, None)):
             ok = np.isfinite(actions).all(axis=1)
+            live = finite & (k < lengths)
             finite &= ok | ~live
             live &= ok
+            unmasked = 0
             actions = np.where(ok[:, None], actions, 0.0)
         reward = population.step(actions)[0]
-        if live.all():
+        if live is None:
             total += reward
         else:
             np.add(total, reward, out=total, where=live)

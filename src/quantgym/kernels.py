@@ -282,59 +282,97 @@ def execute_trades_population(prices, holdings, balance, deltas,
                               cost_rate, allow_short, allow_margin):
     """``execute_trades_kernel`` for P accounts, without the fee total.
 
-    holdings and deltas are (P, n), balance is (P,), and prices is (P, n)
-    or one (n,) vector for every row. Returns (new_holdings, new_balance,
-    executed_deltas); row p of each equals the scalar kernel on row p,
-    bit for bit. Only the buys read the balance, each one the balance
-    the buys before it left, so only they loop over the tickers (with
-    vector operations over P, on a ticker-major copy of the buys and
-    prices, into buffers allocated once). Everything else runs on the
-    whole (P, n) grid, and the sell proceeds are added to the balance in
-    ticker order, as the scalar kernel adds them.
+    holdings and deltas are (P, n), balance is (P,), and prices, finite
+    and not negative, are (P, n) or one (n,) vector for every row.
+    Returns (new_holdings, new_balance, executed_deltas); row p of each
+    equals the scalar kernel on row p, bit for bit.
 
-    ``fmin(q, cap)`` stands for the scalar ``cap if q > cap else q``
-    (also when cap is NaN). The two can differ only in the sign of a
-    zero, and a quantity that is not positive does not fill.
+    The work is ticker-major, row i holding ticker i of every account.
+    Sell and buy quantities that do not fill are +0.0, so their cash
+    terms are +0.0 too, and taking +0.0 from a balance leaves it exactly
+    as it is. One ordered accumulate over a (2n + 1, P) buffer, the
+    balances above the cash terms of the n tickers' sells and then of
+    their buys, takes from each balance fee - proceeds of each sale
+    (which adds proceeds - fee, bit for bit), then the cost of each buy
+    as if no buy clipped. Those are the balances the buys see up to the
+    first ticker where some row cannot afford its buy, so only from
+    there does a loop over the tickers run (vector operations over P),
+    and it skips the tickers no row buys.
     """
-    sell = np.fmax(-deltas, 0.0)
-    if not allow_short:
-        sell = np.fmin(sell, np.fmax(holdings, 0.0))
-    sold = sell > 0.0
-    proceeds = sell * prices
-    # an unsold column adds -0.0, the exact identity
-    b = _sum_in_order(balance, np.where(sold, proceeds - cost_rate * proceeds,
-                                        -0.0))
-    # row i: ticker i of every account; a price row per account, or one
-    # price for all of them
-    buy = np.fmax(deltas.T, 0.0, order="C")
-    price = np.ascontiguousarray(prices.T)
-    unit = price * (1.0 + cost_rate)
-    if not allow_margin and not unit.min() > 0.0:
-        # a unit cost <= 0 affords no share: those buys become 0 here, and
-        # a unit of 1 keeps their unused cap free of a division by zero
-        unpayable = ~(unit > 0.0)
-        np.copyto(buy, 0.0, where=unpayable.reshape(len(buy), -1))
-        np.copyto(unit, 1.0, where=unpayable)
+    P, n = deltas.shape
+    price = prices.T.reshape(n, -1)  # (n, 1), or (n, P) with a row each
+    acc = np.empty((2 * n + 1, P))
+    acc[0] = balance
+    sells, buys = acc[1:n + 1], acc[n + 1:]
     # every output is passed by position: a keyword costs more per call
+    sell, buy, scratch = np.empty((3, n, P))
+    np.negative(deltas.T, sell)
+    np.fmax(sell, 0.0, sell)
+    if not allow_short:
+        np.fmin(sell, np.fmax(holdings.T, 0.0, scratch), sell)
+    np.add(sell, 0.0, sell)  # fmin and fmax may leave a zero as -0.0
+    proceeds = np.multiply(sell, price, scratch)
+    np.multiply(cost_rate, proceeds, sells)
+    np.subtract(sells, proceeds, sells)
+    np.fmax(deltas.T, 0.0, buy)
+    np.add(buy, 0.0, buy)
+    unit = price * (1.0 + cost_rate)
+    if not np.minimum.reduce(price, None) > 0.0:
+        free = price <= 0.0
+        # a sale at price 0 still adds its +0.0, which turns a balance of
+        # -0.0 into 0.0
+        np.copyto(sells, -0.0, where=free & (sell > 0.0))
+        if not allow_margin:  # a buy at price 0 affords no share
+            np.copyto(buy, 0.0, where=free)
+            np.copyto(unit, 1.0, where=free)  # divides the unused cap
+    np.multiply(buy, price, buys)  # the notional, then plus its fee
+    np.add(buys, np.multiply(cost_rate, buys, scratch), buys)
+    np.subtract.accumulate(acc, 0, None, acc)
+    b = acc[2 * n]
+    if not allow_margin:
+        before = acc[n:2 * n]  # row i: the balance before buy i
+        afford = np.floor(np.divide(before, unit, scratch), scratch)
+        clipped = np.greater(buy, afford)
+        first = int(clipped.argmax())
+        if clipped.item(first):
+            first //= P
+            b = _clipped_buys(buy, price, unit, before[first], cost_rate,
+                              first)
+        b = np.where(b < 0.0, 0.0, b)
+    executed = np.subtract(buy, sell).T
+    new_h = np.empty_like(holdings)
+    np.subtract(holdings, np.subtract(sell, buy, scratch).T, new_h)
+    return new_h, b, executed
+
+
+def _clipped_buys(buy, price, unit, start, cost_rate, first):
+    """The balances after the buys from ticker ``first`` on, each clipped
+    to what the balance before it affords, from balances ``start``;
+    ``buy`` takes the clipped quantities.
+
+    The balance the loop runs on starts at ``start + 0.0``, so it is
+    never -0.0, and taking a spend of either zero leaves it as it is. A
+    zero balance affords nothing, so it ends as it started.
+    """
+    b = start + 0.0
     afford, spend = np.empty_like(b), np.empty_like(b)
-    fills = np.empty(b.shape, dtype=bool)
-    for qty, p, u in zip(buy, price, unit):
-        if not allow_margin:
-            np.divide(b, u, afford)
-            np.floor(afford, afford)
-            np.fmin(qty, afford, qty)
+    if price.shape[1] == 1:  # one price per ticker: a scalar per call
+        price, unit = price[:, 0], unit[:, 0]
+    for qty, p, u, bought in zip(buy[first:], price[first:], unit[first:],
+                                 buy[first:].any(axis=1).tolist()):
+        if not bought:  # +0.0 everywhere: no spend
+            continue
+        np.divide(b, u, afford)
+        np.floor(afford, afford)
+        np.fmin(qty, afford, qty)
+        np.fmax(qty, 0.0, qty)  # a balance below zero affords no share
         np.multiply(qty, p, spend)  # the notional, then plus its fee
         np.multiply(cost_rate, spend, afford)
         np.add(spend, afford, spend)
-        np.greater(qty, 0.0, fills)
-        np.subtract(b, spend, b, where=fills)
-    buy = buy.T
-    bought = buy > 0.0
-    executed = np.where(sold, -sell, np.where(bought, buy, 0.0))
-    new_h = np.where(sold | bought, holdings + executed, holdings)
-    if not allow_margin:
-        b = np.where(b < 0.0, 0.0, b)
-    return new_h, b, executed
+        np.subtract(b, spend, b)
+    np.add(buy[first:], 0.0, buy[first:])  # fmin and fmax may leave -0.0
+    np.copyto(b, start, where=start == 0.0)
+    return b
 
 
 def _sum_in_order(start, terms):

@@ -279,12 +279,22 @@ def backtest(policy, env, reset_kwargs: dict | None = None,
              window_id: int = 0, annualization_basis: int = 365,
              trade_log: TradeLog | None = None) -> BacktestResult:
     """Run one deterministic evaluation episode and attach metrics."""
+    log = trade_log if trade_log is not None else TradeLog()
+    values, stamps, transitions = _episode(policy, env, reset_kwargs,
+                                           window_id, log)
+    return _result(values, stamps, log, transitions,
+                   annualization_basis=annualization_basis)
+
+
+def _episode(policy, env, reset_kwargs, window_id, log):
+    """``backtest``'s episode without its metrics: the values and
+    timestamps from the reset state on, and the transitions; each step's
+    row goes to log."""
     _policy_env_compatible(policy, env)
     policy.begin_episode()
     state = env.reset(**(reset_kwargs or {}))
     values = [state.value]
     stamps = [state.timestamp]
-    log = trade_log if trade_log is not None else TradeLog()
     transitions: list[Transition] = []
     while not env.done:
         with np.errstate(all="ignore"):  # a non-finite action fails in step
@@ -300,14 +310,22 @@ def backtest(policy, env, reset_kwargs: dict | None = None,
         state = transition.next_state
         values.append(state.value)
         stamps.append(state.timestamp)
+    return values, stamps, transitions
+
+
+def _result(values, stamps, log, transitions, window_reports=(),
+            **metric_kwargs) -> BacktestResult:
+    """The BacktestResult of a value series and its timestamps, with
+    ``metrics`` (given metric_kwargs) once it holds two values."""
     values = np.asarray(values)
     stamps = np.asarray(stamps, dtype="datetime64[s]")
     m = None
+    returns = np.zeros(0)
     if values.size >= 2:
-        m = metrics(values, timestamps=stamps,
-                    annualization_basis=annualization_basis)
-    returns = values[1:] / values[:-1] - 1.0 if values.size >= 2 else np.zeros(0)
-    return BacktestResult(values, stamps, returns, log, m, transitions)
+        m = metrics(values, timestamps=stamps, **metric_kwargs)
+        returns = values[1:] / values[:-1] - 1.0
+    return BacktestResult(values, stamps, returns, log, m, list(transitions),
+                          list(window_reports))
 
 
 # ---------------------------------------------------------------------------
@@ -532,25 +550,17 @@ def run_rolling(data: RollingData, plan: WindowPlan,
         trade_lo = day_start(window.trade_day)
         settle = day_start(window.trade_day + 1)
         env = data.make_env(trade_lo, min(max(settle + 1, trade_lo + 1), T))
-        day = backtest(_Hold(env) if policy is None else policy, env,
-                       _carry_kwargs(env, carry), window.index, trade_log=log)
+        day_values, day_stamps, _ = _episode(
+            _Hold(env) if policy is None else policy, env,
+            _carry_kwargs(env, carry), window.index, log)
         first = 1 if values else 0  # a later day starts where one ended
-        values.extend(day.values[first:])
-        stamps.extend(day.timestamps[first:])
+        values.extend(day_values[first:])
+        stamps.extend(day_stamps[first:])
         carry = _extract_carry(env)
 
-    values_arr = np.asarray(values)
-    stamps_arr = np.asarray(stamps, dtype="datetime64[s]")
-    m = None
-    if values_arr.size >= 2:
-        m = metrics(values_arr, trading_days=plan.n_trade,
-                    timestamps=stamps_arr,
-                    annualization_basis=annualization_basis)
-    returns = (values_arr[1:] / values_arr[:-1] - 1.0
-               if values_arr.size >= 2 else np.zeros(0))
-    result = BacktestResult(values_arr, stamps_arr, returns, log, m,
-                            window_reports=reports)
-    return log, result
+    return log, _result(values, stamps, log, (), reports,
+                        trading_days=plan.n_trade,
+                        annualization_basis=annualization_basis)
 
 
 # ---------------------------------------------------------------------------

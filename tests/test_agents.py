@@ -697,6 +697,24 @@ class TestCEM:
         assert_bitwise_equal(best, mean)
         assert history == [float(np.max(s @ np.arange(3.0))) for s in seen]
 
+    def test_refit_equals_numpy_mean_and_std_bitwise(self):
+        """``tell`` refits to the bits of ``elites.mean(axis=0)`` and the
+        floored ``elites.std(axis=0)``, on seeded random elites."""
+        rng = np.random.default_rng(21)
+        for population, dim, elite_frac in [(2, 1, 0.5), (24, 300, 0.2),
+                                            (72, 17, 1.0), (9, 1000, 0.34)]:
+            search = cem._Search(dim, population, elite_frac, seed=3)
+            samples = np.empty((population, dim))
+            search.ask(samples)
+            samples *= rng.uniform(1e-4, 1e3, dim)  # one scale per column
+            scores = rng.standard_normal(population)
+            elites = samples[np.argsort(-scores,
+                                        kind="stable")[:search.n_elite]]
+            search.tell(scores)
+            assert_bitwise_equal(search.mean, elites.mean(axis=0))
+            assert_bitwise_equal(search.std,
+                                 np.maximum(elites.std(axis=0), 1e-3))
+
     def test_iterations_floor(self):
         with pytest.raises(TrainingError, match=r"iterations = 0 is outside \[1, inf\)"):
             cem_optimize(rowwise(lambda th: 0.0), dim=2, iterations=0,

@@ -462,7 +462,8 @@ class TestEpisodeReturns:
             batches.append(obs.copy())
             return np.array([self.act_row(p, o) for p, o in enumerate(obs)])
 
-        returns, finite = population_returns([env] * self.P, act)
+        returns, finite = population_returns(EnvPopulation([env] * self.P),
+                                             act)
         assert finite.all()
         assert len(batches) == env.end - 1 - env.start
         for p in range(self.P):
@@ -485,7 +486,7 @@ class TestEpisodeReturns:
                 actions[4, 0] = np.nan  # row 4 (start 3) at t=6
             return actions
 
-        returns, finite = population_returns(envs, act)
+        returns, finite = population_returns(EnvPopulation(envs), act)
         assert len(calls) == 21  # the steps of the longest range
         assert finite.tolist() == [True, True, True, True, False]
         for p in range(4):
@@ -499,6 +500,38 @@ class TestEpisodeReturns:
         assert_bitwise_equal(returns[4], total)
 
     @pytest.mark.parametrize("env_cls", [TradingEnv, PortfolioEnv])
+    def test_one_population_scores_generation_after_generation(self,
+                                                               env_cls):
+        """Two generations on one population (the first with a row whose
+        action turns non-finite) equal two calls on fresh populations."""
+        env = self.make_env(env_cls)
+        envs = [env_cls(env.config, env.table, env.features,
+                        risk_series=env.risk_series, start=start, end=end)
+                for start, end in [(2, 12), (4, 20), (6, 10), (2, 24)]]
+
+        def actor(generation):
+            calls = []
+
+            def act(obs):
+                calls.append(1)
+                actions = np.array([self.act_row(p + generation, o)
+                                    for p, o in enumerate(obs)])
+                if generation == 0 and len(calls) == 3:
+                    actions[1, 2] = np.inf
+                return actions
+            return act
+
+        population = EnvPopulation(envs)
+        for generation in range(2):
+            returns, finite = population_returns(population,
+                                                 actor(generation))
+            fresh, fresh_finite = population_returns(EnvPopulation(envs),
+                                                     actor(generation))
+            assert_bitwise_equal(returns, fresh)
+            assert finite.tolist() == fresh_finite.tolist()
+            assert finite.tolist() == [True, generation == 1, True, True]
+
+    @pytest.mark.parametrize("env_cls", [TradingEnv, PortfolioEnv])
     def test_non_finite_action_rejected(self, env_cls):
         env = self.make_env(env_cls)
         calls = []
@@ -510,7 +543,8 @@ class TestEpisodeReturns:
                 actions[2, 1] = np.nan
             return actions
 
-        returns, finite = population_returns([env] * self.P, act)
+        returns, finite = population_returns(EnvPopulation([env] * self.P),
+                                             act)
         assert len(calls) == env.end - 1 - env.start
         assert finite.tolist() == [True, True, False, True, True]
         # the rejected row keeps the rewards of its three steps before it
@@ -524,7 +558,7 @@ class TestEpisodeReturns:
     def test_action_shape_checked(self):
         env = self.make_env(PortfolioEnv)
         with pytest.raises(EnvError, match="shape"):
-            population_returns([env] * self.P,
+            population_returns(EnvPopulation([env] * self.P),
                                lambda obs: np.zeros((self.P, 2)))
 
 
@@ -571,6 +605,33 @@ class TestEnvPopulation:
                 state = env.reset() if transition.done \
                     else transition.next_state
                 obs = state.observation()
+
+    @pytest.mark.parametrize("env_cls", [TradingEnv, PortfolioEnv])
+    def test_restart_equals_a_fresh_population(self, env_cls):
+        """Restarted after rows ended (and reset) and one row failed on a
+        non-finite action, a population steps as a new one does."""
+        envs = self.make_envs(env_cls)[:4]
+        act = TestEpisodeReturns.act_row
+        population = EnvPopulation(envs)
+        for k in range(6):
+            actions = np.array([act(p, o) for p, o in
+                                enumerate(population.observations())])
+            if k == 2:
+                actions[3] = np.nan  # spoils the weights of row 3
+            population.step(actions)
+        assert (population.t != population.starts).any()
+        population.restart()
+        fresh = EnvPopulation(envs)
+        for _ in range(25):
+            obs = population.observations()
+            assert_bitwise_equal(obs, fresh.observations())
+            actions = np.array([act(p, o) for p, o in enumerate(obs)])
+            for got, want in zip(population.step(actions),
+                                 fresh.step(actions)):
+                assert_bitwise_equal(got, want)
+            for name in ("t", "cash", "held", "value"):
+                assert_bitwise_equal(getattr(population, name),
+                                     getattr(fresh, name))
 
     def test_rejects_envs_that_share_nothing(self):
         envs = self.make_envs(TradingEnv)

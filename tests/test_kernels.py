@@ -100,22 +100,31 @@ def test_execute_trades_population_takes_prices_per_row():
 
 @st.composite
 def fill_cases(draw):
-    """Arguments of ``execute_trades_population``: prices shared by every
-    row or given per row, zeros among them; balances of 0.0, -0.0, below
-    zero and NaN; both flags and three cost rates."""
-    n, P = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    """Arguments of ``execute_trades_population``: 1 to 5 drawn rows, in
+    half the cases spread to up to 72 rows (a CEM chunk's width) by
+    repeating them in a drawn order; prices shared by every row or given
+    per row, zeros among them; share counts of -0.0; balances of 0.0,
+    -0.0, below zero and NaN; both flags and three cost rates."""
+    n, k = draw(st.integers(1, 6)), draw(st.integers(1, 5))
     price = st.one_of(st.just(0.0), st.floats(0.01, 500.0))
-    shape = draw(st.sampled_from([(n,), (P, n)]))
+    shape = draw(st.sampled_from([(n,), (k, n)]))
     prices = np.array(draw(st.lists(price, min_size=math.prod(shape),
                                     max_size=math.prod(shape)))).reshape(shape)
-    shares = st.integers(-40, 40).map(float)
-    holdings = np.array(draw(st.lists(shares, min_size=P * n,
-                                      max_size=P * n))).reshape(P, n)
-    deltas = np.array(draw(st.lists(shares, min_size=P * n,
-                                    max_size=P * n))).reshape(P, n)
+    shares = st.one_of(st.integers(-40, 40).map(float), st.just(-0.0))
+    holdings = np.array(draw(st.lists(shares, min_size=k * n,
+                                      max_size=k * n))).reshape(k, n)
+    deltas = np.array(draw(st.lists(shares, min_size=k * n,
+                                    max_size=k * n))).reshape(k, n)
     balance = np.array(draw(st.lists(
         st.one_of(st.sampled_from([0.0, -0.0, -250.0, np.nan]),
-                  st.floats(-1000.0, 5000.0)), min_size=P, max_size=P)))
+                  st.floats(-1000.0, 5000.0)), min_size=k, max_size=k)))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        rows = rng.integers(0, k, draw(st.integers(k, 72)))
+        holdings, deltas, balance = holdings[rows], deltas[rows], \
+            balance[rows]
+        if prices.ndim == 2:
+            prices = prices[rows]
     return (prices, holdings, balance, deltas,
             draw(st.sampled_from([0.0, 0.001, 0.05])), draw(st.booleans()),
             draw(st.booleans()))
@@ -126,6 +135,33 @@ def fill_cases(draw):
 @example((np.array([10.0, 20.0, 30.0]), np.zeros((2, 3)),
           np.array([1000.0, 5000.0]), np.array([[100.0, 30.0, 30.0]] * 2),
           0.001, False, False))
+# no row clips, so no buy loop runs
+@example((np.array([10.0, 20.0, 30.0]), np.array([[0.0, 4.0, 0.0]] * 2),
+          np.array([1e6, 5e5]), np.array([[5.0, -0.0, 3.0], [0.0, -4.0, 1.0]]),
+          0.001, False, False))
+# row 0 affords its buy of ticker 0 and first clips at ticker 1; row 1
+# clips nowhere
+@example((np.array([10.0, 20.0, 30.0]), np.zeros((2, 3)),
+          np.array([500.0, 5000.0]), np.array([[10.0, 30.0, 5.0],
+                                               [1.0, 1.0, 1.0]]),
+          0.001, False, False))
+# row 0 holds a balance of -0.0 and buys nothing while row 1 clips, so
+# the loop runs over row 0 too, which keeps its -0.0
+@example((np.array([10.0, 20.0, 30.0]), np.zeros((2, 3)),
+          np.array([-0.0, 100.0]), np.array([[-0.0, 0.0, -0.0],
+                                             [20.0, 0.0, 0.0]]),
+          0.001, False, False))
+# a balance of -5e-324 affords floor(-0.0) shares, so fmin and fmax may
+# leave a buy of -0.0
+@example((np.array([10.0, 20.0]), np.zeros((9, 2)), np.full(9, -5e-324),
+          np.array([[3.0, 0.0]] * 9), 0.001, False, False))
+# a sale at price 0 turns a balance of -0.0 into 0.0
+@example((np.array([0.0, 20.0]), np.array([[3.0, 0.0]]), np.array([-0.0]),
+          np.array([[-3.0, 0.0]]), 0.001, False, False))
+# one row: a sale, an unclipped buy, and a buy clipped from 3 to 2 shares
+@example((np.array([10.0, 20.0, 30.0]), np.array([[5.0, 0.0, 0.0]]),
+          np.array([100.0]), np.array([[-5.0, 4.0, 3.0]]), 0.001, False,
+          False))
 @settings(max_examples=300, deadline=None)
 @given(fill_cases())
 def test_execute_trades_population_property(case):
@@ -135,15 +171,19 @@ def test_execute_trades_population_property(case):
     new_h, new_b, executed = kernels.execute_trades_population(
         prices, holdings, balance, deltas, cost_rate, allow_short,
         allow_margin)
+    rows = []
     for p in range(len(balance)):
         row_prices = prices if prices.ndim == 1 else prices[p]
         h, b, e, c = kernels.execute_trades_kernel(
             row_prices, holdings[p], float(balance[p]), deltas[p], cost_rate,
             allow_short, allow_margin)
-        assert_bitwise_equal(new_h[p], h)
-        assert_bitwise_equal(new_b[p], b)
-        assert_bitwise_equal(executed[p], e)
-        assert_bitwise_equal(fee_total(executed[p], row_prices, cost_rate), c)
+        rows.append((h, b, e, c, fee_total(executed[p], row_prices,
+                                           cost_rate)))
+    h, b, e, c, fees = zip(*rows)
+    assert_bitwise_equal(new_h, h)
+    assert_bitwise_equal(new_b, b)
+    assert_bitwise_equal(executed, e)
+    assert_bitwise_equal(fees, c)
 
 
 @st.composite
